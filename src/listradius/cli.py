@@ -20,6 +20,7 @@ __all__ = ["RunConfig", "main", "run"]
 
 USAGE_EXIT = 1
 FAILURE_EXIT = 2
+MAX_CURVE_ROWS = 100_000
 
 
 @dataclass
@@ -33,9 +34,10 @@ class RunConfig:
     output_precision: int = 10
 
     def validate(self):
-        if self.bisect_tol <= 0 or self.bisect_tol > 1e-6:
+        # negated range checks, so that NaN fails them too
+        if not (0 < self.bisect_tol <= 1e-6):
             raise DomainError("bisect_tol must lie in (0, 1e-6]")
-        if self.xi0_grid <= 0 or self.lp2_grid <= 0 or self.output_precision <= 0:
+        if not (self.xi0_grid > 0 and self.lp2_grid > 0 and self.output_precision > 0):
             raise DomainError("grid sizes and precision must be positive")
 
 
@@ -112,10 +114,12 @@ def _build_parser() -> _Parser:
 
 
 def _rate_grid(rmin, rmax, step):
-    if not (0.0 < rmin < rmax < 1.0) or step <= 0.0:
+    if not (0.0 < rmin < rmax < 1.0 and step > 0.0):
         raise DomainError("need 0 < rmin < rmax < 1 and step > 0")
-    n = int(math.floor((rmax - rmin) / step + 1e-9)) + 1
-    return [rmin + k * step for k in range(n)]
+    span = (rmax - rmin) / step + 1e-9
+    if span >= MAX_CURVE_ROWS:
+        raise DomainError(f"step {step:g} gives more than {MAX_CURVE_ROWS} rows")
+    return [rmin + k * step for k in range(math.floor(span) + 1)]
 
 
 def _fmt(value, digits):

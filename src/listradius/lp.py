@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
+DEFAULT_LP2_GRID = 400
 
 
 def golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
@@ -79,91 +80,45 @@ def lp2_constraint(alpha: float, beta: float) -> float:
     )
 
 
-def _alpha_on_constraint(beta: float, delta: float, tol: float = 1e-13) -> float:
+def _alpha_on_constraint(beta, delta: float):
     """Largest alpha in [beta, 1/2] keeping the constraint at most delta.
 
-    Bisection on the constraint equality; returns 1/2 when the whole range
-    is feasible.  The feasible (lower) endpoint of the final bracket is
-    returned so the witness never violates the constraint.
+    The constraint is alpha(1-alpha) <= c = beta(1-beta) + delta (1/2 +
+    sqrt(beta(1-beta))), so the boundary is 2c / (1 + sqrt(1 - 4c)), or
+    1/2 once c >= 1/4.  Accepts a float or a numpy array of betas.
     """
-    if lp2_constraint(0.5, beta) <= delta:
-        return 0.5
-    lo, hi = beta, 0.5
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if lp2_constraint(mid, beta) <= delta:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    q = beta * (1.0 - beta)
+    c = q + delta * (0.5 + np.sqrt(q))
+    return np.minimum(2.0 * c / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * c, 0.0))), 0.5)
 
 
-def _min_beta_on_constraint(alpha: float, delta: float, tol: float = 1e-13) -> float:
-    """Smallest beta in [0, alpha] keeping the constraint at most delta."""
-    if lp2_constraint(alpha, 0.0) <= delta:
-        return 0.0
-    lo, hi = 0.0, alpha
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if lp2_constraint(alpha, mid) <= delta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-@functools.lru_cache(maxsize=4096)
-def _r_lp2_cached(delta: float, grid: int, refine_tol: float):
-    # Boundary search: for each beta take the largest feasible alpha
-    # (the objective 1 - h(alpha) + h(beta) decreases in alpha).
-    def boundary_obj(beta):
-        alpha = _alpha_on_constraint(beta, delta)
-        return 1.0 - binary_entropy(alpha) + binary_entropy(beta)
-
-    betas = np.linspace(0.0, 0.5, grid + 1)
-    vals = [boundary_obj(b) for b in betas]
-    k = int(np.argmin(vals))
-    blo = betas[max(k - 1, 0)]
-    bhi = betas[min(k + 1, grid)]
-    beta_b, val_b = golden_min(boundary_obj, blo, bhi, tol=1e-12)
-    best = (val_b, _alpha_on_constraint(beta_b, delta), beta_b)
-
-    # Coarse 2-D grid over the region, then coordinate descent.
-    a = np.linspace(0.0, 0.5, grid + 1)
-    A, B = np.meshgrid(a, a, indexing="ij")
-    mask = B <= A
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lhs = 2.0 * (A * (1.0 - A) - B * (1.0 - B)) / (1.0 + 2.0 * np.sqrt(B * (1.0 - B)))
-    mask &= lhs <= delta
-    obj = 1.0 - binary_entropy(A) + binary_entropy(B)
-    obj = np.where(mask, obj, np.inf)
-    flat = int(np.argmin(obj))
-    alpha_c, beta_c = float(A.flat[flat]), float(B.flat[flat])
-    for _ in range(200):
-        alpha_n = _alpha_on_constraint(beta_c, delta)
-        beta_n = _min_beta_on_constraint(alpha_n, delta)
-        move = abs(alpha_n - alpha_c) + abs(beta_n - beta_c)
-        alpha_c, beta_c = alpha_n, beta_n
-        if move < refine_tol:
-            break
-    val_c = 1.0 - binary_entropy(alpha_c) + binary_entropy(beta_c)
-    if val_c < best[0]:
-        best = (val_c, alpha_c, beta_c)
-
-    rate = max(float(best[0]), 0.0)
-    return rate, Lp2Witness(alpha=float(best[1]), beta=float(best[2]), rate_bits=rate)
-
-
-def r_lp2(delta: float, grid: int = 400, refine_tol: float = 1e-8):
+def r_lp2(delta: float, grid: int = DEFAULT_LP2_GRID):
     """Second LP bound on rate at relative distance delta, minimized over the
-    feasible (alpha, beta) region; returns (rate_bits, witness)."""
+    feasible (alpha, beta) region; returns (rate_bits, witness).
+
+    The objective 1 - h(alpha) + h(beta) decreases in alpha, so for each
+    beta the minimum sits on the constraint boundary, which has a closed
+    form.  The boundary is scanned at ``grid + 1`` betas in [0, 1/2] and
+    refined by golden section around the best scan point.  The witness
+    alpha is stepped down by ulps until the constraint holds exactly.
+    """
     delta = float(delta)
     if not 0.0 < delta <= 0.5:
         raise DomainError(f"relative distance must lie in (0, 1/2], got {delta}")
-    return _r_lp2_cached(delta, int(grid), float(refine_tol))
 
+    def boundary_obj(beta):
+        return 1.0 - binary_entropy(_alpha_on_constraint(beta, delta)) + binary_entropy(beta)
 
-DEFAULT_LP2_GRID = 400
+    betas = np.linspace(0.0, 0.5, int(grid) + 1)
+    k = int(np.argmin(boundary_obj(betas)))
+    blo = float(betas[max(k - 1, 0)])
+    bhi = float(betas[min(k + 1, len(betas) - 1)])
+    beta, _ = golden_min(boundary_obj, blo, bhi, tol=1e-12)
+    alpha = float(_alpha_on_constraint(beta, delta))
+    while lp2_constraint(alpha, beta) > delta:
+        alpha = math.nextafter(alpha, 0.0)
+    rate = max(1.0 - binary_entropy(alpha) + binary_entropy(beta), 0.0)
+    return rate, Lp2Witness(alpha=alpha, beta=beta, rate_bits=rate)
 
 
 def abl_sphere_param(tau: float) -> float:
@@ -185,14 +140,13 @@ def _abl_second_branch(tau: float) -> float:
 
 @functools.lru_cache(maxsize=8)
 def abl_branch_point(tol: float = 1e-9, grid: int = DEFAULT_LP2_GRID) -> float:
-    """Switch point of the two branches of the list-2 bound.
+    """Contact point of the two branches of the list-2 bound.
 
-    The branches meet where their difference vanishes.  With the LP branch
-    evaluated accurately the two expressions osculate instead of crossing
-    transversally (the difference peaks at about -1e-7), so when the scan
-    finds no sign change the contact point is located as the extremum of
-    the difference.  Either way the branch values agree there to well under
-    1e-6.
+    With the LP branch evaluated accurately the two expressions osculate
+    instead of crossing (the difference peaks at about -1e-7), so the
+    switch point is the maximizer of their difference: golden section
+    around the best of 45 scanned points.  A positive scanned difference
+    (a transversal crossing) or a peak below -1e-6 raises NoSolutionError.
     """
 
     def gap(tau):
@@ -200,30 +154,14 @@ def abl_branch_point(tol: float = 1e-9, grid: int = DEFAULT_LP2_GRID) -> float:
 
     taus = np.linspace(0.02, 0.24, 45)
     gaps = [gap(t) for t in taus]
-    for i in range(len(taus) - 1):
-        if gaps[i] == 0.0:
-            return float(taus[i])
-        if gaps[i] * gaps[i + 1] < 0.0:
-            lo, hi = taus[i], taus[i + 1]
-            glo = gaps[i]
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                gm = gap(mid)
-                if gm == 0.0:
-                    return mid
-                if (gm > 0.0) == (glo > 0.0):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+    if max(gaps) > 0.0:
+        raise NoSolutionError("list-2 bound branches cross instead of touching")
     k = int(np.argmax(gaps))
     lo = taus[max(k - 1, 0)]
     hi = taus[min(k + 1, len(taus) - 1)]
     tau0, peak = golden_max(gap, float(lo), float(hi), tol=tol)
     if peak < -1e-6:
-        raise NoSolutionError(
-            "list-2 bound branches neither cross nor touch within 1e-6"
-        )
+        raise NoSolutionError("list-2 bound branches do not touch within 1e-6")
     return tau0
 
 

@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from listradius import bounds, checks, core, lp, oracle
+from listradius import bounds, checks, core, oracle
 
 
 def _report(num, ok, text):
@@ -65,29 +65,22 @@ def test_c03_central_vs_closed_form():
 
 
 def test_c04_list2_branch_point():
-    tau0 = lp.abl_branch_point()
-    _report(4, abs(tau0 - 0.1093) <= 0.001, f"list-2 branch point {tau0:.5f} = 0.1093 +- 0.001")
+    r = checks.check_abl_branch()
+    _report(
+        4,
+        r.passed,
+        f"list-2 branch point {r.detail} = 0.1093 +- 0.001, branch gap "
+        f"{r.residual:.2e} <= 1e-6",
+    )
 
 
 def test_c05_lp_agreement_regime():
-    worst = 0.0
-    for R in np.arange(0.05, 0.2801, 0.01):
-        R = float(R)
-        worst = max(worst, abs(lp.r_lp2(core.delta_lp1(R))[0] - R))
-    lo, hi = 0.28, 0.40
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if mid - lp.r_lp2(core.delta_lp1(mid))[0] > 1e-6:
-            hi = mid
-        else:
-            lo = mid
-    onset = 0.5 * (lo + hi)
-    ok = worst <= 1e-4 and abs(onset - 0.305) <= 0.01
+    r = checks.check_lp_agreement_regime()
     _report(
         5,
-        ok,
-        f"LP2 matches LP1 to {worst:.2e} on [0.05, 0.28]; divergence onset "
-        f"{onset:.4f} = 0.305 +- 0.01",
+        r.passed,
+        f"LP2 matches LP1 to {r.residual:.2e} <= 1e-4 on [0.05, 0.28]; divergence "
+        f"{r.detail} = 0.305 +- 0.01",
     )
 
 

@@ -52,6 +52,16 @@ class TestCurve:
         taus_b = [float(r.split(",")[1]) for r in out_b.strip().splitlines()[1:]]
         assert all(t < b for t, b in zip(taus_t, taus_b))
 
+    @pytest.mark.parametrize("step", ["1e-9", "nan"])
+    def test_bad_step_rejected(self, step):
+        code, out, err = run_cli(
+            ["curve", "--bound", "blinovsky", "--L", "3",
+             "--rmin", "0.01", "--rmax", "0.99", "--step", step]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
     def test_deterministic_output(self):
         argv = ["curve", "--bound", "theorem1", "--L", "5",
                 "--rmin", "0.1", "--rmax", "0.4", "--step", "0.1"]
@@ -194,6 +204,17 @@ class TestConfig:
             ["witness", "--L", "3", "--R", "0.2", "--config", str(path)]
         )
         assert code == 1
+
+    def test_nan_tolerance_rejected(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("bisect_tol=nan\n")
+        code, out, err = run_cli(
+            ["witness", "--L", "3", "--R", "0.2", "--config", str(path)]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "bisect_tol" in err
 
     def test_precision_applies(self, tmp_path):
         path = tmp_path / "cfg"

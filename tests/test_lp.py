@@ -28,9 +28,12 @@ class TestRLp2:
         assert r_lp2(1e-4)[0] > 0.999
 
     def test_witness_feasible(self):
-        for d in np.arange(0.05, 0.501, 0.05):
-            rate, w = r_lp2(float(d))
-            assert lp2_constraint(w.alpha, w.beta) <= float(d) + 1e-10
+        for d in [1e-4, 1e-3, 0.01, *np.arange(0.05, 0.501, 0.05)]:
+            d = float(d)
+            rate, w = r_lp2(d)
+            # feasible, and on the constraint boundary unless alpha is capped
+            assert lp2_constraint(w.alpha, w.beta) <= d
+            assert w.alpha == 0.5 or lp2_constraint(w.alpha, w.beta) >= d - 1e-12
             assert 0.0 <= w.beta <= w.alpha <= 0.5
             assert rate == pytest.approx(
                 1 - binary_entropy(w.alpha) + binary_entropy(w.beta), abs=1e-12
