@@ -8,6 +8,7 @@ plumbing built on top.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,24 @@ __all__ = [
 ]
 
 BOUND_NAMES = ("theorem1", "blinovsky", "abl2", "lp1", "lp2", "slope", "best")
+
+# Largest list sizes whose integer coefficients still convert to floats:
+# the Catalan numbers of blinovsky_bound overflow from L = 1041 on, the
+# binomial terms of avg_radius_poly (behind theorem1, slope and best) from
+# L = 1026 on.
+MAX_CATALAN_L = 1040
+MAX_POLY_L = 1025
+_FLOAT_CAPS = {
+    "theorem1": MAX_POLY_L,
+    "blinovsky": MAX_CATALAN_L,
+    "slope": MAX_POLY_L,
+    "best": MAX_POLY_L,
+}
+
+# Iteration cap of the xi1 solvers: past the ~40 halvings that take the
+# bracket from 1/2 to 1e-12, and the only exit when tol is below the float
+# spacing of the root.
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -97,11 +116,19 @@ class BoundCurve:
     points: tuple[CurvePoint, ...]
 
 
+def _check_float_cap(L: int, cap: int):
+    if L > cap:
+        raise DomainError(
+            f"list size {L} exceeds {cap}, the largest with float-sized coefficients"
+        )
+
+
 def blinovsky_bound(L: int, R: float) -> float:
     """Catalan-weighted sum bound on the list-L radius at rate R, with the
     sphere parameter lam solving R = 1 - h(lam)."""
     if not isinstance(L, int) or L < 1:
         raise DomainError(f"list size must be a positive integer, got {L}")
+    _check_float_cap(L, MAX_CATALAN_L)
     R = float(R)
     if not 0.0 <= R <= 1.0:
         raise DomainError(f"rate must lie in [0, 1], got {R}")
@@ -123,57 +150,95 @@ def zero_rate_radius(L: int) -> Fraction:
     return Fraction(1, 2) - Fraction(comb(L, (L - 1) // 2), 2 ** (L + 1))
 
 
+def _xi1_residual(xi0, h0, r_prime, x, log2):
+    """Right-hand side of the xi1 equation minus r_prime at xi1 = x, and
+    its slope in x; ``log2`` is math.log2 for floats, np.log2 for arrays."""
+    p, q = x / (2.0 * xi0), x / (2.0 * (1.0 - xi0))
+    lp, lq = log2(p), log2(q)
+    lp1, lq1 = log2(1.0 - p), log2(1.0 - q)
+    g = (
+        h0
+        + xi0 * (p * lp + (1.0 - p) * lp1)
+        + (1.0 - xi0) * (q * lq + (1.0 - q) * lq1)
+        - r_prime
+    )
+    return g, 0.5 * (lp + lq - lp1 - lq1)
+
+
 def solve_xi1(xi0: float, r_prime: float, tol: float = 1e-12) -> float:
     """Unique xi1 in [0, 2 xi0 (1 - xi0)] with
     r_prime = h(xi0) - xi0 h(xi1/(2 xi0)) - (1-xi0) h(xi1/(2(1-xi0))).
 
-    The right-hand side decreases from h(xi0) at xi1 = 0 to 0 at the upper
-    endpoint, so bisection applies.
+    The right-hand side is convex in xi1 and decreases from h(xi0) at 0 to
+    0 at the upper endpoint, with slope -(log2((1-p)/p) + log2((1-q)/q))/2,
+    p = xi1/(2 xi0), q = xi1/(2(1-xi0)).  Both endpoint roots are returned
+    directly (the slope vanishes at the upper one).  Between them, Newton
+    steps run inside a bisection bracket and fall back to its midpoint
+    when they leave it, until the bracket or the step is below ``tol``.
     """
     xi0 = float(xi0)
     if not 0.0 < xi0 < 1.0:
         raise DomainError(f"xi0 must lie in (0, 1), got {xi0}")
     h0 = binary_entropy(xi0)
-    if r_prime < -1e-9 or r_prime > h0 + 1e-9:
+    rp = float(r_prime)
+    # negated range check, so that NaN fails it too
+    if not (-1e-9 <= rp <= h0 + 1e-9):
         raise NoSolutionError(
             f"no xi1 solution: r_prime={r_prime} outside [0, h(xi0)={h0}]"
         )
-    rp = min(max(float(r_prime), 0.0), h0)
-    lo, hi = 0.0, 2.0 * xi0 * (1.0 - xi0)
-
-    def rhs(x):
-        return (
-            h0
-            - xi0 * binary_entropy(x / (2.0 * xi0))
-            - (1.0 - xi0) * binary_entropy(x / (2.0 * (1.0 - xi0)))
-        )
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if rhs(mid) >= rp:
-            lo = mid
+    top = 2.0 * xi0 * (1.0 - xi0)
+    if rp >= h0:
+        return 0.0
+    if rp <= 0.0:
+        return top
+    lo, hi = 0.0, top
+    x = 0.5 * top
+    for _ in range(_NEWTON_MAX_ITER):
+        g, slope = _xi1_residual(xi0, h0, rp, x, math.log2)
+        if g >= 0.0:
+            lo = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = x
+        step = g / slope if slope < 0.0 else math.inf
+        if abs(step) <= tol:
+            return min(max(x - step, lo), hi)
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            break
+    return x
 
 
-def _solve_xi1_vec(xi0: np.ndarray, r_prime: np.ndarray, iters: int = 52) -> np.ndarray:
-    """Vectorized bisection companion of solve_xi1; r_prime is assumed
-    already clipped to [0, h(xi0)]."""
+def _solve_xi1_vec(xi0: np.ndarray, r_prime: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Array form of :func:`solve_xi1`, the same iteration elementwise;
+    r_prime at or below 0 gives the upper endpoint, at or above h(xi0)
+    gives 0, and NaN is not checked for."""
     h0 = binary_entropy(xi0)
-    lo = np.zeros_like(xi0)
-    hi = 2.0 * xi0 * (1.0 - xi0)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        rhs = (
-            h0
-            - xi0 * binary_entropy(mid / (2.0 * xi0))
-            - (1.0 - xi0) * binary_entropy(mid / (2.0 * (1.0 - xi0)))
+    top = 2.0 * xi0 * (1.0 - xi0)
+    lo, hi = np.zeros_like(xi0), top.copy()
+    x = 0.5 * top
+    active = (r_prime > 0.0) & (r_prime < h0)
+    for _ in range(_NEWTON_MAX_ITER):
+        if not active.any():
+            break
+        # finished elements keep iterating on frozen values; mute their logs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g, slope = _xi1_residual(xi0, h0, r_prime, x, np.log2)
+            step = np.where(slope < 0.0, g / slope, np.inf)
+        up = g >= 0.0
+        lo = np.where(up, x, lo)
+        hi = np.where(up, hi, x)
+        small = np.abs(step) <= tol
+        x_new = x - step
+        x_new = np.where(
+            small,
+            np.clip(x_new, lo, hi),
+            np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi)),
         )
-        take_lo = rhs >= r_prime
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    return 0.5 * (lo + hi)
+        x = np.where(active, x_new, x)
+        active &= ~(small | (hi - lo <= tol))
+    return np.where(r_prime >= h0, 0.0, np.where(r_prime <= 0.0, top, x))
 
 
 def split_avg_radius(L: int, j: int, xi0, xi1):
@@ -210,20 +275,6 @@ def _subcode_rate(R, beta, hbeta, xi0, exponent):
     raise DomainError(f"unknown exponent mode {exponent!r}")
 
 
-def _theta_at(L, j, R, beta, hbeta, xi0, tol, exponent="parametric"):
-    """Objective for one (j, xi0); -inf when xi0 is excluded (negative
-    subcode rate).  Returns (theta, xi1, r_prime)."""
-    if xi0 <= 0.0:
-        return 0.0, 0.0, _subcode_rate(R, beta, hbeta, 0.0, exponent)
-    rp = _subcode_rate(R, beta, hbeta, xi0, exponent)
-    if rp < -1e-12:
-        return -math.inf, 0.0, rp
-    rp_c = max(rp, 0.0)
-    h0 = binary_entropy(xi0)
-    xi1 = 0.0 if rp_c >= h0 else solve_xi1(xi0, rp_c, tol)
-    return split_avg_radius(L, j, xi0, xi1), xi1, rp
-
-
 def list_radius_bound(
     L: int,
     R: float,
@@ -239,8 +290,9 @@ def list_radius_bound(
     1/2 - sqrt(beta(1-beta)), the subcode rate R + h(beta) - 2E_beta(xi0)
     determines the intersection parameter xi1, and the split average-radius
     value is maximized.  Search is a dense xi0 grid followed by
-    golden-section refinement around the best cell, per j independently;
-    domain endpoints are always evaluated explicitly.
+    golden-section refinement around the best cell, per j; domain
+    endpoints are always evaluated explicitly.  xi1 depends on xi0 only,
+    so each xi0 is solved once per call and shared across j.
 
     beta defaults to h(beta) = R.  xi0 with negative subcode rate are
     excluded; subcode rates above h(xi0) clamp xi1 to 0.  ``exponent``
@@ -250,6 +302,7 @@ def list_radius_bound(
     """
     if not isinstance(L, int) or L < 2:
         raise DomainError(f"list size must be an integer >= 2, got {L}")
+    _check_float_cap(L, MAX_POLY_L)
     if exponent not in EXPONENT_MODES:
         raise DomainError(f"unknown exponent mode {exponent!r}")
     R = float(R)
@@ -270,34 +323,46 @@ def list_radius_bound(
     feasible = rp >= -1e-12
     if not np.any(feasible):
         raise NoSolutionError("no admissible xi0: subcode rate negative everywhere")
-    rp_c = np.clip(rp, 0.0, None)
-    h0 = binary_entropy(xs)
-    clamp = rp_c >= h0
-    xi1 = np.where(clamp, 0.0, _solve_xi1_vec(xs, np.minimum(rp_c, h0)))
+    xi1 = _solve_xi1_vec(xs, rp, bisect_tol)
 
-    best: tuple[float, float, float, int, float] | None = None
+    solved = {}  # xi0 -> (xi1, r_prime)
+
+    def theta_at(x, j):
+        """Objective at one (xi0, j); -inf where the subcode rate is
+        negative."""
+        if x not in solved:
+            rp_x = _subcode_rate(R, beta, hbeta, x, exponent)
+            if rp_x < -1e-12 or rp_x >= binary_entropy(x):
+                xi1_x = 0.0
+            else:
+                xi1_x = solve_xi1(x, max(rp_x, 0.0), bisect_tol)
+            solved[x] = (xi1_x, rp_x)
+        xi1_x, rp_x = solved[x]
+        if rp_x < -1e-12:
+            return -math.inf
+        return split_avg_radius(L, j, x, xi1_x)
+
+    best: tuple[float, float, float, float, int] | None = None
     for j in admissible_j(L):
         theta = split_avg_radius(L, j, xs, xi1)
         theta = np.where(feasible, theta, -np.inf)
         k = int(np.argmax(theta))
-
-        def scalar_theta(x, j=j):
-            return _theta_at(L, j, R, beta, hbeta, x, bisect_tol, exponent)[0]
-
         lo = xs[max(k - 1, 0)]
         hi = xs[min(k + 1, grid - 1)]
-        x_ref, t_ref = golden_max(scalar_theta, float(lo), float(hi), refine_tol)
-        candidates = [(t_ref, x_ref), (float(theta[k]), float(xs[k]))]
-        t_end = scalar_theta(xi_max)
-        candidates.append((t_end, xi_max))
+        x_ref, t_ref = golden_max(
+            lambda x, j=j: theta_at(x, j), float(lo), float(hi), refine_tol
+        )
+        candidates = [
+            (t_ref, x_ref),
+            (float(theta[k]), float(xs[k])),
+            (theta_at(xi_max, j), xi_max),
+        ]
         t_bestj, x_bestj = max(candidates)
         if best is None or t_bestj > best[0]:
-            th, x1, rprime = _theta_at(
-                L, j, R, beta, hbeta, x_bestj, bisect_tol, exponent
-            )
-            best = (th, x_bestj, x1, j, rprime)
+            theta_b = theta_at(x_bestj, j)
+            best = (theta_b, x_bestj, *solved[x_bestj], j)
 
-    theta_star, xi0_star, xi1_star, j_star, rp_star = best
+    theta_star, xi0_star, xi1_star, rp_star, j_star = best
     witness = RadiusWitness(
         xi0=xi0_star,
         xi1=xi1_star,
@@ -311,28 +376,14 @@ def list_radius_bound(
 
 def list3_parameters(R: float, tol: float = 1e-12) -> tuple[float, float]:
     """(delta, xi1) of the explicit list-3 bound: delta from the rate
-    relation R = h(1/2 - sqrt(delta(1-delta))), xi1 from bisection on
-    R = 1 - delta h(xi1/(2 delta)) - (1-delta) h(xi1/(2(1-delta)))."""
+    relation R = h(1/2 - sqrt(delta(1-delta))), xi1 from
+    R = 1 - delta h(xi1/(2 delta)) - (1-delta) h(xi1/(2(1-delta))), which is
+    the xi1 equation at xi0 = delta with r_prime = R - 1 + h(delta)."""
     R = float(R)
     if not 0.0 < R < 1.0:
         raise DomainError(f"rate must lie in (0, 1), got {R}")
     delta = delta_lp1(R)
-
-    def rate_of(x):
-        return (
-            1.0
-            - delta * binary_entropy(x / (2.0 * delta))
-            - (1.0 - delta) * binary_entropy(x / (2.0 * (1.0 - delta)))
-        )
-
-    lo, hi = 0.0, 2.0 * delta * (1.0 - delta)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if rate_of(mid) >= R:
-            lo = mid
-        else:
-            hi = mid
-    return delta, 0.5 * (lo + hi)
+    return delta, solve_xi1(delta, R - 1.0 + binary_entropy(delta), tol)
 
 
 def list3_closed_form(R: float) -> float:
@@ -353,6 +404,7 @@ def slope_relaxation_bound(L: int, R: float) -> SlopeBound:
     """
     if not isinstance(L, int) or L < 1:
         raise DomainError(f"list size must be a positive integer, got {L}")
+    _check_float_cap(L, MAX_POLY_L)
     R = float(R)
     if not 0.0 <= R <= 1.0:
         raise DomainError(f"rate must lie in [0, 1], got {R}")
@@ -376,6 +428,7 @@ def reference_crossovers() -> dict[int, float]:
     return dict(_REFERENCE_CROSSOVERS)
 
 
+@functools.lru_cache(maxsize=16, typed=True)
 def crossover_rate(
     L: int,
     r_tol: float = 1e-5,
@@ -384,7 +437,8 @@ def crossover_rate(
     exponent: str = "binomial",
 ) -> CrossoverResult:
     """Largest rate at which the central bound is at most the Catalan-sum
-    bound, found by scan plus bisection on their difference.
+    bound, found by scan plus bisection on their difference.  Memoized:
+    the result is frozen, and verification asks for each L more than once.
 
     Defaults to the binomial exponent estimate: the published crossover
     table was computed that way, and for small L the two treatments agree
@@ -470,6 +524,8 @@ def sample_curve(
         raise DomainError(f"bound {bound} requires L = 1")
     if bound in ("theorem1", "blinovsky") and L < 2:
         raise DomainError(f"bound {bound} requires L >= 2")
+    if bound in _FLOAT_CAPS:
+        _check_float_cap(L, _FLOAT_CAPS[bound])
     points = []
     for R in rates:
         R = float(R)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -6,6 +7,9 @@ import numpy as np
 import pytest
 
 from listradius.bounds import (
+    MAX_CATALAN_L,
+    MAX_POLY_L,
+    _solve_xi1_vec,
     best_upper_bound,
     blinovsky_bound,
     crossover_rate,
@@ -35,6 +39,13 @@ class TestBlinovsky:
 
     def test_full_rate(self):
         assert blinovsky_bound(3, 1.0) == 0.0
+
+    def test_float_cap_is_tight(self):
+        # the cap sits at the last L whose Catalan coefficients fit a float
+        assert 0.0 < blinovsky_bound(MAX_CATALAN_L, 0.15) < 0.5
+        assert comb(2 * 520, 520) // 521 > sys.float_info.max  # L = 1041
+        with pytest.raises(DomainError):
+            blinovsky_bound(MAX_CATALAN_L + 1, 0.15)
 
     def test_zero_rate_matches_exact_radius(self):
         # Catalan partial sums at lam = 1/2 telescope to the closed form
@@ -91,14 +102,63 @@ class TestSolveXi1:
         # at the xi0 endpoint the defining equations coincide
         delta, xi1 = list3_parameters(0.5)
         assert delta == pytest.approx(0.18708, abs=1e-4)
-        r_prime = 0.5 - 1.0 + binary_entropy(delta)
-        assert solve_xi1(delta, r_prime) == pytest.approx(xi1, abs=1e-9)
+        for R in (0.05, 0.5, 0.9):
+            delta, xi1 = list3_parameters(R)
+            assert solve_xi1(delta, R - 1.0 + binary_entropy(delta)) == xi1
 
     def test_no_solution(self):
         with pytest.raises(NoSolutionError):
             solve_xi1(0.3, binary_entropy(0.3) + 0.1)
         with pytest.raises(NoSolutionError):
             solve_xi1(0.3, -0.1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(NoSolutionError):
+            solve_xi1(0.3, float("nan"))
+
+    @staticmethod
+    def reference_xi1(xi0, r_prime, tol=1e-13):
+        """Plain bisection on the defining equation."""
+        h0 = binary_entropy(xi0)
+        lo, hi = 0.0, 2 * xi0 * (1 - xi0)
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            rhs = (
+                h0
+                - xi0 * binary_entropy(mid / (2 * xi0))
+                - (1 - xi0) * binary_entropy(mid / (2 * (1 - xi0)))
+            )
+            if rhs >= r_prime:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    FRACTIONS = (0.0, 1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-6, 1.0)
+
+    def test_matches_reference_bisection(self):
+        for xi0 in np.linspace(0.01, 0.49, 13):
+            xi0 = float(xi0)
+            for frac in self.FRACTIONS:
+                rp = frac * binary_entropy(xi0)
+                # the r_prime = 0 fold is only sqrt-accurate (see above)
+                tol = 1e-8 if frac == 0.0 else 1e-11
+                assert solve_xi1(xi0, rp) == pytest.approx(
+                    self.reference_xi1(xi0, rp), abs=tol
+                )
+
+    def test_array_form_matches_scalar(self):
+        xi0 = np.repeat(np.linspace(0.01, 0.49, 13), len(self.FRACTIONS))
+        frac = np.tile(self.FRACTIONS, 13)
+        rp = frac * binary_entropy(xi0)
+        got = _solve_xi1_vec(xi0, rp)
+        want = [solve_xi1(float(x), float(r)) for x, r in zip(xi0, rp)]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
+        # out-of-range subcode rates clamp to the endpoint roots
+        np.testing.assert_array_equal(
+            _solve_xi1_vec(xi0, rp - 1.0), 2 * xi0 * (1 - xi0)
+        )
+        np.testing.assert_array_equal(_solve_xi1_vec(xi0, rp + 1.0), 0.0)
 
 
 class TestSplitAvgRadius:
@@ -120,7 +180,39 @@ class TestSplitAvgRadius:
                     )
 
 
+# (L, R, exponent, tau, j) as computed with a plain bisection xi1 solver;
+# a change of root finder must reproduce them
+PINNED_TAU = [
+    (2, 0.1, "parametric", 0.21654143346589566, 0),
+    (2, 0.6, "binomial", 0.07765209928318546, 0),
+    (3, 0.05, "parametric", 0.27304042193653866, 1),
+    (3, 0.3, "binomial", 0.1734194749217764, 1),
+    (3, 0.8, "parametric", 0.04009676441146817, 1),
+    (4, 0.2, "parametric", 0.22102022300311874, 0),
+    (4, 0.45, "binomial", 0.13189473321398204, 0),
+    (5, 0.15, "binomial", 0.2490216619410412, 1),
+    (5, 0.5, "parametric", 0.12120286966192206, 1),
+    (6, 0.35, "parametric", 0.17312644919872855, 0),
+    (7, 0.1, "parametric", 0.28770129030794944, 1),
+    (7, 0.25, "binomial", 0.215306680812536, 1),
+    (8, 0.7, "binomial", 0.0684705493649582, 2),
+    (9, 0.12, "parametric", 0.2851675798143507, 0),
+    (9, 0.14, "binomial", 0.2747534154377186, 0),
+    (10, 0.9, "parametric", 0.02086328511109112, 4),
+    (11, 0.08, "parametric", 0.31709145452523047, 0),
+    (11, 0.1, "binomial", 0.30482270218608387, 0),
+    (13, 0.3, "parametric", 0.204528516869662, 1),
+    (15, 0.02, "binomial", 0.3762439211172396, 1),
+]
+
+
 class TestListRadiusBound:
+    @pytest.mark.parametrize("L, R, exponent, tau, j", PINNED_TAU)
+    def test_pinned_values(self, L, R, exponent, tau, j):
+        got, w = list_radius_bound(L, R, exponent=exponent)
+        assert got == pytest.approx(tau, abs=1e-12)
+        assert w.j == j
+
     def test_below_catalan_at_published_edge(self):
         tau, _ = list_radius_bound(3, 0.361)
         assert tau == pytest.approx(blinovsky_bound(3, 0.361), abs=2e-3)
@@ -214,6 +306,15 @@ class TestListRadiusBound:
             list_radius_bound(3, 0.0)
         with pytest.raises(DomainError):
             list_radius_bound(3, 0.3, exponent="bogus")
+        with pytest.raises(DomainError):
+            list_radius_bound(MAX_POLY_L + 1, 0.3)
+
+    def test_float_cap_is_tight(self):
+        # the cap sits at the last L whose polynomial coefficients fit a
+        # float; the next one overflows inside avg_radius_poly
+        assert avg_radius_poly(MAX_POLY_L, 0, 0.3) == pytest.approx(0.3)
+        with pytest.raises(OverflowError):
+            avg_radius_poly(MAX_POLY_L + 1, 0, 0.3)
 
 
 class TestList3ClosedForm:
@@ -242,6 +343,10 @@ class TestSlopeRelaxation:
         d = 0.386782
         assert sb.tau_j1 == pytest.approx(0.75 * d - 0.5 * d**3, abs=1e-5)
         assert sb.max_at_j1
+
+    def test_float_cap(self):
+        with pytest.raises(DomainError):
+            slope_relaxation_bound(MAX_POLY_L + 1, 0.2)
 
     def test_even_list_size_max_at_zero(self):
         sb = slope_relaxation_bound(4, 0.01)

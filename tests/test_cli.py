@@ -216,6 +216,16 @@ class TestConfig:
         assert len(err.splitlines()) == 1
         assert "bisect_tol" in err
 
+    def test_tolerance_below_float_spacing_terminates(self, tmp_path):
+        # the xi1 solve cannot reach 1e-300 and ends at its iteration cap
+        path = tmp_path / "cfg"
+        path.write_text("bisect_tol=1e-300\n")
+        code, out, _ = run_cli(
+            ["witness", "--L", "3", "--R", "0.2", "--config", str(path)]
+        )
+        assert code == 0
+        assert out == run_cli(["witness", "--L", "3", "--R", "0.2"])[1]
+
     def test_precision_applies(self, tmp_path):
         path = tmp_path / "cfg"
         path.write_text("output_precision=4\n")
@@ -260,6 +270,23 @@ class TestVerify:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--bound", "blinovsky", "--L", "1201",
+             "--rmin", "0.1", "--rmax", "0.2", "--step", "0.1"],
+            ["curve", "--bound", "slope", "--L", "1201",
+             "--rmin", "0.1", "--rmax", "0.2", "--step", "0.1"],
+            ["witness", "--L", "1201", "--R", "0.2"],
+        ],
+        ids=["blinovsky", "slope", "witness"],
+    )
+    def test_list_size_past_float_range(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
     def test_no_command(self):
         code, _, _ = run_cli([])
         assert code == 1
