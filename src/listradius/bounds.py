@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     admissible_j,
     avg_radius_poly,
+    avg_radius_polys,
     binary_entropy,
     delta_lp1,
     inverse_entropy,
@@ -241,18 +242,21 @@ def _solve_xi1_vec(xi0: np.ndarray, r_prime: np.ndarray, tol: float = 1e-12) -> 
     return np.where(r_prime >= h0, 0.0, np.where(r_prime <= 0.0, top, x))
 
 
+def _split_args(xi0, xi1):
+    """Polynomial arguments 1 - xi1/(2 xi0) and xi1/(2(1-xi0)) of the split
+    average radius, clipped to [0, 1]; floats or numpy arrays."""
+    a1 = 1.0 - xi1 / (2.0 * xi0)
+    a2 = xi1 / (2.0 * (1.0 - xi0))
+    if isinstance(a1, np.ndarray):
+        return np.clip(a1, 0.0, 1.0), np.clip(a2, 0.0, 1.0)
+    return min(max(a1, 0.0), 1.0), min(max(a2, 0.0), 1.0)
+
+
 def split_avg_radius(L: int, j: int, xi0, xi1):
     """Two-piece average-radius value
     xi0 * poly(1 - xi1/(2 xi0)) + (1-xi0) * poly(xi1/(2(1-xi0)));
     works on floats and numpy arrays."""
-    a1 = 1.0 - xi1 / (2.0 * xi0)
-    a2 = xi1 / (2.0 * (1.0 - xi0))
-    if isinstance(a1, np.ndarray):
-        a1 = np.clip(a1, 0.0, 1.0)
-        a2 = np.clip(a2, 0.0, 1.0)
-    else:
-        a1 = min(max(a1, 0.0), 1.0)
-        a2 = min(max(a2, 0.0), 1.0)
+    a1, a2 = _split_args(xi0, xi1)
     return xi0 * avg_radius_poly(L, j, a1) + (1.0 - xi0) * avg_radius_poly(L, j, a2)
 
 
@@ -342,20 +346,35 @@ def list_radius_bound(
             return -math.inf
         return split_avg_radius(L, j, x, xi1_x)
 
+    # split_avg_radius on the grid for every j at once
+    js = admissible_j(L)
+    a1, a2 = _split_args(xs, xi1)
+    grid_thetas = [
+        xs * p1 + (1.0 - xs) * p2
+        for p1, p2 in zip(avg_radius_polys(L, js, a1), avg_radius_polys(L, js, a2))
+    ]
+
     best: tuple[float, float, float, float, int] | None = None
-    for j in admissible_j(L):
-        theta = split_avg_radius(L, j, xs, xi1)
+    for j, theta in zip(js, grid_thetas):
         theta = np.where(feasible, theta, -np.inf)
         k = int(np.argmax(theta))
-        lo = xs[max(k - 1, 0)]
-        hi = xs[min(k + 1, grid - 1)]
-        x_ref, t_ref = golden_max(
-            lambda x, j=j: theta_at(x, j), float(lo), float(hi), refine_tol
-        )
+        lo = float(xs[max(k - 1, 0)])
+        hi = float(xs[min(k + 1, grid - 1)])
+        t_end = theta_at(xi_max, j)
+        # Grid maximum at the xi_max endpoint: if the objective does not
+        # rise towards xi_max over the last refine_tol, a unimodal bracket
+        # has its maximum within refine_tol of xi_max, which is all that
+        # golden section would establish.
+        if k == grid - 1 and theta_at(max(xi_max - refine_tol, lo), j) <= t_end:
+            x_ref, t_ref = xi_max, t_end
+        else:
+            x_ref, t_ref = golden_max(
+                lambda x, j=j: theta_at(x, j), lo, hi, refine_tol
+            )
         candidates = [
             (t_ref, x_ref),
             (float(theta[k]), float(xs[k])),
-            (theta_at(xi_max, j), xi_max),
+            (t_end, xi_max),
         ]
         t_bestj, x_bestj = max(candidates)
         if best is None or t_bestj > best[0]:
@@ -428,7 +447,6 @@ def reference_crossovers() -> dict[int, float]:
     return dict(_REFERENCE_CROSSOVERS)
 
 
-@functools.lru_cache(maxsize=16, typed=True)
 def crossover_rate(
     L: int,
     r_tol: float = 1e-5,
@@ -447,7 +465,13 @@ def crossover_rate(
     """
     if not isinstance(L, int) or L < 3 or L % 2 == 0:
         raise DomainError(f"crossover rates are computed for odd L >= 3, got {L}")
+    return _crossover_rate(L, r_tol, scan_step, grid, exponent)
 
+
+# Keyed on positional arguments after the defaults are applied, so that
+# crossover_rate(3) and crossover_rate(3, grid=2000) share one entry.
+@functools.lru_cache(maxsize=16, typed=True)
+def _crossover_rate(L, r_tol, scan_step, grid, exponent) -> CrossoverResult:
     def diff(R):
         return (
             list_radius_bound(L, R, grid=grid, exponent=exponent)[0]

@@ -114,8 +114,8 @@ def _build_parser() -> _Parser:
 
 
 def _rate_grid(rmin, rmax, step):
-    if not (0.0 < rmin < rmax < 1.0 and step > 0.0):
-        raise DomainError("need 0 < rmin < rmax < 1 and step > 0")
+    if not (0.0 < rmin < rmax < 1.0 and 0.0 < step < math.inf):
+        raise DomainError("need 0 < rmin < rmax < 1 and a finite step > 0")
     span = (rmax - rmin) / step + 1e-9
     if span >= MAX_CURVE_ROWS:
         raise DomainError(f"step {step:g} gives more than {MAX_CURVE_ROWS} rows")

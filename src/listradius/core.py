@@ -8,6 +8,7 @@ polynomial evaluators accept floats, numpy arrays or ``fractions.Fraction``
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -20,6 +21,7 @@ __all__ = [
     "KrawtchoukPoint",
     "admissible_j",
     "avg_radius_poly",
+    "avg_radius_polys",
     "binary_entropy",
     "binomial_pmf",
     "binomial_tail",
@@ -167,6 +169,38 @@ def _validate_nu(nu):
         raise DomainError(f"probability argument must lie in [0, 1], got {nu}")
 
 
+@functools.lru_cache(maxsize=1024)
+def _excess_coeffs(L: int, j: int) -> tuple[int, ...]:
+    """Integer coefficients comb(L, w) * (2w - L - j) of the excess terms,
+    for w from (L + j) // 2 + 1 up to L."""
+    return tuple(comb(L, w) * (2 * w - L - j) for w in range((L + j) // 2 + 1, L + 1))
+
+
+def avg_radius_polys(L: int, js, nu) -> list:
+    """[avg_radius_poly(L, j, nu) for j in js], sharing 1 - nu and the
+    powers nu**w, (1 - nu)**(L - w) across j.
+
+    Each j sums its terms in ascending w with the same grouping as a lone
+    evaluation, so every value is bit-identical to it (exact for Fraction).
+    """
+    if not isinstance(L, int) or L < 1:
+        raise DomainError(f"list size must be a positive integer, got {L}")
+    js = tuple(js)
+    for j in js:
+        if not isinstance(j, int) or not 0 <= j <= L:
+            raise DomainError(f"shift count must be an integer in [0, {L}], got {j}")
+    _validate_nu(nu)
+    q = 1 - nu
+    terms = [((L + j) // 2 + 1, _excess_coeffs(L, j)) for j in js]
+    excess = [0] * len(terms)
+    for w in range(min((w0 for w0, _ in terms), default=L + 1), L + 1):
+        nu_w, q_w = nu**w, q ** (L - w)
+        for i, (w0, coeffs) in enumerate(terms):
+            if w >= w0:
+                excess[i] = excess[i] + coeffs[w - w0] * nu_w * q_w
+    return [(L * nu - e) / (L + j) for j, e in zip(js, excess)]
+
+
 def avg_radius_poly(L: int, j: int, nu):
     """Normalized average covering radius of L Bernoulli(nu) rows plus j
     pinned all-zero rows: (L nu - E[max(0, 2W - L - j)]) / (L + j) with
@@ -174,15 +208,7 @@ def avg_radius_poly(L: int, j: int, nu):
 
     Degree-L polynomial in nu; exact when nu is a Fraction.
     """
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
-    if not isinstance(j, int) or not 0 <= j <= L:
-        raise DomainError(f"shift count must be an integer in [0, {L}], got {j}")
-    _validate_nu(nu)
-    excess = 0
-    for w in range((L + j) // 2 + 1, L + 1):
-        excess = excess + comb(L, w) * (2 * w - L - j) * nu**w * (1 - nu) ** (L - w)
-    return (L * nu - excess) / (L + j)
+    return avg_radius_polys(L, (j,), nu)[0]
 
 
 def plotkin_radius(L: int, xi):

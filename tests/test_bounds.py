@@ -205,6 +205,40 @@ PINNED_TAU = [
     (15, 0.02, "binomial", 0.3762439211172396, 1),
 ]
 
+# Exact outputs (tau, xi0, xi1, j) of list_radius_bound, recorded before the
+# endpoint shortcut of the refinement: an interior maximizer comes from
+# golden section, an endpoint one (xi0 = 1/2 - sqrt(beta(1-beta))) from the
+# shortcut.  At the near-unit rates xi_max is below refine_tol.
+WITNESS_PINS = [
+    # interior
+    (2, 0.1, "parametric", 0.2165414334658041, 0.38676267584802193, 0.3344351931934144, 0),
+    (2, 0.6, "binomial", 0.07765209928298707, 0.12878355769809413, 0.0998811203316244, 0),
+    (4, 0.2, "parametric", 0.22102022300301466, 0.326144737942275, 0.2652081974708382, 0),
+    (4, 0.45, "binomial", 0.1318947332139182, 0.181753753117018, 0.1556738049435017, 0),
+    (6, 0.35, "parametric", 0.1731264491985242, 0.25137981010553484, 0.18919261464458106, 0),
+    (9, 0.12, "parametric", 0.2851675798141723, 0.3730678481900424, 0.3186294825544488, 0),
+    (9, 0.14, "binomial", 0.27475341543755255, 0.3317332594269466, 0.31765685633019763, 0),
+    (11, 0.08, "parametric", 0.3170914545250484, 0.40077223079600083, 0.35212859856486023, 0),
+    (11, 0.1, "binomial", 0.304822702185922, 0.3593792907159594, 0.34845735944013656, 0),
+    # endpoint
+    (3, 0.05, "parametric", 0.27304042193657657, 0.42532919113016965, 0.3830834790158536, 1),
+    (3, 0.3, "binomial", 0.17341947492183613, 0.2754902110958689, 0.21204906340227334, 1),
+    (3, 0.8, "parametric", 0.0400967644114716, 0.07110259869867164, 0.039930435914885994, 1),
+    (5, 0.15, "binomial", 0.2490216619411717, 0.3548253597013539, 0.2968721618532065, 1),
+    (5, 0.5, "parametric", 0.12120286966189067, 0.18707551472342626, 0.1294895105695933, 1),
+    (7, 0.1, "parametric", 0.2877012903079902, 0.38678249486237315, 0.3344275389084732, 1),
+    (7, 0.25, "binomial", 0.21530668081270907, 0.3001140078652475, 0.23721657968157686, 1),
+    (8, 0.7, "binomial", 0.06847054936501526, 0.10825507774555115, 0.066100719082477, 2),
+    (10, 0.9, "parametric", 0.02086328511120881, 0.035079448644558586, 0.017413390341570894, 4),
+    (13, 0.3, "parametric", 0.20452851686980783, 0.2754902110958689, 0.21204906340227328, 1),
+    (15, 0.02, "binomial", 0.3762439211170906, 0.45634381802989116, 0.42592776209622596, 1),
+    # endpoint, xi_max < refine_tol
+    (3, 0.9999999999, "parametric", 1.7328721790832443e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 3),
+    (3, 0.999999999999, "parametric", 1.7330581414398694e-13, 3.4661162828797387e-13, 1.9029761324820036e-14, 3),
+    (9, 0.999999999999, "binomial", 1.7330581414398696e-13, 3.4661162828797387e-13, 1.9029761324820036e-14, 9),
+    (12, 0.9999999999, "binomial", 1.7467438671233486e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 10),
+]
+
 
 class TestListRadiusBound:
     @pytest.mark.parametrize("L, R, exponent, tau, j", PINNED_TAU)
@@ -212,6 +246,13 @@ class TestListRadiusBound:
         got, w = list_radius_bound(L, R, exponent=exponent)
         assert got == pytest.approx(tau, abs=1e-12)
         assert w.j == j
+
+    @pytest.mark.parametrize("L, R, exponent, tau, xi0, xi1, j", WITNESS_PINS)
+    def test_exact_witness_pins(self, L, R, exponent, tau, xi0, xi1, j):
+        got, w = list_radius_bound(L, R, exponent=exponent)
+        assert (got, w.xi0, w.xi1, w.j) == (tau, xi0, xi1, j)
+        xi_max = 0.5 - math.sqrt(w.beta * (1.0 - w.beta))
+        assert w.xi0 <= xi_max
 
     def test_below_catalan_at_published_edge(self):
         tau, _ = list_radius_bound(3, 0.361)
@@ -366,6 +407,9 @@ class TestCrossover:
     def test_parity_error(self):
         with pytest.raises(DomainError):
             crossover_rate(4)
+
+    def test_memo_shared_across_spellings(self):
+        assert crossover_rate(3) is crossover_rate(3, grid=2000)
 
 
 class TestBestUpperBound:

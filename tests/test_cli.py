@@ -52,7 +52,7 @@ class TestCurve:
         taus_b = [float(r.split(",")[1]) for r in out_b.strip().splitlines()[1:]]
         assert all(t < b for t, b in zip(taus_t, taus_b))
 
-    @pytest.mark.parametrize("step", ["1e-9", "nan"])
+    @pytest.mark.parametrize("step", ["1e-9", "nan", "inf"])
     def test_bad_step_rejected(self, step):
         code, out, err = run_cli(
             ["curve", "--bound", "blinovsky", "--L", "3",

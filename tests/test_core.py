@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from listradius.core import (
     admissible_j,
     avg_radius_poly,
+    avg_radius_polys,
     binary_entropy,
     binomial_pmf,
     binomial_tail,
@@ -17,6 +19,7 @@ from listradius.core import (
     krawtchouk_exponent_value,
     plotkin_radius,
 )
+from listradius.bounds import MAX_POLY_L
 from listradius.errors import DomainError
 
 
@@ -123,6 +126,25 @@ class TestKrawtchoukExponent:
             krawtchouk_exponent(0.1, -0.05)
 
 
+def _lone_poly(L, j, nu):
+    """One j, every term built from scratch, summed in ascending w."""
+    excess = 0
+    for w in range((L + j) // 2 + 1, L + 1):
+        excess = excess + comb(L, w) * (2 * w - L - j) * nu**w * (1 - nu) ** (L - w)
+    return (L * nu - excess) / (L + j)
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    return type(value), value
+
+
+POLY_NUS = [0.0, 1.0, 1e-9, 0.3, 0.5, 0.77, 1.0 - 1e-9]
+
+
 class TestAvgRadiusPoly:
     def test_list3_closed_forms(self):
         # for L = 3: j=0 -> nu(1-nu), j=1 -> 3nu/4 - nu^3/2, j=3 -> nu/2
@@ -145,11 +167,35 @@ class TestAvgRadiusPoly:
 
     def test_value_at_one_exact(self):
         for L in range(1, 13):
+            shared = avg_radius_polys(L, range(L + 1), Fraction(1))
             for j in range(L + 1):
                 assert avg_radius_poly(L, j, Fraction(1)) == Fraction(j, L + j)
+                assert shared[j] == Fraction(j, L + j)
 
     def test_exact_fraction(self):
         assert avg_radius_poly(3, 1, Fraction(1, 2)) == Fraction(5, 16)
+        nu = Fraction(2, 7)
+        for L in (3, 8, 16):
+            shared = avg_radius_polys(L, range(L + 1), nu)
+            for j, value in enumerate(shared):
+                assert type(value) is Fraction
+                assert value == avg_radius_poly(L, j, nu) == _lone_poly(L, j, nu)
+
+    @pytest.mark.parametrize(
+        "L, js",
+        [(L, tuple(range(L + 1))) for L in range(1, 17)]
+        + [(MAX_POLY_L, (0, 1, 3, 511, 513, 1023, 1025))],
+    )
+    def test_shared_powers_bit_identical(self, L, js):
+        # the multi-j call, the single-j call and a term-by-term sum agree
+        # to the last bit, on scalars and on an array with 0, 1 and
+        # interior points
+        for nu in POLY_NUS + [np.array(POLY_NUS)]:
+            shared = avg_radius_polys(L, js, nu)
+            assert len(shared) == len(js)
+            for j, value in zip(js, shared):
+                assert _bits(value) == _bits(avg_radius_poly(L, j, nu))
+                assert _bits(value) == _bits(_lone_poly(L, j, nu))
 
     def test_concavity_second_differences(self):
         xs = np.arange(1e-3, 1.0 - 1e-3, 1e-3)
@@ -166,6 +212,8 @@ class TestAvgRadiusPoly:
             avg_radius_poly(0, 0, 0.5)
         with pytest.raises(DomainError):
             avg_radius_poly(3, 1, 1.5)
+        with pytest.raises(DomainError):
+            avg_radius_polys(3, (0, 1, 4), 0.5)
 
 
 class TestPlotkinRadius:
