@@ -9,6 +9,9 @@ Library surface:
 * :mod:`listradius.checks` -- the named verification suites behind ``verify``
 * :mod:`listradius.cli` -- the ``listradius`` command line tool
 """
+import importlib.util
+import sys
+
 from .bounds import (
     BoundCurve,
     CrossoverResult,
@@ -37,18 +40,49 @@ from .core import (
 )
 from .errors import DomainError, ListRadiusError, NoSolutionError, SizeLimitError
 from .lp import Lp2Witness, abl_branch_point, abl_list2, r_lp2
-from .oracle import (
-    BinaryCode,
-    JointType,
-    average_radius,
-    avg_joint_type,
-    avg_radius_of_type,
-    chebyshev_radius,
-    joint_type,
-    load_code,
-    tau_list,
-    weight_marginal_exact,
+
+
+def _lazy_submodule(name):
+    """Register the submodule ``name`` without running it: its source is
+    compiled and executed on the first attribute access.  Unlike an import
+    moved into a function, the module is in ``sys.modules`` and is an
+    attribute of the package from the start, so every ``import`` of it
+    works as before."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Only ``verify`` runs the checks and the exact oracles; the other commands
+# do not pay for compiling and executing them.
+oracle = _lazy_submodule("oracle")
+checks = _lazy_submodule("checks")
+
+_ORACLE_NAMES = frozenset(
+    {
+        "BinaryCode",
+        "JointType",
+        "average_radius",
+        "avg_joint_type",
+        "avg_radius_of_type",
+        "chebyshev_radius",
+        "joint_type",
+        "load_code",
+        "tau_list",
+        "weight_marginal_exact",
+    }
 )
+
+
+def __getattr__(name):
+    """Resolve the oracle names of ``__all__`` on first use (PEP 562)."""
+    if name in _ORACLE_NAMES:
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

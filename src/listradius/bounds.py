@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     admissible_j,
+    avg_radius_evaluator,
     avg_radius_poly,
     avg_radius_polys,
     binary_entropy,
@@ -117,6 +118,13 @@ class BoundCurve:
     points: tuple[CurvePoint, ...]
 
 
+def _checked_beta(beta) -> float:
+    beta = float(beta)
+    if not 0.0 < beta < 0.5:
+        raise DomainError(f"beta must lie in (0, 1/2), got {beta}")
+    return beta
+
+
 def _check_float_cap(L: int, cap: int):
     if L > cap:
         raise DomainError(
@@ -151,18 +159,16 @@ def zero_rate_radius(L: int) -> Fraction:
     return Fraction(1, 2) - Fraction(comb(L, (L - 1) // 2), 2 ** (L + 1))
 
 
-def _xi1_residual(xi0, h0, r_prime, x, log2):
+def _xi1_residual(x, xi0, xi0c, d0, d1, h0, r_prime, log2):
     """Right-hand side of the xi1 equation minus r_prime at xi1 = x, and
-    its slope in x; ``log2`` is math.log2 for floats, np.log2 for arrays."""
-    p, q = x / (2.0 * xi0), x / (2.0 * (1.0 - xi0))
+    its slope in x.  The solvers pass the per-xi0 invariants xi0c = 1 - xi0,
+    d0 = 2 xi0 and d1 = 2 (1 - xi0) from outside their iteration; ``log2``
+    is math.log2 for floats, np.log2 for arrays."""
+    p, q = x / d0, x / d1
+    pc, qc = 1.0 - p, 1.0 - q
     lp, lq = log2(p), log2(q)
-    lp1, lq1 = log2(1.0 - p), log2(1.0 - q)
-    g = (
-        h0
-        + xi0 * (p * lp + (1.0 - p) * lp1)
-        + (1.0 - xi0) * (q * lq + (1.0 - q) * lq1)
-        - r_prime
-    )
+    lp1, lq1 = log2(pc), log2(qc)
+    g = h0 + xi0 * (p * lp + pc * lp1) + xi0c * (q * lq + qc * lq1) - r_prime
     return g, 0.5 * (lp + lq - lp1 - lq1)
 
 
@@ -187,15 +193,17 @@ def solve_xi1(xi0: float, r_prime: float, tol: float = 1e-12) -> float:
         raise NoSolutionError(
             f"no xi1 solution: r_prime={r_prime} outside [0, h(xi0)={h0}]"
         )
-    top = 2.0 * xi0 * (1.0 - xi0)
+    xi0c, d0 = 1.0 - xi0, 2.0 * xi0
+    top = d0 * xi0c
     if rp >= h0:
         return 0.0
     if rp <= 0.0:
         return top
+    d1 = 2.0 * xi0c
     lo, hi = 0.0, top
     x = 0.5 * top
     for _ in range(_NEWTON_MAX_ITER):
-        g, slope = _xi1_residual(xi0, h0, rp, x, math.log2)
+        g, slope = _xi1_residual(x, xi0, xi0c, d0, d1, h0, rp, math.log2)
         if g >= 0.0:
             lo = x
         else:
@@ -214,31 +222,42 @@ def solve_xi1(xi0: float, r_prime: float, tol: float = 1e-12) -> float:
 def _solve_xi1_vec(xi0: np.ndarray, r_prime: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Array form of :func:`solve_xi1`, the same iteration elementwise;
     r_prime at or below 0 gives the upper endpoint, at or above h(xi0)
-    gives 0, and NaN is not checked for."""
+    gives 0, and NaN is not checked for.
+
+    Only the points strictly between the endpoint roots iterate, on arrays
+    compressed to them, and a point leaves them in the pass in which it
+    stops; 1 - xi0, 2 xi0 and 2 (1 - xi0) are formed once, outside the loop.
+    """
     h0 = binary_entropy(xi0)
-    top = 2.0 * xi0 * (1.0 - xi0)
-    lo, hi = np.zeros_like(xi0), top.copy()
+    xi0c, d0 = 1.0 - xi0, 2.0 * xi0
+    top = d0 * xi0c
     x = 0.5 * top
-    active = (r_prime > 0.0) & (r_prime < h0)
-    for _ in range(_NEWTON_MAX_ITER):
-        if not active.any():
-            break
-        # finished elements keep iterating on frozen values; mute their logs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g, slope = _xi1_residual(xi0, h0, r_prime, x, np.log2)
+    idx = np.flatnonzero((r_prime > 0.0) & (r_prime < h0))
+    inv = np.stack((xi0[idx], xi0c[idx], d0[idx], 2.0 * xi0c[idx], h0[idx], r_prime[idx]))
+    xa, lo, hi = x[idx], np.zeros(idx.size), top[idx]
+    # a point at a bracket end may take log2(0) or divide by a zero slope
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX_ITER):
+            if not idx.size:
+                break
+            g, slope = _xi1_residual(xa, *inv, np.log2)
             step = np.where(slope < 0.0, g / slope, np.inf)
-        up = g >= 0.0
-        lo = np.where(up, x, lo)
-        hi = np.where(up, hi, x)
-        small = np.abs(step) <= tol
-        x_new = x - step
-        x_new = np.where(
-            small,
-            np.clip(x_new, lo, hi),
-            np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi)),
-        )
-        x = np.where(active, x_new, x)
-        active &= ~(small | (hi - lo <= tol))
+            up = g >= 0.0
+            np.copyto(lo, xa, where=up)
+            np.copyto(hi, xa, where=~up)
+            small = np.abs(step) <= tol
+            x_new = xa - step
+            xa = np.where(
+                small,
+                np.minimum(np.maximum(x_new, lo), hi),
+                np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi)),
+            )
+            stop = small | (hi - lo <= tol)
+            if stop.any():
+                x[idx] = xa
+                keep = ~stop
+                idx, xa, lo, hi, inv = idx[keep], xa[keep], lo[keep], hi[keep], inv[:, keep]
+    x[idx] = xa
     return np.where(r_prime >= h0, 0.0, np.where(r_prime <= 0.0, top, x))
 
 
@@ -312,11 +331,7 @@ def list_radius_bound(
     R = float(R)
     if not 0.0 < R < 1.0:
         raise DomainError(f"rate must lie in (0, 1), got {R}")
-    if beta is None:
-        beta = inverse_entropy(R)
-    beta = float(beta)
-    if not 0.0 < beta < 0.5:
-        raise DomainError(f"beta must lie in (0, 1/2), got {beta}")
+    beta = _checked_beta(inverse_entropy(R) if beta is None else beta)
     hbeta = binary_entropy(beta)
     if hbeta > R + 1e-9:
         raise DomainError(f"h(beta)={hbeta} exceeds rate {R}")
@@ -329,11 +344,13 @@ def list_radius_bound(
         raise NoSolutionError("no admissible xi0: subcode rate negative everywhere")
     xi1 = _solve_xi1_vec(xs, rp, bisect_tol)
 
+    js = admissible_j(L)
+    polys = {j: avg_radius_evaluator(L, j) for j in js}
     solved = {}  # xi0 -> (xi1, r_prime)
 
     def theta_at(x, j):
-        """Objective at one (xi0, j); -inf where the subcode rate is
-        negative."""
+        """Objective at one (xi0, j), split_avg_radius(L, j, x, xi1) on
+        floats; -inf where the subcode rate is negative."""
         if x not in solved:
             rp_x = _subcode_rate(R, beta, hbeta, x, exponent)
             if rp_x < -1e-12 or rp_x >= binary_entropy(x):
@@ -344,10 +361,11 @@ def list_radius_bound(
         xi1_x, rp_x = solved[x]
         if rp_x < -1e-12:
             return -math.inf
-        return split_avg_radius(L, j, x, xi1_x)
+        a1, a2 = _split_args(x, xi1_x)
+        poly = polys[j]
+        return x * poly(a1) + (1.0 - x) * poly(a2)
 
     # split_avg_radius on the grid for every j at once
-    js = admissible_j(L)
     a1, a2 = _split_args(xs, xi1)
     grid_thetas = [
         xs * p1 + (1.0 - xs) * p2
@@ -539,7 +557,9 @@ def sample_curve(
     bisect_tol: float = 1e-12,
 ) -> BoundCurve:
     """Evaluate one bound over a rate grid; rows that fail their domain
-    checks are recorded with a note instead of aborting the sweep."""
+    checks are recorded with a note instead of aborting the sweep.  An
+    explicit beta applies to theorem1 only and is checked before the
+    sweep."""
     if bound not in BOUND_NAMES:
         raise DomainError(f"unknown bound {bound!r}")
     if bound == "abl2" and L != 2:
@@ -550,6 +570,10 @@ def sample_curve(
         raise DomainError(f"bound {bound} requires L >= 2")
     if bound in _FLOAT_CAPS:
         _check_float_cap(L, _FLOAT_CAPS[bound])
+    if beta is not None:
+        if bound != "theorem1":
+            raise DomainError(f"bound {bound} takes no beta")
+        beta = _checked_beta(beta)
     points = []
     for R in rates:
         R = float(R)

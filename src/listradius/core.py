@@ -20,6 +20,7 @@ from .errors import DomainError
 __all__ = [
     "KrawtchoukPoint",
     "admissible_j",
+    "avg_radius_evaluator",
     "avg_radius_poly",
     "avg_radius_polys",
     "binary_entropy",
@@ -176,6 +177,14 @@ def _excess_coeffs(L: int, j: int) -> tuple[int, ...]:
     return tuple(comb(L, w) * (2 * w - L - j) for w in range((L + j) // 2 + 1, L + 1))
 
 
+def _validate_shifts(L: int, js):
+    if not isinstance(L, int) or L < 1:
+        raise DomainError(f"list size must be a positive integer, got {L}")
+    for j in js:
+        if not isinstance(j, int) or not 0 <= j <= L:
+            raise DomainError(f"shift count must be an integer in [0, {L}], got {j}")
+
+
 def avg_radius_polys(L: int, js, nu) -> list:
     """[avg_radius_poly(L, j, nu) for j in js], sharing 1 - nu and the
     powers nu**w, (1 - nu)**(L - w) across j.
@@ -183,12 +192,8 @@ def avg_radius_polys(L: int, js, nu) -> list:
     Each j sums its terms in ascending w with the same grouping as a lone
     evaluation, so every value is bit-identical to it (exact for Fraction).
     """
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
     js = tuple(js)
-    for j in js:
-        if not isinstance(j, int) or not 0 <= j <= L:
-            raise DomainError(f"shift count must be an integer in [0, {L}], got {j}")
+    _validate_shifts(L, js)
     _validate_nu(nu)
     q = 1 - nu
     terms = [((L + j) // 2 + 1, _excess_coeffs(L, j)) for j in js]
@@ -199,6 +204,29 @@ def avg_radius_polys(L: int, js, nu) -> list:
             if w >= w0:
                 excess[i] = excess[i] + coeffs[w - w0] * nu_w * q_w
     return [(L * nu - e) / (L + j) for j, e in zip(js, excess)]
+
+
+def avg_radius_evaluator(L: int, j: int):
+    """The function nu -> avg_radius_poly(L, j, nu) for scalar nu in [0, 1].
+
+    L and j are validated here, nu not at all: this serves inner loops
+    whose arguments are already clipped to [0, 1].  The terms are summed
+    in ascending w with the grouping of :func:`avg_radius_polys`, so every
+    value is bit-identical to it.
+    """
+    _validate_shifts(L, (j,))
+    w0 = (L + j) // 2 + 1
+    terms = tuple(zip(_excess_coeffs(L, j), range(w0, L + 1), range(L - w0, -1, -1)))
+    norm = L + j
+
+    def poly(nu):
+        q = 1 - nu
+        excess = 0
+        for c, w, v in terms:
+            excess = excess + c * nu**w * q**v
+        return (L * nu - excess) / norm
+
+    return poly
 
 
 def avg_radius_poly(L: int, j: int, nu):

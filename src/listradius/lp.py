@@ -85,11 +85,16 @@ def _alpha_on_constraint(beta, delta: float):
 
     The constraint is alpha(1-alpha) <= c = beta(1-beta) + delta (1/2 +
     sqrt(beta(1-beta))), so the boundary is 2c / (1 + sqrt(1 - 4c)), or
-    1/2 once c >= 1/4.  Accepts a float or a numpy array of betas.
+    1/2 once c >= 1/4.  Accepts a float or a numpy array of betas; a float
+    takes math.sqrt, which rounds like np.sqrt at a fraction of its call
+    cost.
     """
     q = beta * (1.0 - beta)
-    c = q + delta * (0.5 + np.sqrt(q))
-    return np.minimum(2.0 * c / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * c, 0.0))), 0.5)
+    if isinstance(q, np.ndarray):
+        c = q + delta * (0.5 + np.sqrt(q))
+        return np.minimum(2.0 * c / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * c, 0.0))), 0.5)
+    c = q + delta * (0.5 + math.sqrt(q))
+    return min(2.0 * c / (1.0 + math.sqrt(max(1.0 - 4.0 * c, 0.0))), 0.5)
 
 
 def r_lp2(delta: float, grid: int = DEFAULT_LP2_GRID):

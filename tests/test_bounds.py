@@ -10,6 +10,7 @@ from listradius.bounds import (
     MAX_CATALAN_L,
     MAX_POLY_L,
     _solve_xi1_vec,
+    _subcode_rate,
     best_upper_bound,
     blinovsky_bound,
     crossover_rate,
@@ -159,6 +160,77 @@ class TestSolveXi1:
             _solve_xi1_vec(xi0, rp - 1.0), 2 * xi0 * (1 - xi0)
         )
         np.testing.assert_array_equal(_solve_xi1_vec(xi0, rp + 1.0), 0.0)
+
+
+def reference_solve_xi1_vec(xi0, r_prime, tol=1e-12):
+    """The grid solve before its active set: every Newton pass runs on the
+    whole grid, and finished points iterate on frozen values."""
+    h0 = binary_entropy(xi0)
+    top = 2.0 * xi0 * (1.0 - xi0)
+    lo, hi = np.zeros_like(xi0), top.copy()
+    x = 0.5 * top
+    active = (r_prime > 0.0) & (r_prime < h0)
+    for _ in range(100):
+        if not active.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p, q = x / (2.0 * xi0), x / (2.0 * (1.0 - xi0))
+            lp, lq = np.log2(p), np.log2(q)
+            lp1, lq1 = np.log2(1.0 - p), np.log2(1.0 - q)
+            g = (
+                h0
+                + xi0 * (p * lp + (1.0 - p) * lp1)
+                + (1.0 - xi0) * (q * lq + (1.0 - q) * lq1)
+                - r_prime
+            )
+            slope = 0.5 * (lp + lq - lp1 - lq1)
+            step = np.where(slope < 0.0, g / slope, np.inf)
+        up = g >= 0.0
+        lo = np.where(up, x, lo)
+        hi = np.where(up, hi, x)
+        small = np.abs(step) <= tol
+        x_new = x - step
+        x_new = np.where(
+            small,
+            np.clip(x_new, lo, hi),
+            np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi)),
+        )
+        x = np.where(active, x_new, x)
+        active &= ~(small | (hi - lo <= tol))
+    return np.where(r_prime >= h0, 0.0, np.where(r_prime <= 0.0, top, x))
+
+
+class TestSolveXi1Grid:
+    @staticmethod
+    def grid(R, exponent, n=2000):
+        """The xi0 grid and subcode rates of list_radius_bound; neither
+        depends on L."""
+        beta = inverse_entropy(R)
+        xi_max = 0.5 - math.sqrt(beta * (1.0 - beta))
+        xs = np.linspace(xi_max / n, xi_max, n)
+        return xs, _subcode_rate(R, beta, binary_entropy(beta), xs, exponent)
+
+    @pytest.mark.parametrize("exponent", ["parametric", "binomial"])
+    @pytest.mark.parametrize("R", [0.01, 0.1, 0.3, 0.5, 0.8, 0.99])
+    def test_bit_identical_to_full_grid_loop(self, R, exponent):
+        xs, rp = self.grid(R, exponent)
+        if exponent == "binomial" and R < 0.9:
+            assert np.any(rp < 0.0)  # infeasible points present
+        for tol in (1e-12, 1e-300):  # 1e-300 runs into the iteration cap
+            np.testing.assert_array_equal(
+                _solve_xi1_vec(xs, rp, tol), reference_solve_xi1_vec(xs, rp, tol)
+            )
+
+    def test_bit_identical_at_endpoint_roots(self):
+        xs, _ = self.grid(0.2, "parametric", n=300)
+        h = binary_entropy(xs)
+        frac = np.resize([0.0, 1.0, 0.5, -0.1, 1.1, 1e-9, 1.0 - 1e-9], xs.size)
+        rp = frac * h  # exactly 0 and exactly h(xi0) at frac 0 and 1
+        for tol in (1e-12, 1e-300):
+            got = _solve_xi1_vec(xs, rp, tol)
+            np.testing.assert_array_equal(got, reference_solve_xi1_vec(xs, rp, tol))
+        assert np.all(got[frac == 1.0] == 0.0)
+        np.testing.assert_array_equal(got[frac == 0.0], (2 * xs * (1 - xs))[frac == 0.0])
 
 
 class TestSplitAvgRadius:

@@ -1,6 +1,12 @@
 import io
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import listradius
 
 from listradius.cli import RunConfig, load_config, main
 from listradius.errors import DomainError
@@ -116,6 +122,21 @@ class TestCurve:
         assert lines[1].split(",")[1] == ""
         assert "warning" in err
         assert lines[2].split(",")[1] != ""
+
+    @pytest.mark.parametrize(
+        "bound, L, beta",
+        [("theorem1", "3", "nan"), ("theorem1", "3", "0.5"), ("theorem1", "3", "-0.1"),
+         ("abl2", "2", "0.2"), ("best", "3", "0.11"), ("blinovsky", "3", "0.11")],
+    )
+    def test_bad_beta_rejected_before_rows(self, bound, L, beta):
+        # a beta outside (0, 1/2), or one given to a bound that has no beta
+        code, out, err = run_cli(
+            ["curve", "--bound", bound, "--L", L, "--beta", beta,
+             "--rmin", "0.3", "--rmax", "0.6", "--step", "0.1"]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
 
     def test_best_curve_labels(self):
         code, out, _ = run_cli(
@@ -294,3 +315,43 @@ class TestUsage:
     def test_missing_required_flag(self):
         code, _, _ = run_cli(["witness", "--L", "3"])
         assert code == 1
+
+
+class TestStartup:
+    def test_checks_and_oracle_run_only_when_used(self):
+        # compiling and executing checks.py and oracle.py is left to the
+        # first use, which only verify makes; the modules stay registered
+        script = textwrap.dedent(
+            """
+            import os, sys
+            ran = set()
+            def hook(event, args):
+                if event == "exec" and hasattr(args[0], "co_filename"):
+                    ran.add(os.path.basename(args[0].co_filename))
+            sys.addaudithook(hook)
+            import listradius.cli
+            print(sorted(ran & {"checks.py", "oracle.py"}))
+            print("listradius.checks" in sys.modules, "listradius.oracle" in sys.modules)
+            import listradius
+            print(listradius.chebyshev_radius.__module__, "oracle.py" in ran)
+            names = {}
+            exec("from listradius import *", names)
+            print(all(name in names for name in listradius.__all__))
+            from listradius import checks
+            print(callable(checks.run_suite), "checks.py" in ran)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(listradius.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "[]",
+            "True True",
+            "listradius.oracle True",
+            "True",
+            "True True",
+        ]

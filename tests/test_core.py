@@ -7,6 +7,7 @@ import pytest
 
 from listradius.core import (
     admissible_j,
+    avg_radius_evaluator,
     avg_radius_poly,
     avg_radius_polys,
     binary_entropy,
@@ -197,6 +198,18 @@ class TestAvgRadiusPoly:
                 assert _bits(value) == _bits(avg_radius_poly(L, j, nu))
                 assert _bits(value) == _bits(_lone_poly(L, j, nu))
 
+    @pytest.mark.parametrize(
+        "L, js",
+        [(L, tuple(range(L + 1))) for L in range(1, 17)]
+        + [(MAX_POLY_L, (0, 1, 3, 511, 513, 1023, 1025))],
+    )
+    def test_evaluator_bit_identical(self, L, js):
+        # the unvalidated scalar form used inside list_radius_bound
+        for j in js:
+            poly = avg_radius_evaluator(L, j)
+            for nu in POLY_NUS:
+                assert _bits(poly(nu)) == _bits(avg_radius_poly(L, j, nu))
+
     def test_concavity_second_differences(self):
         xs = np.arange(1e-3, 1.0 - 1e-3, 1e-3)
         for L in range(1, 13):
@@ -214,6 +227,10 @@ class TestAvgRadiusPoly:
             avg_radius_poly(3, 1, 1.5)
         with pytest.raises(DomainError):
             avg_radius_polys(3, (0, 1, 4), 0.5)
+        with pytest.raises(DomainError):
+            avg_radius_evaluator(3, 4)
+        with pytest.raises(DomainError):
+            avg_radius_evaluator(0, 0)
 
 
 class TestPlotkinRadius:

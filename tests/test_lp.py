@@ -6,6 +6,7 @@ import pytest
 from listradius.core import binary_entropy, delta_lp1
 from listradius.errors import DomainError
 from listradius.lp import (
+    _alpha_on_constraint,
     abl2_tau,
     abl_branch_point,
     abl_list2,
@@ -17,7 +18,39 @@ from listradius.lp import (
 )
 
 
+# r_lp2(delta) -> (rate, witness alpha, witness beta), and the list-2 branch
+# point, as computed before the float path of the boundary; a faster
+# evaluation must reproduce them exactly
+PINNED_LP2 = [
+    (0.0001, 0.9992134135884256, 5.001000308278267e-05, 2.501041247616569e-09),
+    (0.001, 0.9937908096602037, 0.000501002830497018, 2.5091381008945363e-07),
+    (0.01, 0.9542335550955467, 0.0051028082441412995, 2.5889346405816516e-05),
+    (0.05, 0.8251368080398247, 0.027877464563351367, 0.0007406342518157245),
+    (0.1, 0.6927407430788792, 0.06346017046404927, 0.0035215618814007704),
+    (0.15, 0.5734500437036663, 0.11143125316823883, 0.009531055258557908),
+    (0.2, 0.4613596037635178, 0.1819134965856854, 0.020745270243406565),
+    (0.27, 0.3115071689084515, 0.42899267294520094, 0.05249671535852556),
+    (0.33, 0.19332396429257465, 0.49999948899661906, 0.02978728217950918),
+    (0.41, 0.06837826534529964, 0.4999993855642104, 0.008166694905565404),
+    (0.5, 0.0, 0.5, 0.0),
+]
+PINNED_BRANCH_POINT = 0.10930122679981412
+
+
 class TestRLp2:
+    @pytest.mark.parametrize("delta, rate, alpha, beta", PINNED_LP2)
+    def test_pinned_values(self, delta, rate, alpha, beta):
+        got, w = r_lp2(delta)
+        assert (got, w.alpha, w.beta, w.rate_bits) == (rate, alpha, beta, rate)
+
+    def test_boundary_float_path_matches_array_path(self):
+        betas = np.linspace(0.0, 0.5, 401)
+        for delta in (1e-4, 0.05, 0.2, 0.41, 0.5):
+            want = _alpha_on_constraint(betas, delta)
+            got = [_alpha_on_constraint(float(b), delta) for b in betas]
+            assert all(type(a) is float for a in got)
+            np.testing.assert_array_equal(got, want)
+
     def test_half_distance(self):
         rate, w = r_lp2(0.5)
         assert rate == 0.0
@@ -64,6 +97,7 @@ class TestRLp2:
 class TestAbl:
     def test_branch_point_value(self):
         assert abl_branch_point() == pytest.approx(0.1093, abs=0.001)
+        assert abl_branch_point() == PINNED_BRANCH_POINT
 
     def test_branch_continuity(self):
         tau0 = abl_branch_point()
