@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -30,7 +31,9 @@ from .errors import DomainError, NoSolutionError
 from .lp import abl2_tau, golden_max, lp1_tau, lp2_tau
 
 __all__ = [
+    "BOUNDS",
     "BoundCurve",
+    "BoundSpec",
     "CrossoverResult",
     "CurvePoint",
     "RadiusWitness",
@@ -48,20 +51,12 @@ __all__ = [
     "zero_rate_radius",
 ]
 
-BOUND_NAMES = ("theorem1", "blinovsky", "abl2", "lp1", "lp2", "slope", "best")
-
 # Largest list sizes whose integer coefficients still convert to floats:
 # the Catalan numbers of blinovsky_bound overflow from L = 1041 on, the
 # binomial terms of avg_radius_poly (behind theorem1, slope and best) from
 # L = 1026 on.
 MAX_CATALAN_L = 1040
 MAX_POLY_L = 1025
-_FLOAT_CAPS = {
-    "theorem1": MAX_POLY_L,
-    "blinovsky": MAX_CATALAN_L,
-    "slope": MAX_POLY_L,
-    "best": MAX_POLY_L,
-}
 
 # Iteration cap of the xi1 solvers: past the ~40 halvings that take the
 # bracket from 1/2 to 1e-12, and the only exit when tol is below the float
@@ -465,12 +460,14 @@ def reference_crossovers() -> dict[int, float]:
     return dict(_REFERENCE_CROSSOVERS)
 
 
+# Rate step of the top-down crossover scan, and the width at which the
+# bisection after it stops.
+_CROSSOVER_SCAN_STEP = 0.02
+_CROSSOVER_R_TOL = 1e-5
+
+
 def crossover_rate(
-    L: int,
-    r_tol: float = 1e-5,
-    scan_step: float = 0.02,
-    grid: int = 2000,
-    exponent: str = "binomial",
+    L: int, grid: int = 2000, exponent: str = "binomial"
 ) -> CrossoverResult:
     """Largest rate at which the central bound is at most the Catalan-sum
     bound, found by scan plus bisection on their difference.  Memoized:
@@ -483,20 +480,20 @@ def crossover_rate(
     """
     if not isinstance(L, int) or L < 3 or L % 2 == 0:
         raise DomainError(f"crossover rates are computed for odd L >= 3, got {L}")
-    return _crossover_rate(L, r_tol, scan_step, grid, exponent)
+    return _crossover_rate(L, grid, exponent)
 
 
 # Keyed on positional arguments after the defaults are applied, so that
 # crossover_rate(3) and crossover_rate(3, grid=2000) share one entry.
 @functools.lru_cache(maxsize=16, typed=True)
-def _crossover_rate(L, r_tol, scan_step, grid, exponent) -> CrossoverResult:
+def _crossover_rate(L, grid, exponent) -> CrossoverResult:
     def diff(R):
         return (
             list_radius_bound(L, R, grid=grid, exponent=exponent)[0]
             - blinovsky_bound(L, R)
         )
 
-    rs = np.arange(scan_step, 0.99, scan_step)
+    rs = np.arange(_CROSSOVER_SCAN_STEP, 0.99, _CROSSOVER_SCAN_STEP)
     lo = None
     hi = None
     for i in range(len(rs) - 1, -1, -1):
@@ -510,7 +507,7 @@ def _crossover_rate(L, r_tol, scan_step, grid, exponent) -> CrossoverResult:
     if diff(hi) <= 0.0:
         r_cross = hi
     else:
-        while hi - lo > r_tol:
+        while hi - lo > _CROSSOVER_R_TOL:
             mid = 0.5 * (lo + hi)
             if diff(mid) <= 0.0:
                 lo = mid
@@ -547,6 +544,51 @@ def best_upper_bound(
     return min(candidates, key=lambda t: t[0])
 
 
+@dataclass(frozen=True)
+class BoundSpec:
+    """One bound of :data:`BOUNDS`: the list sizes it accepts, the CSV
+    columns it adds after ``rate,tau``, and its row evaluator, called as
+    ``row(L, R, beta=, grid=, lp2_grid=, bisect_tol=)`` and returning
+    ``(tau, witness, label)``."""
+
+    min_L: int
+    max_L: int
+    columns: tuple[str, ...]
+    row: Callable
+
+
+def _theorem1_row(L, R, beta, grid, bisect_tol, **_):
+    tau, witness = list_radius_bound(L, R, beta=beta, grid=grid, bisect_tol=bisect_tol)
+    return tau, witness, None
+
+
+def _best_row(L, R, grid, lp2_grid, **_):
+    tau, label = best_upper_bound(L, R, grid=grid, lp2_grid=lp2_grid)
+    return tau, None, label
+
+
+# The evaluators name their bound function in their body, so that a wrapper
+# installed as a module attribute (perfbench/tracer.py) is the one called.
+BOUNDS = {
+    "theorem1": BoundSpec(2, MAX_POLY_L, ("xi0", "xi1", "j"), _theorem1_row),
+    "blinovsky": BoundSpec(
+        2, MAX_CATALAN_L, (), lambda L, R, **_: (blinovsky_bound(L, R), None, None)
+    ),
+    "abl2": BoundSpec(
+        2, 2, (), lambda L, R, lp2_grid, **_: (abl2_tau(R, grid=lp2_grid), None, None)
+    ),
+    "lp1": BoundSpec(1, 1, (), lambda L, R, **_: (lp1_tau(R), None, None)),
+    "lp2": BoundSpec(
+        1, 1, (), lambda L, R, lp2_grid, **_: (lp2_tau(R, grid=lp2_grid), None, None)
+    ),
+    "slope": BoundSpec(
+        1, MAX_POLY_L, (),
+        lambda L, R, **_: (slope_relaxation_bound(L, R).tau, None, None),
+    ),
+    "best": BoundSpec(1, MAX_POLY_L, ("label",), _best_row),
+}
+
+
 def sample_curve(
     bound: str,
     L: int,
@@ -557,19 +599,17 @@ def sample_curve(
     bisect_tol: float = 1e-12,
 ) -> BoundCurve:
     """Evaluate one bound over a rate grid; rows that fail their domain
-    checks are recorded with a note instead of aborting the sweep.  An
-    explicit beta applies to theorem1 only and is checked before the
-    sweep."""
-    if bound not in BOUND_NAMES:
+    checks are recorded with a note instead of aborting the sweep.  A list
+    size outside the bound's range, and an explicit beta, which applies to
+    theorem1 only, are checked before the sweep."""
+    spec = BOUNDS.get(bound)
+    if spec is None:
         raise DomainError(f"unknown bound {bound!r}")
-    if bound == "abl2" and L != 2:
-        raise DomainError("bound abl2 requires L = 2")
-    if bound in ("lp1", "lp2") and L != 1:
-        raise DomainError(f"bound {bound} requires L = 1")
-    if bound in ("theorem1", "blinovsky") and L < 2:
-        raise DomainError(f"bound {bound} requires L >= 2")
-    if bound in _FLOAT_CAPS:
-        _check_float_cap(L, _FLOAT_CAPS[bound])
+    if spec.min_L == spec.max_L != L:
+        raise DomainError(f"bound {bound} requires L = {spec.min_L}")
+    if L < spec.min_L:
+        raise DomainError(f"bound {bound} requires L >= {spec.min_L}")
+    _check_float_cap(L, spec.max_L)
     if beta is not None:
         if bound != "theorem1":
             raise DomainError(f"bound {bound} takes no beta")
@@ -577,28 +617,12 @@ def sample_curve(
     points = []
     for R in rates:
         R = float(R)
-        witness = None
-        label = None
-        note = None
         try:
-            if bound == "theorem1":
-                tau, witness = list_radius_bound(
-                    L, R, beta=beta, grid=grid, bisect_tol=bisect_tol
-                )
-            elif bound == "blinovsky":
-                tau = blinovsky_bound(L, R)
-            elif bound == "abl2":
-                tau = abl2_tau(R, grid=lp2_grid)
-            elif bound == "lp1":
-                tau = lp1_tau(R)
-            elif bound == "lp2":
-                tau = lp2_tau(R, grid=lp2_grid)
-            elif bound == "slope":
-                tau = slope_relaxation_bound(L, R).tau
-            else:
-                tau, label = best_upper_bound(L, R, grid=grid, lp2_grid=lp2_grid)
+            tau, witness, label = spec.row(
+                L, R, beta=beta, grid=grid, lp2_grid=lp2_grid, bisect_tol=bisect_tol
+            )
+            note = None
         except (DomainError, NoSolutionError) as exc:
-            tau = None
-            note = str(exc)
+            tau, witness, label, note = None, None, None, str(exc)
         points.append(CurvePoint(rate=R, tau=tau, witness=witness, label=label, note=note))
     return BoundCurve(bound=bound, L=L, points=tuple(points))

@@ -567,13 +567,13 @@ def check_lp2_properties():
     )
 
 
-def _identity_checks(seed, fast=False):
+def _identity_checks(seed):
     return [
         check_excess_derivative(),
         check_tail_derivative(),
         check_sum_identity_all(),
         check_tail_inequality_all(),
-        check_region_inequality(1e-2 if fast else 1e-3),
+        check_region_inequality(),
         check_poly_concavity(),
         check_poly_monotone(),
         check_poly_at_one(),
@@ -586,7 +586,7 @@ def _identity_checks(seed, fast=False):
     ]
 
 
-def _oracle_checks(seed, fast=False):
+def _oracle_checks(seed):
     return [
         check_type_radius_equivalence(seed),
         check_weight_marginal_identity(seed),
@@ -599,7 +599,7 @@ def _oracle_checks(seed, fast=False):
     ]
 
 
-def _bounds_checks(seed, fast=False):
+def _bounds_checks(seed):
     return [
         check_crossover_table(),
         check_central_vs_closed_form(),
@@ -622,7 +622,7 @@ SUITES = {
 }
 
 
-def run_suite(suite: str, seed: int = 0, code=None, fast=False) -> list[CheckResult]:
+def run_suite(suite: str, seed: int = 0, code=None) -> list[CheckResult]:
     """Run one suite (or "all"); deterministic under the seed."""
     if suite == "all":
         names = ["identities", "oracle", "bounds"]
@@ -632,7 +632,7 @@ def run_suite(suite: str, seed: int = 0, code=None, fast=False) -> list[CheckRes
         raise ValueError(f"unknown suite {suite!r}")
     results = []
     for name in names:
-        results.extend(SUITES[name](seed, fast=fast))
+        results.extend(SUITES[name](seed))
     if code is not None and ("oracle" in names):
         results.append(check_code_oracle(code))
     return results

@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_curve = sub.add_parser("curve", help="emit a bound curve as CSV")
-    p_curve.add_argument("--bound", required=True, choices=bounds.BOUND_NAMES)
+    p_curve.add_argument("--bound", required=True, choices=bounds.BOUNDS)
     p_curve.add_argument("--L", required=True, type=int)
     p_curve.add_argument("--rmin", required=True, type=float)
     p_curve.add_argument("--rmax", required=True, type=float)
@@ -142,32 +142,18 @@ def cmd_curve(args, cfg: RunConfig, out, err) -> int:
         print(f"listradius curve: error: {exc}", file=err)
         return USAGE_EXIT
     digits = cfg.output_precision
-    with_witness = args.bound == "theorem1"
-    header = "rate,tau"
-    if with_witness:
-        header += ",xi0,xi1,j"
-    if args.bound == "best":
-        header += ",label"
-    print(header, file=out)
+    columns = bounds.BOUNDS[args.bound].columns
+    print(",".join(("rate", "tau") + columns), file=out)
     for pt in curve.points:
+        row = [_fmt(pt.rate, digits)]
         if pt.tau is None:
-            row = [_fmt(pt.rate, digits), ""]
-            if with_witness:
-                row += ["", "", ""]
-            if args.bound == "best":
-                row += [""]
-            print(",".join(row), file=out)
+            print(",".join(row + [""] * (1 + len(columns))), file=out)
             print(f"listradius curve: warning: rate {pt.rate:g}: {pt.note}", file=err)
             continue
-        row = [_fmt(pt.rate, digits), _fmt(pt.tau, digits)]
-        if with_witness:
-            row += [
-                _fmt(pt.witness.xi0, digits),
-                _fmt(pt.witness.xi1, digits),
-                str(pt.witness.j),
-            ]
-        if args.bound == "best":
-            row += [pt.label]
+        row.append(_fmt(pt.tau, digits))
+        for col in columns:
+            value = pt.label if col == "label" else getattr(pt.witness, col)
+            row.append(_fmt(value, digits) if isinstance(value, float) else str(value))
         print(",".join(row), file=out)
     return 0
 

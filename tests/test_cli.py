@@ -299,10 +299,16 @@ class TestUsage:
             ["curve", "--bound", "slope", "--L", "1201",
              "--rmin", "0.1", "--rmax", "0.2", "--step", "0.1"],
             ["witness", "--L", "1201", "--R", "0.2"],
+            ["curve", "--bound", "slope", "--L", "0",
+             "--rmin", "0.1", "--rmax", "0.2", "--step", "0.1"],
+            ["curve", "--bound", "best", "--L", "0",
+             "--rmin", "0.1", "--rmax", "0.2", "--step", "0.1"],
         ],
-        ids=["blinovsky", "slope", "witness"],
+        ids=["blinovsky", "slope", "witness", "slope-L0", "best-L0"],
     )
     def test_list_size_past_float_range(self, argv):
+        # a list size past float range, or below the bound's range, is
+        # rejected before the first row
         code, out, err = run_cli(argv)
         assert code == 1
         assert out == ""

@@ -248,11 +248,6 @@ class TestPlotkinRadius:
                 plotkin_radius(1, float(xi)), abs=1e-14
             )
 
-    def test_odd_strictly_above_preceding_even(self):
-        for L in (3, 5, 7):
-            for xi in np.arange(0.01, 0.5001, 0.01):
-                assert plotkin_radius(L, float(xi)) > plotkin_radius(L - 1, float(xi))
-
 
 class TestDeltaLp1:
     def test_endpoints(self):

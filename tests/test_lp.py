@@ -72,20 +72,11 @@ class TestRLp2:
                 1 - binary_entropy(w.alpha) + binary_entropy(w.beta), abs=1e-12
             )
 
-    def test_monotone_nonincreasing(self):
-        rates = [r_lp2(float(d))[0] for d in np.arange(0.02, 0.501, 0.02)]
-        assert all(b <= a + 1e-9 for a, b in zip(rates, rates[1:]))
-
     def test_dominates_lp1(self):
         for d in np.arange(0.05, 0.501, 0.05):
             d = float(d)
             lp1_rate = binary_entropy(0.5 - math.sqrt(d * (1 - d)))
             assert r_lp2(d)[0] <= lp1_rate + 1e-9
-
-    def test_agreement_regime(self):
-        for R in np.arange(0.05, 0.2801, 0.01):
-            R = float(R)
-            assert r_lp2(delta_lp1(R))[0] == pytest.approx(R, abs=1e-4)
 
     def test_domain(self):
         with pytest.raises(DomainError):
