@@ -28,7 +28,8 @@ from .core import (
     krawtchouk_exponent_value,
 )
 from .errors import DomainError, NoSolutionError
-from .lp import abl2_tau, golden_max, lp1_tau, lp2_tau
+from .lp import abl2_tau, lp1_tau, lp2_tau
+from .solve import bisect, golden_max
 
 __all__ = [
     "BOUNDS",
@@ -62,6 +63,9 @@ MAX_POLY_L = 1025
 # bracket from 1/2 to 1e-12, and the only exit when tol is below the float
 # spacing of the root.
 _NEWTON_MAX_ITER = 100
+
+# Width at which the golden-section refinement of the central bound stops.
+_REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -298,7 +302,6 @@ def list_radius_bound(
     R: float,
     beta: float | None = None,
     grid: int = 2000,
-    refine_tol: float = 1e-10,
     bisect_tol: float = 1e-12,
     exponent: str = "parametric",
 ) -> tuple[float, RadiusWitness]:
@@ -375,21 +378,18 @@ def list_radius_bound(
         hi = float(xs[min(k + 1, grid - 1)])
         t_end = theta_at(xi_max, j)
         # Grid maximum at the xi_max endpoint: if the objective does not
-        # rise towards xi_max over the last refine_tol, a unimodal bracket
-        # has its maximum within refine_tol of xi_max, which is all that
+        # rise towards xi_max over the last _REFINE_TOL, a unimodal bracket
+        # has its maximum within _REFINE_TOL of xi_max, which is all that
         # golden section would establish.
-        if k == grid - 1 and theta_at(max(xi_max - refine_tol, lo), j) <= t_end:
+        if k == grid - 1 and theta_at(max(xi_max - _REFINE_TOL, lo), j) <= t_end:
             x_ref, t_ref = xi_max, t_end
         else:
             x_ref, t_ref = golden_max(
-                lambda x, j=j: theta_at(x, j), lo, hi, refine_tol
+                lambda x, j=j: theta_at(x, j), lo, hi, _REFINE_TOL
             )
-        candidates = [
-            (t_ref, x_ref),
-            (float(theta[k]), float(xs[k])),
-            (t_end, xi_max),
-        ]
-        t_bestj, x_bestj = max(candidates)
+        t_bestj, x_bestj = max(
+            (t_ref, x_ref), (float(theta[k]), float(xs[k])), (t_end, xi_max)
+        )
         if best is None or t_bestj > best[0]:
             theta_b = theta_at(x_bestj, j)
             best = (theta_b, x_bestj, *solved[x_bestj], j)
@@ -406,7 +406,7 @@ def list_radius_bound(
     return theta_star, witness
 
 
-def list3_parameters(R: float, tol: float = 1e-12) -> tuple[float, float]:
+def list3_parameters(R: float) -> tuple[float, float]:
     """(delta, xi1) of the explicit list-3 bound: delta from the rate
     relation R = h(1/2 - sqrt(delta(1-delta))), xi1 from
     R = 1 - delta h(xi1/(2 delta)) - (1-delta) h(xi1/(2(1-delta))), which is
@@ -415,7 +415,7 @@ def list3_parameters(R: float, tol: float = 1e-12) -> tuple[float, float]:
     if not 0.0 < R < 1.0:
         raise DomainError(f"rate must lie in (0, 1), got {R}")
     delta = delta_lp1(R)
-    return delta, solve_xi1(delta, R - 1.0 + binary_entropy(delta), tol)
+    return delta, solve_xi1(delta, R - 1.0 + binary_entropy(delta))
 
 
 def list3_closed_form(R: float) -> float:
@@ -487,33 +487,21 @@ def crossover_rate(
 # crossover_rate(3) and crossover_rate(3, grid=2000) share one entry.
 @functools.lru_cache(maxsize=16, typed=True)
 def _crossover_rate(L, grid, exponent) -> CrossoverResult:
-    def diff(R):
-        return (
-            list_radius_bound(L, R, grid=grid, exponent=exponent)[0]
-            - blinovsky_bound(L, R)
-        )
+    def central_wins(R):
+        central = list_radius_bound(L, R, grid=grid, exponent=exponent)[0]
+        return central - blinovsky_bound(L, R) <= 0.0
 
-    rs = np.arange(_CROSSOVER_SCAN_STEP, 0.99, _CROSSOVER_SCAN_STEP)
-    lo = None
-    hi = None
-    for i in range(len(rs) - 1, -1, -1):
-        d = diff(float(rs[i]))
-        if d <= 0.0:
-            lo = float(rs[i])
-            hi = float(rs[i + 1]) if i + 1 < len(rs) else 0.99
-            break
-    if lo is None:
+    # top-down scan: the first rate where the central bound wins and the
+    # scan point above it (or 0.99) bracket the crossover
+    rs = np.arange(_CROSSOVER_SCAN_STEP, 0.99, _CROSSOVER_SCAN_STEP).tolist() + [0.99]
+    i = next((i for i in range(len(rs) - 2, -1, -1) if central_wins(rs[i])), None)
+    if i is None:
         raise NoSolutionError(f"central bound never beats the Catalan sum for L={L}")
-    if diff(hi) <= 0.0:
+    lo, hi = rs[i], rs[i + 1]
+    if central_wins(hi):
         r_cross = hi
     else:
-        while hi - lo > _CROSSOVER_R_TOL:
-            mid = 0.5 * (lo + hi)
-            if diff(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        r_cross = lo
+        r_cross = bisect(central_wins, lo, hi, _CROSSOVER_R_TOL)[0]
     tau = list_radius_bound(L, r_cross, grid=grid, exponent=exponent)[0]
     return CrossoverResult(L=L, r_cross=r_cross, tau_at_cross=tau)
 

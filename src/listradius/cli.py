@@ -41,12 +41,12 @@ class RunConfig:
             raise DomainError("grid sizes and precision must be positive")
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def load_config(path) -> RunConfig:
     """Parse a plain key=value config file; '#' starts a comment; unknown
-    keys are fatal."""
+    keys are fatal.  Each value is parsed as the type of its default."""
     cfg = RunConfig()
     with open(path, encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -57,11 +57,10 @@ def load_config(path) -> RunConfig:
                 raise DomainError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_TYPES:
+            if key not in _CONFIG_KEYS:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = int if key in ("xi0_grid", "lp2_grid", "output_precision") else float
             try:
-                setattr(cfg, key, kind(value.strip()))
+                setattr(cfg, key, type(getattr(cfg, key))(value.strip()))
             except ValueError as exc:
                 raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     cfg.validate()

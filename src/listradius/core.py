@@ -16,6 +16,7 @@ from math import comb
 import numpy as np
 
 from .errors import DomainError
+from .solve import bisect
 
 __all__ = [
     "KrawtchoukPoint",
@@ -54,11 +55,12 @@ def binary_entropy(p):
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def inverse_entropy(y: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """The unique p in [0, 1/2] with h(p) = y, by bisection.
+_INVERSE_ENTROPY_TOL = 1e-12
 
-    ``tol`` is an absolute tolerance on the argument p.
-    """
+
+def inverse_entropy(y: float) -> float:
+    """The unique p in [0, 1/2] with h(p) = y, by bisection to within
+    ``_INVERSE_ENTROPY_TOL`` in p."""
     y = float(y)
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"entropy value must lie in [0, 1], got {y}")
@@ -66,15 +68,7 @@ def inverse_entropy(y: float, tol: float = 1e-12, max_iter: int = 200) -> float:
         return 0.0
     if y == 1.0:
         return 0.5
-    lo, hi = 0.0, 0.5
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
+    lo, hi = bisect(lambda p: binary_entropy(p) < y, 0.0, 0.5, _INVERSE_ENTROPY_TOL)
     return 0.5 * (lo + hi)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import binary_entropy, delta_lp1
 from .errors import DomainError, NoSolutionError
+from .solve import bisect, golden_max
 
 __all__ = [
     "Lp2Witness",
@@ -27,38 +28,10 @@ __all__ = [
     "r_lp2",
 ]
 
-_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_LP2_GRID = 400
 
-
-def golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section minimization of f on [lo, hi]; returns (x, f(x)).
-
-    Also compares against both interval endpoints, so boundary minima are
-    returned exactly.
-    """
-    a, b = lo, hi
-    x1 = b - _PHI * (b - a)
-    x2 = a + _PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _PHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _PHI * (b - a)
-            f2 = f(x2)
-    candidates = [(f(lo), lo), (f(hi), hi), (f1, x1), (f2, x2)]
-    fbest, xbest = min(candidates, key=lambda t: t[0])
-    return xbest, fbest
-
-
-def golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi]; returns (x, f(x))."""
-    x, v = golden_min(lambda t: -f(t), lo, hi, tol)
-    return x, -v
+# Width at which the golden section of the list-2 branch point stops.
+_BRANCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,7 +91,7 @@ def r_lp2(delta: float, grid: int = DEFAULT_LP2_GRID):
     k = int(np.argmin(boundary_obj(betas)))
     blo = float(betas[max(k - 1, 0)])
     bhi = float(betas[min(k + 1, len(betas) - 1)])
-    beta, _ = golden_min(boundary_obj, blo, bhi, tol=1e-12)
+    beta, _ = golden_max(lambda b: -boundary_obj(b), blo, bhi, 1e-12)
     alpha = float(_alpha_on_constraint(beta, delta))
     while lp2_constraint(alpha, beta) > delta:
         alpha = math.nextafter(alpha, 0.0)
@@ -144,7 +117,7 @@ def _abl_second_branch(tau: float) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def abl_branch_point(tol: float = 1e-9, grid: int = DEFAULT_LP2_GRID) -> float:
+def abl_branch_point(grid: int = DEFAULT_LP2_GRID) -> float:
     """Contact point of the two branches of the list-2 bound.
 
     With the LP branch evaluated accurately the two expressions osculate
@@ -164,7 +137,7 @@ def abl_branch_point(tol: float = 1e-9, grid: int = DEFAULT_LP2_GRID) -> float:
     k = int(np.argmax(gaps))
     lo = taus[max(k - 1, 0)]
     hi = taus[min(k + 1, len(taus) - 1)]
-    tau0, peak = golden_max(gap, float(lo), float(hi), tol=tol)
+    tau0, peak = golden_max(gap, float(lo), float(hi), _BRANCH_TOL)
     if peak < -1e-6:
         raise NoSolutionError("list-2 bound branches do not touch within 1e-6")
     return tau0
@@ -181,19 +154,14 @@ def abl_list2(tau: float, grid: int = DEFAULT_LP2_GRID) -> float:
     return _abl_second_branch(tau)
 
 
-def _invert_decreasing(f, target: float, lo: float, hi: float, tol: float = 1e-12):
-    """Largest x in [lo, hi] with f(x) >= target, f nonincreasing."""
+def _invert_decreasing(f, target: float, lo: float, hi: float):
+    """Largest x in [lo, hi] with f(x) >= target, f nonincreasing, to within
+    1e-12; the returned x always satisfies f(x) >= target."""
     if f(hi) >= target:
         return hi
     if f(lo) < target:
         raise NoSolutionError("target rate out of range")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect(lambda x: f(x) >= target, lo, hi, 1e-12)[0]
 
 
 def lp1_tau(R: float) -> float:

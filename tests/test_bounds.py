@@ -280,7 +280,8 @@ PINNED_TAU = [
 # Exact outputs (tau, xi0, xi1, j) of list_radius_bound, recorded before the
 # endpoint shortcut of the refinement: an interior maximizer comes from
 # golden section, an endpoint one (xi0 = 1/2 - sqrt(beta(1-beta))) from the
-# shortcut.  At the near-unit rates xi_max is below refine_tol.
+# shortcut.  At the near-unit rates xi_max is below the refinement
+# tolerance bounds._REFINE_TOL.
 WITNESS_PINS = [
     # interior
     (2, 0.1, "parametric", 0.2165414334658041, 0.38676267584802193, 0.3344351931934144, 0),
@@ -304,7 +305,7 @@ WITNESS_PINS = [
     (10, 0.9, "parametric", 0.02086328511120881, 0.035079448644558586, 0.017413390341570894, 4),
     (13, 0.3, "parametric", 0.20452851686980783, 0.2754902110958689, 0.21204906340227328, 1),
     (15, 0.02, "binomial", 0.3762439211170906, 0.45634381802989116, 0.42592776209622596, 1),
-    # endpoint, xi_max < refine_tol
+    # endpoint, xi_max < bounds._REFINE_TOL
     (3, 0.9999999999, "parametric", 1.7328721790832443e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 3),
     (3, 0.999999999999, "parametric", 1.7330581414398694e-13, 3.4661162828797387e-13, 1.9029761324820036e-14, 3),
     (9, 0.999999999999, "binomial", 1.7330581414398696e-13, 3.4661162828797387e-13, 1.9029761324820036e-14, 9),
@@ -465,6 +466,13 @@ class TestCrossover:
     def test_parity_error(self):
         with pytest.raises(DomainError):
             crossover_rate(4)
+
+    @pytest.mark.parametrize("L", [3, 5, 7, 9, 11])
+    def test_crossover_on_central_side(self, L):
+        # the bisection returns the end of its bracket where the central
+        # bound is at most the Catalan sum, and tau_at_cross is that value
+        res = crossover_rate(L)
+        assert res.tau_at_cross <= blinovsky_bound(L, res.r_cross)
 
     def test_memo_shared_across_spellings(self):
         assert crossover_rate(3) is crossover_rate(3, grid=2000)

@@ -129,6 +129,8 @@ class TestInversions:
         for R in (0.2, 0.4, 0.6):
             tau = lp2_tau(R)
             assert r_lp2(2 * tau)[0] == pytest.approx(R, abs=1e-8)
+            # the inversion returns the feasible end of its bracket
+            assert r_lp2(2 * tau)[0] >= R
 
     def test_lp2_at_most_lp1(self):
         for R in np.arange(0.05, 0.951, 0.05):
@@ -138,3 +140,4 @@ class TestInversions:
         for R in (0.3, 0.5, 0.7):
             tau = abl2_tau(R)
             assert abl_list2(tau) == pytest.approx(R, abs=1e-8)
+            assert abl_list2(tau) >= R
