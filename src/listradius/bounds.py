@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import DomainError, NoSolutionError
 from .lp import abl2_tau, lp1_tau, lp2_tau
-from .solve import bisect, golden_max
+from .solve import brent_root, golden_max
 
 __all__ = [
     "BOUNDS",
@@ -460,9 +460,14 @@ def reference_crossovers() -> dict[int, float]:
     return dict(_REFERENCE_CROSSOVERS)
 
 
-# Rate step of the top-down crossover scan, and the width at which the
-# bisection after it stops.
-_CROSSOVER_SCAN_STEP = 0.02
+# Rates of the top-down crossover scan, 0.02 to 0.99 at steps of
+# _CROSSOVER_SCAN_STEP, and the width at which the root finder after it stops.
+_CROSSOVER_SCAN_STEP = 0.1
+_CROSSOVER_SCAN = (
+    0.02,
+    *np.arange(_CROSSOVER_SCAN_STEP, 0.95, _CROSSOVER_SCAN_STEP).tolist(),
+    0.99,
+)
 _CROSSOVER_R_TOL = 1e-5
 
 
@@ -470,8 +475,9 @@ def crossover_rate(
     L: int, grid: int = 2000, exponent: str = "binomial"
 ) -> CrossoverResult:
     """Largest rate at which the central bound is at most the Catalan-sum
-    bound, found by scan plus bisection on their difference.  Memoized:
-    the result is frozen, and verification asks for each L more than once.
+    bound, found by a coarse top-down scan and a Brent-Dekker root finder
+    on their difference.  Memoized: the result is frozen, and verification
+    asks for each L more than once.
 
     Defaults to the binomial exponent estimate: the published crossover
     table was computed that way, and for small L the two treatments agree
@@ -487,23 +493,28 @@ def crossover_rate(
 # crossover_rate(3) and crossover_rate(3, grid=2000) share one entry.
 @functools.lru_cache(maxsize=16, typed=True)
 def _crossover_rate(L, grid, exponent) -> CrossoverResult:
-    def central_wins(R):
-        central = list_radius_bound(L, R, grid=grid, exponent=exponent)[0]
-        return central - blinovsky_bound(L, R) <= 0.0
+    central = {}
+
+    def margin(R):
+        # >= 0 exactly where the central bound wins
+        central[R] = list_radius_bound(L, R, grid=grid, exponent=exponent)[0]
+        return blinovsky_bound(L, R) - central[R]
 
     # top-down scan: the first rate where the central bound wins and the
-    # scan point above it (or 0.99) bracket the crossover
-    rs = np.arange(_CROSSOVER_SCAN_STEP, 0.99, _CROSSOVER_SCAN_STEP).tolist() + [0.99]
-    i = next((i for i in range(len(rs) - 2, -1, -1) if central_wins(rs[i])), None)
-    if i is None:
-        raise NoSolutionError(f"central bound never beats the Catalan sum for L={L}")
-    lo, hi = rs[i], rs[i + 1]
-    if central_wins(hi):
-        r_cross = hi
+    # scan point above it bracket the crossover
+    hi = None
+    for lo in reversed(_CROSSOVER_SCAN):
+        g_lo = margin(lo)
+        if g_lo >= 0.0:
+            break
+        hi, g_hi = lo, g_lo
     else:
-        r_cross = bisect(central_wins, lo, hi, _CROSSOVER_R_TOL)[0]
-    tau = list_radius_bound(L, r_cross, grid=grid, exponent=exponent)[0]
-    return CrossoverResult(L=L, r_cross=r_cross, tau_at_cross=tau)
+        raise NoSolutionError(f"central bound never beats the Catalan sum for L={L}")
+    if hi is None:
+        r_cross = lo
+    else:
+        r_cross = brent_root(margin, lo, hi, _CROSSOVER_R_TOL, g_lo=g_lo, g_hi=g_hi)[0]
+    return CrossoverResult(L=L, r_cross=r_cross, tau_at_cross=central[r_cross])
 
 
 def best_upper_bound(

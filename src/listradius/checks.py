@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from . import bounds, core, lp, oracle
-from .solve import bisect
+from .solve import brent_root
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -440,9 +440,10 @@ def check_lp_agreement_regime():
     worst = 0.0
     for R in np.arange(0.05, 0.2801, 0.01):
         worst = max(worst, abs(lp.r_lp2(core.delta_lp1(float(R)))[0] - float(R)))
-    # 40 halvings: 0.12 / 2**39 = 2.18e-13 > tol >= 0.12 / 2**40 = 1.09e-13
-    lo, hi = bisect(
-        lambda R: R - lp.r_lp2(core.delta_lp1(R))[0] <= 1e-6, 0.28, 0.40, 1.5e-13
+    # the onset is where R - r_lp2 first exceeds 1e-6, bracketed to the
+    # width that 40 halvings of [0.28, 0.40] would reach
+    lo, hi = brent_root(
+        lambda R: 1e-6 - (R - lp.r_lp2(core.delta_lp1(R))[0]), 0.28, 0.40, 1.5e-13
     )
     onset = 0.5 * (lo + hi)
     ok = worst <= 1e-4 and abs(onset - 0.305) <= 0.01

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import binary_entropy, delta_lp1
 from .errors import DomainError, NoSolutionError
-from .solve import bisect, golden_max
+from .solve import brent_root, golden_max
 
 __all__ = [
     "Lp2Witness",
@@ -112,11 +112,15 @@ def abl_sphere_param(tau: float) -> float:
     return 0.5 - math.sqrt(rad)
 
 
+def _lp2_rate(tau: float, grid: int) -> float:
+    """Second LP bound at relative distance 2 tau."""
+    return r_lp2(2.0 * tau, grid=grid)[0]
+
+
 def _abl_second_branch(tau: float) -> float:
     return 1.0 - binary_entropy(2.0 * tau) + binary_entropy(abl_sphere_param(tau))
 
 
-@functools.lru_cache(maxsize=8)
 def abl_branch_point(grid: int = DEFAULT_LP2_GRID) -> float:
     """Contact point of the two branches of the list-2 bound.
 
@@ -125,10 +129,17 @@ def abl_branch_point(grid: int = DEFAULT_LP2_GRID) -> float:
     switch point is the maximizer of their difference: golden section
     around the best of 45 scanned points.  A positive scanned difference
     (a transversal crossing) or a peak below -1e-6 raises NoSolutionError.
+    Memoized per grid.
     """
+    return _abl_branch_point(grid)
 
+
+# Keyed on the grid after the default is applied, so that abl_branch_point()
+# and abl_branch_point(grid=400) share one entry.
+@functools.lru_cache(maxsize=8)
+def _abl_branch_point(grid):
     def gap(tau):
-        return r_lp2(2.0 * tau, grid=grid)[0] - _abl_second_branch(tau)
+        return _lp2_rate(tau, grid) - _abl_second_branch(tau)
 
     taus = np.linspace(0.02, 0.24, 45)
     gaps = [gap(t) for t in taus]
@@ -150,18 +161,38 @@ def abl_list2(tau: float, grid: int = DEFAULT_LP2_GRID) -> float:
     if not 0.0 < tau < 0.25:
         raise DomainError(f"tau must lie in (0, 1/4), got {tau}")
     if tau <= abl_branch_point(grid=grid):
-        return r_lp2(2.0 * tau, grid=grid)[0]
+        return _lp2_rate(tau, grid)
     return _abl_second_branch(tau)
 
 
-def _invert_decreasing(f, target: float, lo: float, hi: float):
-    """Largest x in [lo, hi] with f(x) >= target, f nonincreasing, to within
-    1e-12; the returned x always satisfies f(x) >= target."""
-    if f(hi) >= target:
+# Lower end of the tau bracket of both radius inversions.
+_TAU_LO = 1e-9
+
+
+@functools.lru_cache(maxsize=8)
+def _end_rates(f, hi: float, grid: int) -> tuple[float, float]:
+    """f at both ends of the tau bracket [_TAU_LO, hi], solved once per
+    bound and grid."""
+    return f(_TAU_LO, grid), f(hi, grid)
+
+
+def _invert_decreasing(f, target: float, hi: float, grid: int) -> float:
+    """Largest tau in [_TAU_LO, hi] with f(tau, grid) >= target, f
+    nonincreasing, to within 1e-12; the returned tau always satisfies
+    f(tau, grid) >= target."""
+    f_lo, f_hi = _end_rates(f, hi, grid)
+    if f_hi >= target:
         return hi
-    if f(lo) < target:
+    if f_lo < target:
         raise NoSolutionError("target rate out of range")
-    return bisect(lambda x: f(x) >= target, lo, hi, 1e-12)[0]
+    return brent_root(
+        lambda t: f(t, grid) - target,
+        _TAU_LO,
+        hi,
+        1e-12,
+        g_lo=f_lo - target,
+        g_hi=f_hi - target,
+    )[0]
 
 
 def lp1_tau(R: float) -> float:
@@ -175,7 +206,7 @@ def lp2_tau(R: float, grid: int = DEFAULT_LP2_GRID) -> float:
     R = float(R)
     if not 0.0 < R < 1.0:
         raise DomainError(f"rate must lie in (0, 1), got {R}")
-    return _invert_decreasing(lambda t: r_lp2(2.0 * t, grid=grid)[0], R, 1e-9, 0.25)
+    return _invert_decreasing(_lp2_rate, R, 0.25, grid)
 
 
 def abl2_tau(R: float, grid: int = DEFAULT_LP2_GRID) -> float:
@@ -183,4 +214,4 @@ def abl2_tau(R: float, grid: int = DEFAULT_LP2_GRID) -> float:
     R = float(R)
     if not 0.0 < R < 1.0:
         raise DomainError(f"rate must lie in (0, 1), got {R}")
-    return _invert_decreasing(lambda t: abl_list2(t, grid=grid), R, 1e-9, 0.25 - 1e-12)
+    return _invert_decreasing(abl_list2, R, 0.25 - 1e-12, grid)

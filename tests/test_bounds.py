@@ -477,6 +477,20 @@ class TestCrossover:
     def test_memo_shared_across_spellings(self):
         assert crossover_rate(3) is crossover_rate(3, grid=2000)
 
+    @pytest.mark.parametrize("L", [3, 5, 7, 9, 11])
+    def test_no_crossing_above_on_fine_grid(self, L):
+        # the 0.1-step scan finds the largest crossing that a 0.02-step
+        # scan of [0.02, 0.99] finds: above it the central bound loses
+        r_cross = crossover_rate(L).r_cross
+        rates = np.arange(0.02, 0.99, 0.02).tolist() + [0.99]
+        for R in (R for R in rates if R > r_cross):
+            central = list_radius_bound(L, R, exponent="binomial")[0]
+            assert central > blinovsky_bound(L, R), R
+
+    @pytest.mark.parametrize("L, r_cross", [(13, 0.078037), (15, 0.062783)])
+    def test_large_list_sizes_resolve(self, L, r_cross):
+        assert crossover_rate(L).r_cross == pytest.approx(r_cross, abs=2e-5)
+
 
 class TestBestUpperBound:
     def test_list3_winner_flips(self):

@@ -361,3 +361,32 @@ class TestStartup:
             "True",
             "True True",
         ]
+
+    def test_benchmark_traced_names_resolve(self):
+        # the benchmark tracer imports listradius.cli, then looks up every
+        # function that a per-layer metric names; a renamed function or a
+        # module loaded on demand would fail every traced invocation
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = textwrap.dedent(
+            """
+            import json, sys
+            sys.path.insert(0, sys.argv[1] + "/perfbench")
+            import tracer
+            import listradius.cli
+            with open(sys.argv[1] + "/BENCHMARK.json", encoding="utf-8") as fh:
+                names = [m["name"] for m in json.load(fh)["per_layer"]]
+            plan = tracer.plan_for(names)
+            targets = plan["span"] + plan["count"]
+            for target in targets:
+                assert callable(tracer._resolve(target)), target
+            print(len(targets))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(listradius.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, root], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0

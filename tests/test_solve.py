@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from listradius.solve import bisect, golden_max
+from listradius.solve import bisect, brent_root, golden_max
 
 
 class TestBisect:
@@ -33,6 +33,63 @@ class TestBisect:
             raise AssertionError("pred evaluated")
 
         assert bisect(pred, 0.0, 1.0, 2.0) == (0.0, 1.0)
+
+
+def _counted(g):
+    seen = []
+
+    def wrapped(x):
+        seen.append(x)
+        return g(x)
+
+    return wrapped, seen
+
+
+class TestBrentRoot:
+    @pytest.mark.parametrize(
+        "g, lo, hi",
+        [
+            (lambda x: math.exp(-5.0 * x) - 0.3, 0.0, 1.0),  # decreasing
+            (lambda x: x**3 - 0.2, 1.0, 0.0),  # increasing, ends swapped
+        ],
+    )
+    def test_bracket_contract(self, g, lo, hi):
+        a, b = brent_root(g, lo, hi, 1e-9)
+        assert g(a) >= 0.0 > g(b)
+        assert abs(b - a) <= 1e-9
+
+    def test_passed_end_values_not_evaluated(self):
+        g, seen = _counted(lambda x: math.cos(x) - x)
+        a, b = brent_root(g, 0.0, 1.0, 1e-12, g_lo=1.0, g_hi=math.cos(1.0) - 1.0)
+        assert all(0.0 < x < 1.0 for x in seen)
+        assert a in seen and b in seen  # returned ends were evaluated
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-300])
+    def test_tolerance_below_float_spacing(self, tol):
+        start = time.perf_counter()
+        a, b = brent_root(lambda x: 0.02 - x * x, 0.1, 0.2, tol)
+        assert time.perf_counter() - start < 1.0
+        assert abs(b - a) <= 4 * math.ulp(max(abs(a), abs(b)))
+        assert a * a <= 0.02 < b * b
+
+    def test_smooth_root_in_few_evaluations(self):
+        g, seen = _counted(lambda x: math.cos(x) - x)
+        a, b = brent_root(g, 0.0, 1.0, 1e-12)
+        assert abs(b - a) <= 1e-12
+        assert len(seen) <= 12  # bisect takes 40 halvings here
+
+    def test_step_function_within_twice_bisect(self):
+        # interpolation gains nothing on a step; halving must still finish
+        g, seen = _counted(lambda x: 1.0 if x < 0.3 else -1.0)
+        a, b = brent_root(g, 0.0, 1.0, 1e-12)
+        assert a < 0.3 <= b and b - a <= 1e-12
+        halvings = math.ceil(math.log2(1.0 / 1e-12))
+        assert len(seen) <= 2 * halvings
+
+    def test_zero_value_does_not_stop_early(self):
+        a, b = brent_root(lambda x: 0.5 - x, 0.0, 1.0, 1e-9)
+        assert 0.5 - a >= 0.0 > 0.5 - b
+        assert b - a <= 1e-9
 
 
 class TestGoldenMax:
