@@ -67,6 +67,9 @@ _NEWTON_MAX_ITER = 100
 # Width at which the golden-section refinement of the central bound stops.
 _REFINE_TOL = 1e-10
 
+# xi0 grid points of the central bound scan.
+XI0_GRID = 2000
+
 
 @dataclass(frozen=True)
 class RadiusWitness:
@@ -301,8 +304,7 @@ def list_radius_bound(
     L: int,
     R: float,
     beta: float | None = None,
-    grid: int = 2000,
-    bisect_tol: float = 1e-12,
+    grid: int = XI0_GRID,
     exponent: str = "parametric",
 ) -> tuple[float, RadiusWitness]:
     """Central upper bound on the list-L decoding radius at rate R.
@@ -340,7 +342,7 @@ def list_radius_bound(
     feasible = rp >= -1e-12
     if not np.any(feasible):
         raise NoSolutionError("no admissible xi0: subcode rate negative everywhere")
-    xi1 = _solve_xi1_vec(xs, rp, bisect_tol)
+    xi1 = _solve_xi1_vec(xs, rp)
 
     js = admissible_j(L)
     polys = {j: avg_radius_evaluator(L, j) for j in js}
@@ -354,7 +356,7 @@ def list_radius_bound(
             if rp_x < -1e-12 or rp_x >= binary_entropy(x):
                 xi1_x = 0.0
             else:
-                xi1_x = solve_xi1(x, max(rp_x, 0.0), bisect_tol)
+                xi1_x = solve_xi1(x, max(rp_x, 0.0))
             solved[x] = (xi1_x, rp_x)
         xi1_x, rp_x = solved[x]
         if rp_x < -1e-12:
@@ -471,33 +473,31 @@ _CROSSOVER_SCAN = (
 _CROSSOVER_R_TOL = 1e-5
 
 
-def crossover_rate(
-    L: int, grid: int = 2000, exponent: str = "binomial"
-) -> CrossoverResult:
+def crossover_rate(L: int, grid: int = XI0_GRID) -> CrossoverResult:
     """Largest rate at which the central bound is at most the Catalan-sum
     bound, found by a coarse top-down scan and a Brent-Dekker root finder
     on their difference.  Memoized: the result is frozen, and verification
     asks for each L more than once.
 
-    Defaults to the binomial exponent estimate: the published crossover
-    table was computed that way, and for small L the two treatments agree
-    at the crossover because the maximizer sits at the xi0 endpoint where
-    the estimate is exact.
+    The central bound is evaluated with the binomial exponent estimate:
+    the published crossover table was computed that way, and for small L
+    the two treatments agree at the crossover because the maximizer sits
+    at the xi0 endpoint where the estimate is exact.
     """
     if not isinstance(L, int) or L < 3 or L % 2 == 0:
         raise DomainError(f"crossover rates are computed for odd L >= 3, got {L}")
-    return _crossover_rate(L, grid, exponent)
+    return _crossover_rate(L, grid)
 
 
-# Keyed on positional arguments after the defaults are applied, so that
-# crossover_rate(3) and crossover_rate(3, grid=2000) share one entry.
+# Keyed on positional arguments after the default is applied, so that
+# crossover_rate(3) and crossover_rate(3, grid=XI0_GRID) share one entry.
 @functools.lru_cache(maxsize=16, typed=True)
-def _crossover_rate(L, grid, exponent) -> CrossoverResult:
+def _crossover_rate(L, grid) -> CrossoverResult:
     central = {}
 
     def margin(R):
         # >= 0 exactly where the central bound wins
-        central[R] = list_radius_bound(L, R, grid=grid, exponent=exponent)[0]
+        central[R] = list_radius_bound(L, R, grid=grid, exponent="binomial")[0]
         return blinovsky_bound(L, R) - central[R]
 
     # top-down scan: the first rate where the central bound wins and the
@@ -517,9 +517,7 @@ def _crossover_rate(L, grid, exponent) -> CrossoverResult:
     return CrossoverResult(L=L, r_cross=r_cross, tau_at_cross=central[r_cross])
 
 
-def best_upper_bound(
-    L: int, R: float, grid: int = 2000, lp2_grid: int = 400
-) -> tuple[float, str]:
+def best_upper_bound(L: int, R: float, grid: int = XI0_GRID) -> tuple[float, str]:
     """Minimum over the bounds applicable at list size L, with the winner
     labeled: LP bounds for L = 1, the list-2 bound for L = 2, the central
     and Catalan-sum bounds for every L >= 2."""
@@ -530,7 +528,7 @@ def best_upper_bound(
         raise DomainError(f"rate must lie in (0, 1), got {R}")
     if L == 1:
         tau1 = lp1_tau(R)
-        tau2 = lp2_tau(R, grid=lp2_grid)
+        tau2 = lp2_tau(R)
         if tau2 < tau1 - 1e-9:
             return tau2, "lp2"
         return tau1, "lp1"
@@ -539,7 +537,7 @@ def best_upper_bound(
         (blinovsky_bound(L, R), "blinovsky"),
     ]
     if L == 2:
-        candidates.append((abl2_tau(R, grid=lp2_grid), "abl2"))
+        candidates.append((abl2_tau(R), "abl2"))
     return min(candidates, key=lambda t: t[0])
 
 
@@ -547,8 +545,7 @@ def best_upper_bound(
 class BoundSpec:
     """One bound of :data:`BOUNDS`: the list sizes it accepts, the CSV
     columns it adds after ``rate,tau``, and its row evaluator, called as
-    ``row(L, R, beta=, grid=, lp2_grid=, bisect_tol=)`` and returning
-    ``(tau, witness, label)``."""
+    ``row(L, R, beta=, grid=)`` and returning ``(tau, witness, label)``."""
 
     min_L: int
     max_L: int
@@ -556,13 +553,13 @@ class BoundSpec:
     row: Callable
 
 
-def _theorem1_row(L, R, beta, grid, bisect_tol, **_):
-    tau, witness = list_radius_bound(L, R, beta=beta, grid=grid, bisect_tol=bisect_tol)
+def _theorem1_row(L, R, beta, grid):
+    tau, witness = list_radius_bound(L, R, beta=beta, grid=grid)
     return tau, witness, None
 
 
-def _best_row(L, R, grid, lp2_grid, **_):
-    tau, label = best_upper_bound(L, R, grid=grid, lp2_grid=lp2_grid)
+def _best_row(L, R, grid, **_):
+    tau, label = best_upper_bound(L, R, grid=grid)
     return tau, None, label
 
 
@@ -573,13 +570,9 @@ BOUNDS = {
     "blinovsky": BoundSpec(
         2, MAX_CATALAN_L, (), lambda L, R, **_: (blinovsky_bound(L, R), None, None)
     ),
-    "abl2": BoundSpec(
-        2, 2, (), lambda L, R, lp2_grid, **_: (abl2_tau(R, grid=lp2_grid), None, None)
-    ),
+    "abl2": BoundSpec(2, 2, (), lambda L, R, **_: (abl2_tau(R), None, None)),
     "lp1": BoundSpec(1, 1, (), lambda L, R, **_: (lp1_tau(R), None, None)),
-    "lp2": BoundSpec(
-        1, 1, (), lambda L, R, lp2_grid, **_: (lp2_tau(R, grid=lp2_grid), None, None)
-    ),
+    "lp2": BoundSpec(1, 1, (), lambda L, R, **_: (lp2_tau(R), None, None)),
     "slope": BoundSpec(
         1, MAX_POLY_L, (),
         lambda L, R, **_: (slope_relaxation_bound(L, R).tau, None, None),
@@ -593,9 +586,7 @@ def sample_curve(
     L: int,
     rates,
     beta: float | None = None,
-    grid: int = 2000,
-    lp2_grid: int = 400,
-    bisect_tol: float = 1e-12,
+    grid: int = XI0_GRID,
 ) -> BoundCurve:
     """Evaluate one bound over a rate grid; rows that fail their domain
     checks are recorded with a note instead of aborting the sweep.  A list
@@ -617,9 +608,7 @@ def sample_curve(
     for R in rates:
         R = float(R)
         try:
-            tau, witness, label = spec.row(
-                L, R, beta=beta, grid=grid, lp2_grid=lp2_grid, bisect_tol=bisect_tol
-            )
+            tau, witness, label = spec.row(L, R, beta=beta, grid=grid)
             note = None
         except (DomainError, NoSolutionError) as exc:
             tau, witness, label, note = None, None, None, str(exc)

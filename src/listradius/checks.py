@@ -88,11 +88,11 @@ def check_tail_inequality_all():
     return _result("strict majority-tail inequality (a <= 20)", ok, 0.0)
 
 
-def check_region_inequality(grid_step=1e-3):
+def check_region_inequality():
     """Region scan of the two-variable log inequality."""
-    violations = oracle.verify_monotonicity_region(grid_step)
+    violations = oracle.verify_monotonicity_region()
     return _result(
-        f"maximizer-monotonicity region scan (step {grid_step:g})",
+        "maximizer-monotonicity region scan (step 0.001)",
         not violations,
         float(len(violations)),
         detail=f"{len(violations)} violations",

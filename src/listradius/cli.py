@@ -28,17 +28,8 @@ class RunConfig:
     """Numeric knobs shared by the subcommands; overridable from a
     ``key=value`` config file."""
 
-    bisect_tol: float = 1e-12
-    xi0_grid: int = 2000
-    lp2_grid: int = 400
+    xi0_grid: int = bounds.XI0_GRID
     output_precision: int = 10
-
-    def validate(self):
-        # negated range checks, so that NaN fails them too
-        if not (0 < self.bisect_tol <= 1e-6):
-            raise DomainError("bisect_tol must lie in (0, 1e-6]")
-        if not (self.xi0_grid > 0 and self.lp2_grid > 0 and self.output_precision > 0):
-            raise DomainError("grid sizes and precision must be positive")
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -46,7 +37,8 @@ _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 def load_config(path) -> RunConfig:
     """Parse a plain key=value config file; '#' starts a comment; unknown
-    keys are fatal.  Each value is parsed as the type of its default."""
+    keys are fatal.  Each value is parsed as the type of its default and
+    must be positive."""
     cfg = RunConfig()
     with open(path, encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -63,7 +55,8 @@ def load_config(path) -> RunConfig:
                 setattr(cfg, key, type(getattr(cfg, key))(value.strip()))
             except ValueError as exc:
                 raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    cfg.validate()
+    if not (cfg.xi0_grid > 0 and cfg.output_precision > 0):
+        raise DomainError("grid sizes and precision must be positive")
     return cfg
 
 
@@ -134,8 +127,6 @@ def cmd_curve(args, cfg: RunConfig, out, err) -> int:
             rates,
             beta=args.beta,
             grid=cfg.xi0_grid,
-            lp2_grid=cfg.lp2_grid,
-            bisect_tol=cfg.bisect_tol,
         )
     except (DomainError, ListRadiusError) as exc:
         print(f"listradius curve: error: {exc}", file=err)
@@ -164,7 +155,6 @@ def cmd_witness(args, cfg: RunConfig, out, err) -> int:
             args.R,
             beta=args.beta,
             grid=cfg.xi0_grid,
-            bisect_tol=cfg.bisect_tol,
             exponent=args.exponent,
         )
     except (DomainError, ListRadiusError) as exc:
@@ -234,7 +224,6 @@ def main(argv=None, out=None, err=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        cfg.validate()
     except (OSError, DomainError) as exc:
         print(f"listradius: error: {exc}", file=err)
         return USAGE_EXIT

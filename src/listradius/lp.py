@@ -28,7 +28,8 @@ __all__ = [
     "r_lp2",
 ]
 
-DEFAULT_LP2_GRID = 400
+# Beta intervals of the r_lp2 scan before its golden-section refinement.
+_LP2_GRID = 400
 
 # Width at which the golden section of the list-2 branch point stops.
 _BRANCH_TOL = 1e-9
@@ -70,13 +71,13 @@ def _alpha_on_constraint(beta, delta: float):
     return min(2.0 * c / (1.0 + math.sqrt(max(1.0 - 4.0 * c, 0.0))), 0.5)
 
 
-def r_lp2(delta: float, grid: int = DEFAULT_LP2_GRID):
+def r_lp2(delta: float):
     """Second LP bound on rate at relative distance delta, minimized over the
     feasible (alpha, beta) region; returns (rate_bits, witness).
 
     The objective 1 - h(alpha) + h(beta) decreases in alpha, so for each
     beta the minimum sits on the constraint boundary, which has a closed
-    form.  The boundary is scanned at ``grid + 1`` betas in [0, 1/2] and
+    form.  The boundary is scanned at 401 betas in [0, 1/2] and
     refined by golden section around the best scan point.  The witness
     alpha is stepped down by ulps until the constraint holds exactly.
     """
@@ -87,7 +88,7 @@ def r_lp2(delta: float, grid: int = DEFAULT_LP2_GRID):
     def boundary_obj(beta):
         return 1.0 - binary_entropy(_alpha_on_constraint(beta, delta)) + binary_entropy(beta)
 
-    betas = np.linspace(0.0, 0.5, int(grid) + 1)
+    betas = np.linspace(0.0, 0.5, _LP2_GRID + 1)
     k = int(np.argmin(boundary_obj(betas)))
     blo = float(betas[max(k - 1, 0)])
     bhi = float(betas[min(k + 1, len(betas) - 1)])
@@ -112,16 +113,17 @@ def abl_sphere_param(tau: float) -> float:
     return 0.5 - math.sqrt(rad)
 
 
-def _lp2_rate(tau: float, grid: int) -> float:
+def _lp2_rate(tau: float) -> float:
     """Second LP bound at relative distance 2 tau."""
-    return r_lp2(2.0 * tau, grid=grid)[0]
+    return r_lp2(2.0 * tau)[0]
 
 
 def _abl_second_branch(tau: float) -> float:
     return 1.0 - binary_entropy(2.0 * tau) + binary_entropy(abl_sphere_param(tau))
 
 
-def abl_branch_point(grid: int = DEFAULT_LP2_GRID) -> float:
+@functools.cache
+def abl_branch_point() -> float:
     """Contact point of the two branches of the list-2 bound.
 
     With the LP branch evaluated accurately the two expressions osculate
@@ -129,17 +131,12 @@ def abl_branch_point(grid: int = DEFAULT_LP2_GRID) -> float:
     switch point is the maximizer of their difference: golden section
     around the best of 45 scanned points.  A positive scanned difference
     (a transversal crossing) or a peak below -1e-6 raises NoSolutionError.
-    Memoized per grid.
+    Memoized.
     """
-    return _abl_branch_point(grid)
-
-
-# Keyed on the grid after the default is applied, so that abl_branch_point()
-# and abl_branch_point(grid=400) share one entry.
-@functools.lru_cache(maxsize=8)
-def _abl_branch_point(grid):
+    # cached: golden_max evaluates the scanned bracket ends again
+    @functools.cache
     def gap(tau):
-        return _lp2_rate(tau, grid) - _abl_second_branch(tau)
+        return _lp2_rate(tau) - _abl_second_branch(tau)
 
     taus = np.linspace(0.02, 0.24, 45)
     gaps = [gap(t) for t in taus]
@@ -154,14 +151,14 @@ def _abl_branch_point(grid):
     return tau0
 
 
-def abl_list2(tau: float, grid: int = DEFAULT_LP2_GRID) -> float:
+def abl_list2(tau: float) -> float:
     """List-size-2 rate bound: the second LP bound below the branch point,
     the sphere-constrained branch above it."""
     tau = float(tau)
     if not 0.0 < tau < 0.25:
         raise DomainError(f"tau must lie in (0, 1/4), got {tau}")
-    if tau <= abl_branch_point(grid=grid):
-        return _lp2_rate(tau, grid)
+    if tau <= abl_branch_point():
+        return _lp2_rate(tau)
     return _abl_second_branch(tau)
 
 
@@ -170,23 +167,22 @@ _TAU_LO = 1e-9
 
 
 @functools.lru_cache(maxsize=8)
-def _end_rates(f, hi: float, grid: int) -> tuple[float, float]:
+def _end_rates(f, hi: float) -> tuple[float, float]:
     """f at both ends of the tau bracket [_TAU_LO, hi], solved once per
-    bound and grid."""
-    return f(_TAU_LO, grid), f(hi, grid)
+    bound."""
+    return f(_TAU_LO), f(hi)
 
 
-def _invert_decreasing(f, target: float, hi: float, grid: int) -> float:
-    """Largest tau in [_TAU_LO, hi] with f(tau, grid) >= target, f
-    nonincreasing, to within 1e-12; the returned tau always satisfies
-    f(tau, grid) >= target."""
-    f_lo, f_hi = _end_rates(f, hi, grid)
+def _invert_decreasing(f, target: float, hi: float) -> float:
+    """Largest tau in [_TAU_LO, hi] with f(tau) >= target, f nonincreasing,
+    to within 1e-12; the returned tau always satisfies f(tau) >= target."""
+    f_lo, f_hi = _end_rates(f, hi)
     if f_hi >= target:
         return hi
     if f_lo < target:
         raise NoSolutionError("target rate out of range")
     return brent_root(
-        lambda t: f(t, grid) - target,
+        lambda t: f(t) - target,
         _TAU_LO,
         hi,
         1e-12,
@@ -200,18 +196,18 @@ def lp1_tau(R: float) -> float:
     return 0.5 * delta_lp1(R)
 
 
-def lp2_tau(R: float, grid: int = DEFAULT_LP2_GRID) -> float:
+def lp2_tau(R: float) -> float:
     """List-1 radius bound from the second LP bound: largest tau with
     r_lp2(2 tau) >= R."""
     R = float(R)
     if not 0.0 < R < 1.0:
         raise DomainError(f"rate must lie in (0, 1), got {R}")
-    return _invert_decreasing(_lp2_rate, R, 0.25, grid)
+    return _invert_decreasing(_lp2_rate, R, 0.25)
 
 
-def abl2_tau(R: float, grid: int = DEFAULT_LP2_GRID) -> float:
+def abl2_tau(R: float) -> float:
     """List-2 radius bound: largest tau with abl_list2(tau) >= R."""
     R = float(R)
     if not 0.0 < R < 1.0:
         raise DomainError(f"rate must lie in (0, 1), got {R}")
-    return _invert_decreasing(abl_list2, R, 0.25 - 1e-12, grid)
+    return _invert_decreasing(abl_list2, R, 0.25 - 1e-12)

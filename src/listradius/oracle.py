@@ -299,16 +299,13 @@ class JointType:
         return True
 
 
-def joint_type(words, n: int, L: int | None = None) -> JointType:
+def joint_type(words, n: int) -> JointType:
     """Empirical column-pattern distribution of an ordered word list.
 
     The list must be in nondecreasing lexicographic order (repeats allowed
     for the multiset variant)."""
     words = list(words)
-    if L is None:
-        L = len(words)
-    if L != len(words):
-        raise DomainError("L must equal the number of words")
+    L = len(words)
     _validate_words(words, n)
     for a, b in zip(words, words[1:]):
         if a > b:
@@ -419,7 +416,7 @@ def check_tail_inequality(a: int) -> bool:
     return lhs == n * comb(n - 1, a - 1) and lhs < n * comb(n, a)
 
 
-def verify_monotonicity_region(grid_step: float = 1e-3, margin: float = 1e-6):
+def verify_monotonicity_region(grid_step: float = 1e-3):
     """Scan the region {0 <= a1 <= 1, 0 <= a2 <= a1(1-a1)} for violations of
     the two-variable log inequality that makes the list-3 maximizer
     monotone:
@@ -427,7 +424,7 @@ def verify_monotonicity_region(grid_step: float = 1e-3, margin: float = 1e-6):
         -2 log((1-a2)/a1) (a1^2 - a2^2)
             >= (2 a1^2 - 4/3 (a1^3 - a2^3) - 1) log((1-a2)/a2 * a1/(1-a1))
 
-    Interior points are scanned on the grid with a small margin excluding
+    Interior points are scanned on the grid with a 1e-6 margin excluding
     the singular boundaries; the a2 = 0 slice reduces to
     2 a1^2 - 4/3 a1^3 - 1 <= 0 and is checked in that form.  Returns the
     list of violating (a1, a2) pairs (expected empty).
@@ -436,6 +433,7 @@ def verify_monotonicity_region(grid_step: float = 1e-3, margin: float = 1e-6):
         raise DomainError("grid step must lie in (0, 1e-2]")
     violations: list[tuple[float, float]] = []
 
+    margin = 1e-6
     a1s = np.arange(grid_step, 1.0 - margin, grid_step)
     a1s = a1s[a1s >= margin]
     for a1 in a1s:

@@ -161,6 +161,16 @@ class TestSolveXi1:
         )
         np.testing.assert_array_equal(_solve_xi1_vec(xi0, rp + 1.0), 0.0)
 
+    def test_tolerance_below_float_spacing_terminates(self):
+        # 1e-300 is never reached, so the iteration cap ends the solve
+        for xi0 in np.linspace(0.01, 0.49, 13):
+            xi0 = float(xi0)
+            for frac in self.FRACTIONS:
+                rp = frac * binary_entropy(xi0)
+                assert solve_xi1(xi0, rp, 1e-300) == pytest.approx(
+                    solve_xi1(xi0, rp), abs=1e-12
+                )
+
 
 def reference_solve_xi1_vec(xi0, r_prime, tol=1e-12):
     """The grid solve before its active set: every Newton pass runs on the

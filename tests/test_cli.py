@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 
 import pytest
 
@@ -190,9 +191,7 @@ class TestTable1:
 class TestConfig:
     def test_defaults(self):
         cfg = RunConfig()
-        assert cfg.bisect_tol == 1e-12
         assert cfg.xi0_grid == 2000
-        assert cfg.lp2_grid == 400
         assert cfg.output_precision == 10
 
     def test_file_override(self, tmp_path):
@@ -201,7 +200,6 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.output_precision == 4
         assert cfg.xi0_grid == 500
-        assert cfg.bisect_tol == 1e-12
 
     def test_unknown_key_fatal(self, tmp_path):
         path = tmp_path / "cfg"
@@ -209,43 +207,41 @@ class TestConfig:
         with pytest.raises(DomainError):
             load_config(path)
 
-    def test_unknown_key_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("line", ["not_a_key=1", "bisect_tol=1e-12", "lp2_grid=400"])
+    def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "cfg"
-        path.write_text("not_a_key=1\n")
-        code, _, err = run_cli(
-            ["witness", "--L", "3", "--R", "0.2", "--config", str(path)]
-        )
-        assert code == 1
-        assert "unknown config key" in err
-
-    def test_tolerance_cap(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("bisect_tol=1e-3\n")
-        code, _, _ = run_cli(
-            ["witness", "--L", "3", "--R", "0.2", "--config", str(path)]
-        )
-        assert code == 1
-
-    def test_nan_tolerance_rejected(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("bisect_tol=nan\n")
+        path.write_text(line + "\n")
         code, out, err = run_cli(
             ["witness", "--L", "3", "--R", "0.2", "--config", str(path)]
         )
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert "bisect_tol" in err
+        assert "unknown config key" in err
 
-    def test_tolerance_below_float_spacing_terminates(self, tmp_path):
-        # the xi1 solve cannot reach 1e-300 and ends at its iteration cap
+    @pytest.mark.parametrize("line", ["xi0_grid=0", "output_precision=-1"])
+    def test_nonpositive_value_rejected(self, tmp_path, line):
         path = tmp_path / "cfg"
-        path.write_text("bisect_tol=1e-300\n")
-        code, out, _ = run_cli(
-            ["witness", "--L", "3", "--R", "0.2", "--config", str(path)]
-        )
-        assert code == 0
-        assert out == run_cli(["witness", "--L", "3", "--R", "0.2"])[1]
+        path.write_text(line + "\n")
+        code, out, err = run_cli(["table1", "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
+    def test_readme_lists_the_config_keys(self):
+        # the fenced block after the README's "### Config file" heading
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        block = readme.split("### Config file", 1)[1].split("```")[1]
+        documented = {}
+        for line in block.strip().splitlines():
+            key, _, value = line.split("#", 1)[0].partition("=")
+            documented[key.strip()] = value.strip()
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        assert documented.keys() == defaults.keys()
+        for key, value in documented.items():
+            assert type(defaults[key])(value) == defaults[key]
 
     def test_precision_applies(self, tmp_path):
         path = tmp_path / "cfg"

@@ -6,7 +6,6 @@ import pytest
 from listradius.core import binary_entropy, delta_lp1
 from listradius.errors import DomainError
 from listradius.lp import (
-    _abl_branch_point,
     _alpha_on_constraint,
     abl2_tau,
     abl_branch_point,
@@ -91,12 +90,11 @@ class TestAbl:
         assert abl_branch_point() == pytest.approx(0.1093, abs=0.001)
         assert abl_branch_point() == PINNED_BRANCH_POINT
 
-    def test_branch_point_memo_shared_across_spellings(self):
-        # abl_list2 passes grid=400 by keyword; both spellings share one entry
-        _abl_branch_point.cache_clear()
+    def test_branch_point_solved_once(self):
+        abl_branch_point.cache_clear()
         abl_branch_point()
         abl_list2(0.2)
-        assert _abl_branch_point.cache_info().misses == 1
+        assert abl_branch_point.cache_info().misses == 1
 
     def test_branch_continuity(self):
         tau0 = abl_branch_point()
