@@ -195,6 +195,13 @@ def solve_xi1(xi0: float, r_prime: float, tol: float = 1e-12) -> float:
         raise NoSolutionError(
             f"no xi1 solution: r_prime={r_prime} outside [0, h(xi0)={h0}]"
         )
+    return _solve_xi1(xi0, h0, rp, tol)
+
+
+def _solve_xi1(xi0: float, h0: float, rp: float, tol: float = 1e-12) -> float:
+    """:func:`solve_xi1` without its checks, for a caller that already has
+    h0 = h(xi0); r_prime at or below 0 gives the upper endpoint, at or
+    above h0 gives 0."""
     xi0c, d0 = 1.0 - xi0, 2.0 * xi0
     top = d0 * xi0c
     if rp >= h0:
@@ -300,6 +307,44 @@ def _subcode_rate(R, beta, hbeta, xi0, exponent):
     raise DomainError(f"unknown exponent mode {exponent!r}")
 
 
+@dataclass(frozen=True)
+class _RateGeometry:
+    """The half of :func:`list_radius_bound` that depends on the rate, beta,
+    grid and exponent but not on L or j: the resolved beta, h(beta) and
+    xi_max, the xi0 grid ``xs`` with its subcode rates ``rp`` and roots
+    ``xi1`` (read-only arrays), and ``solved``, the scalar (xi1, r_prime)
+    of every refinement point so far, filled by the calls that share it.
+    Each value depends on its xi0 alone, so a call gets the numbers it
+    would compute itself, whatever ran before it."""
+
+    beta: float
+    hbeta: float
+    xi_max: float
+    xs: np.ndarray
+    rp: np.ndarray
+    xi1: np.ndarray
+    solved: dict
+
+
+# Keyed on beta as passed (None for the default), so a hit skips resolving
+# it too.  Exceptions are not cached: a bad input raises on every call.
+@functools.lru_cache(maxsize=32)
+def _rate_geometry(R, beta, grid, exponent) -> _RateGeometry:
+    beta = _checked_beta(inverse_entropy(R) if beta is None else beta)
+    hbeta = binary_entropy(beta)
+    if hbeta > R + 1e-9:
+        raise DomainError(f"h(beta)={hbeta} exceeds rate {R}")
+    xi_max = 0.5 - math.sqrt(beta * (1.0 - beta))
+    xs = np.linspace(xi_max / grid, xi_max, grid)
+    rp = _subcode_rate(R, beta, hbeta, xs, exponent)
+    if not np.any(rp >= -1e-12):
+        raise NoSolutionError("no admissible xi0: subcode rate negative everywhere")
+    xi1 = _solve_xi1_vec(xs, rp)
+    for a in (xs, rp, xi1):
+        a.setflags(write=False)
+    return _RateGeometry(beta, hbeta, xi_max, xs, rp, xi1, {})
+
+
 def list_radius_bound(
     L: int,
     R: float,
@@ -315,7 +360,9 @@ def list_radius_bound(
     value is maximized.  Search is a dense xi0 grid followed by
     golden-section refinement around the best cell, per j; domain
     endpoints are always evaluated explicitly.  xi1 depends on xi0 only,
-    so each xi0 is solved once per call and shared across j.
+    and neither depends on L or j: the grid, its xi1 solve and the xi1 of
+    every refinement point are kept per (R, beta, grid, exponent) in
+    :func:`_rate_geometry` and shared by every list size at that rate.
 
     beta defaults to h(beta) = R.  xi0 with negative subcode rate are
     excluded; subcode rates above h(xi0) clamp xi1 to 0.  ``exponent``
@@ -331,32 +378,22 @@ def list_radius_bound(
     R = float(R)
     if not 0.0 < R < 1.0:
         raise DomainError(f"rate must lie in (0, 1), got {R}")
-    beta = _checked_beta(inverse_entropy(R) if beta is None else beta)
-    hbeta = binary_entropy(beta)
-    if hbeta > R + 1e-9:
-        raise DomainError(f"h(beta)={hbeta} exceeds rate {R}")
-    xi_max = 0.5 - math.sqrt(beta * (1.0 - beta))
-
-    xs = np.linspace(xi_max / grid, xi_max, grid)
-    rp = _subcode_rate(R, beta, hbeta, xs, exponent)
-    feasible = rp >= -1e-12
-    if not np.any(feasible):
-        raise NoSolutionError("no admissible xi0: subcode rate negative everywhere")
-    xi1 = _solve_xi1_vec(xs, rp)
+    geo = _rate_geometry(R, None if beta is None else float(beta), grid, exponent)
+    beta, hbeta, xi_max, xs, solved = geo.beta, geo.hbeta, geo.xi_max, geo.xs, geo.solved
+    feasible = geo.rp >= -1e-12
 
     js = admissible_j(L)
     polys = {j: avg_radius_evaluator(L, j) for j in js}
-    solved = {}  # xi0 -> (xi1, r_prime)
 
     def theta_at(x, j):
         """Objective at one (xi0, j), split_avg_radius(L, j, x, xi1) on
         floats; -inf where the subcode rate is negative."""
         if x not in solved:
             rp_x = _subcode_rate(R, beta, hbeta, x, exponent)
-            if rp_x < -1e-12 or rp_x >= binary_entropy(x):
+            if rp_x < -1e-12:
                 xi1_x = 0.0
             else:
-                xi1_x = solve_xi1(x, max(rp_x, 0.0))
+                xi1_x = _solve_xi1(x, binary_entropy(x), max(rp_x, 0.0))
             solved[x] = (xi1_x, rp_x)
         xi1_x, rp_x = solved[x]
         if rp_x < -1e-12:
@@ -366,7 +403,7 @@ def list_radius_bound(
         return x * poly(a1) + (1.0 - x) * poly(a2)
 
     # split_avg_radius on the grid for every j at once
-    a1, a2 = _split_args(xs, xi1)
+    a1, a2 = _split_args(xs, geo.xi1)
     grid_thetas = [
         xs * p1 + (1.0 - xs) * p2
         for p1, p2 in zip(avg_radius_polys(L, js, a1), avg_radius_polys(L, js, a2))

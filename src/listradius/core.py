@@ -56,11 +56,13 @@ def binary_entropy(p):
 
 
 _INVERSE_ENTROPY_TOL = 1e-12
+_INVERSE_ENTROPY_RTOL = 1e-6
 
 
 def inverse_entropy(y: float) -> float:
     """The unique p in [0, 1/2] with h(p) = y, by bisection to within
-    ``_INVERSE_ENTROPY_TOL`` in p."""
+    ``_INVERSE_ENTROPY_TOL`` in p, and on to within ``_INVERSE_ENTROPY_RTOL``
+    relative to p where that is finer (p below ~9e-7, y below ~2.1e-5)."""
     y = float(y)
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"entropy value must lie in [0, 1], got {y}")
@@ -68,7 +70,21 @@ def inverse_entropy(y: float) -> float:
         return 0.0
     if y == 1.0:
         return 0.5
-    lo, hi = bisect(lambda p: binary_entropy(p) < y, 0.0, 0.5, _INVERSE_ENTROPY_TOL)
+    return _inverse_entropy(y)
+
+
+# Memoized apart from the validating front above: the default beta of the
+# central bound, blinovsky_bound and delta_lp1 ask for the same values again.
+@functools.lru_cache(maxsize=256)
+def _inverse_entropy(y: float) -> float:
+    def below(p):
+        return binary_entropy(p) < y
+
+    lo, hi = bisect(below, 0.0, 0.5, _INVERSE_ENTROPY_TOL)
+    # an absolute width is a large relative error at small p; with lo still
+    # 0 the tolerance is 0 and bisect runs on to adjacent floats
+    if hi - lo > _INVERSE_ENTROPY_RTOL * lo:
+        lo, hi = bisect(below, lo, hi, _INVERSE_ENTROPY_RTOL * lo)
     return 0.5 * (lo + hi)
 
 

@@ -1,16 +1,21 @@
 import math
+import random
 import sys
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listradius.bounds import (
+    EXPONENT_MODES,
     MAX_CATALAN_L,
     MAX_POLY_L,
+    XI0_GRID,
+    _rate_geometry,
     _solve_xi1_vec,
-    _subcode_rate,
     best_upper_bound,
     blinovsky_bound,
     crossover_rate,
@@ -212,13 +217,11 @@ def reference_solve_xi1_vec(xi0, r_prime, tol=1e-12):
 
 class TestSolveXi1Grid:
     @staticmethod
-    def grid(R, exponent, n=2000):
+    def grid(R, exponent, n=XI0_GRID):
         """The xi0 grid and subcode rates of list_radius_bound; neither
         depends on L."""
-        beta = inverse_entropy(R)
-        xi_max = 0.5 - math.sqrt(beta * (1.0 - beta))
-        xs = np.linspace(xi_max / n, xi_max, n)
-        return xs, _subcode_rate(R, beta, binary_entropy(beta), xs, exponent)
+        geo = _rate_geometry(R, None, n, exponent)
+        return geo.xs, geo.rp
 
     @pytest.mark.parametrize("exponent", ["parametric", "binomial"])
     @pytest.mark.parametrize("R", [0.01, 0.1, 0.3, 0.5, 0.8, 0.99])
@@ -345,6 +348,15 @@ class TestListRadiusBound:
         assert list_radius_bound(3, 1e-3)[0] == pytest.approx(5 / 16, abs=5e-3)
         assert list_radius_bound(3, 1e-3)[0] < 5 / 16
 
+    def test_tiny_rates(self):
+        # beta = h^-1(R) to within 1e-12 in beta alone gave both rates one
+        # beta, with h(beta) 19 times the smaller rate, and a tau that was
+        # not an upper bound there
+        tau_12, w_12 = list_radius_bound(3, 1e-12)
+        tau_11, _ = list_radius_bound(3, 1e-11)
+        assert tau_12 > tau_11
+        assert binary_entropy(w_12.beta) == pytest.approx(1e-12, rel=1e-6)
+
     def test_dominated_by_relaxation(self):
         for L in (3, 4, 5):
             for R in (0.1, 0.4, 0.7):
@@ -425,6 +437,87 @@ class TestListRadiusBound:
         assert avg_radius_poly(MAX_POLY_L, 0, 0.3) == pytest.approx(0.3)
         with pytest.raises(OverflowError):
             avg_radius_poly(MAX_POLY_L + 1, 0, 0.3)
+
+
+# 25 seeded rates, each at four list sizes under both exponents; the
+# list sizes at one rate share one _rate_geometry entry
+_rng = random.Random(11)
+CACHE_SAMPLE = [
+    (L, R, exponent)
+    for R in [round(_rng.uniform(0.01, 0.99), 4) for _ in range(25)]
+    for L in _rng.sample(range(2, 16), 4)
+    for exponent in EXPONENT_MODES
+]
+
+
+def _cold(cases):
+    """Each case's (tau, witness), with the rate cache cleared before it."""
+    out = []
+    for L, R, exponent in cases:
+        _rate_geometry.cache_clear()
+        out.append(list_radius_bound(L, R, exponent=exponent))
+    return out
+
+
+def _warm(cases):
+    """Each case's (tau, witness), in one pass that starts cold."""
+    _rate_geometry.cache_clear()
+    return [list_radius_bound(L, R, exponent=exponent) for L, R, exponent in cases]
+
+
+@st.composite
+def rate_sequences(draw):
+    """Every (L, R, exponent) of one or two list sizes, two or three rates
+    and one or both exponent treatments, in a drawn order: list sizes and
+    treatments at one rate meet in the cache, and each list size is
+    evaluated at more than one rate."""
+    Ls = draw(st.lists(st.integers(2, 15), min_size=1, max_size=2, unique=True))
+    rates = draw(st.lists(
+        st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+        min_size=2, max_size=3, unique=True,
+    ))
+    modes = draw(st.lists(st.sampled_from(EXPONENT_MODES), min_size=1, max_size=2, unique=True))
+    return draw(st.permutations([(L, R, e) for L in Ls for R in rates for e in modes]))
+
+
+class TestRateGeometryCache:
+    def test_warm_equals_cold(self):
+        shuffled = random.Random(5).sample(CACHE_SAMPLE, len(CACHE_SAMPLE))
+        warm = repr(_warm(shuffled))
+        assert _rate_geometry.cache_info().hits >= 50
+        assert warm == repr(_cold(shuffled))
+
+    def test_list_sizes_share_an_entry(self):
+        _rate_geometry.cache_clear()
+        list_radius_bound(3, 0.2)
+        list_radius_bound(5, 0.2)
+        info = _rate_geometry.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_cached_arrays_are_read_only(self):
+        geo = _rate_geometry(0.2, None, XI0_GRID, "parametric")
+        for a in (geo.xs, geo.rp, geo.xi1):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_errors_are_not_cached(self):
+        _rate_geometry.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError, match="exceeds rate"):
+                list_radius_bound(3, 0.2, beta=inverse_entropy(0.3))
+        assert _rate_geometry.cache_info().currsize == 0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+    @given(rate_sequences())
+    def test_warm_equals_cold_and_tau_nonincreasing(self, cases):
+        cold = _cold(cases)
+        assert repr(_warm(cases)) == repr(cold)
+        taus = {}
+        for (L, R, exponent), (tau, _) in zip(cases, cold):
+            taus.setdefault((L, exponent), {})[R] = tau
+        for by_rate in taus.values():
+            ordered = [by_rate[R] for R in sorted(by_rate)]
+            assert all(b <= a for a, b in zip(ordered, ordered[1:]))
 
 
 class TestList3ClosedForm:

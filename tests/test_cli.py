@@ -173,6 +173,14 @@ class TestWitness:
         tau = float(next(l for l in out.splitlines() if l.startswith("tau")).split("=")[1])
         assert 0.0 < tau < 0.05
 
+    def test_tiny_rate(self):
+        # h^-1 of the rate must be relatively precise: with a beta whose
+        # entropy exceeded the rate, every subcode rate came out negative
+        code, out, err = run_cli(["witness", "--L", "3", "--R", "1e-14"])
+        assert (code, err) == (0, "")
+        tau = float(next(l for l in out.splitlines() if l.startswith("tau")).split("=")[1])
+        assert 0.3124 < tau < 5 / 16
+
 
 class TestTable1:
     def test_reproduces_reference_values(self):

@@ -71,6 +71,25 @@ class TestInverseEntropy:
         with pytest.raises(DomainError):
             inverse_entropy(bad)
 
+    @pytest.mark.parametrize("y", [1e-9, 1e-12, 1e-20, 1e-100, 1e-300])
+    def test_relative_precision_at_tiny_values(self, y):
+        # a bracket width of 1e-12 in p alone left h(p)/y at 19.3 for y = 1e-12
+        assert abs(binary_entropy(inverse_entropy(y)) / y - 1.0) <= 1e-6
+
+    # values of the absolute-width bisection alone, which the relative
+    # refinement leaves untouched from y ~ 2.14e-5 = h(1e-6) up
+    @pytest.mark.parametrize("y, p", [
+        (2.5e-5, 1.1830538824142423e-06),
+        (0.01, 0.0008602075054113811),
+        (0.1, 0.012986862055640813),
+        (0.361, 0.06868578275452819),
+        (0.5, 0.1100278644385071),
+        (0.9, 0.3160193463231735),
+        (0.999, 0.48138566392890425),
+    ])
+    def test_pinned_values(self, y, p):
+        assert inverse_entropy(y) == p
+
 
 class TestKrawtchoukExponent:
     def test_left_endpoint_is_entropy(self):
