@@ -67,7 +67,8 @@ _NEWTON_MAX_ITER = 100
 # Width at which the golden-section refinement of the central bound stops.
 _REFINE_TOL = 1e-10
 
-# xi0 grid points of the central bound scan.
+# xi0 grid points of the central bound scan; every command uses this
+# density, and only list_radius_bound takes another (``grid=``).
 XI0_GRID = 2000
 
 
@@ -510,11 +511,14 @@ _CROSSOVER_SCAN = (
 _CROSSOVER_R_TOL = 1e-5
 
 
-def crossover_rate(L: int, grid: int = XI0_GRID) -> CrossoverResult:
+@functools.lru_cache(maxsize=16, typed=True)
+def crossover_rate(L: int) -> CrossoverResult:
     """Largest rate at which the central bound is at most the Catalan-sum
     bound, found by a coarse top-down scan and a Brent-Dekker root finder
-    on their difference.  Memoized: the result is frozen, and verification
-    asks for each L more than once.
+    on their difference.  Memoized per L and its type (``typed=True``, so
+    a float L is not answered from an int entry): the result is frozen,
+    and verification asks for each L more than once.  Exceptions are not
+    cached: a bad L raises on every call.
 
     The central bound is evaluated with the binomial exponent estimate:
     the published crossover table was computed that way, and for small L
@@ -523,18 +527,11 @@ def crossover_rate(L: int, grid: int = XI0_GRID) -> CrossoverResult:
     """
     if not isinstance(L, int) or L < 3 or L % 2 == 0:
         raise DomainError(f"crossover rates are computed for odd L >= 3, got {L}")
-    return _crossover_rate(L, grid)
-
-
-# Keyed on positional arguments after the default is applied, so that
-# crossover_rate(3) and crossover_rate(3, grid=XI0_GRID) share one entry.
-@functools.lru_cache(maxsize=16, typed=True)
-def _crossover_rate(L, grid) -> CrossoverResult:
     central = {}
 
     def margin(R):
         # >= 0 exactly where the central bound wins
-        central[R] = list_radius_bound(L, R, grid=grid, exponent="binomial")[0]
+        central[R] = list_radius_bound(L, R, exponent="binomial")[0]
         return blinovsky_bound(L, R) - central[R]
 
     # top-down scan: the first rate where the central bound wins and the
@@ -554,7 +551,7 @@ def _crossover_rate(L, grid) -> CrossoverResult:
     return CrossoverResult(L=L, r_cross=r_cross, tau_at_cross=central[r_cross])
 
 
-def best_upper_bound(L: int, R: float, grid: int = XI0_GRID) -> tuple[float, str]:
+def best_upper_bound(L: int, R: float) -> tuple[float, str]:
     """Minimum over the bounds applicable at list size L, with the winner
     labeled: LP bounds for L = 1, the list-2 bound for L = 2, the central
     and Catalan-sum bounds for every L >= 2."""
@@ -570,7 +567,7 @@ def best_upper_bound(L: int, R: float, grid: int = XI0_GRID) -> tuple[float, str
             return tau2, "lp2"
         return tau1, "lp1"
     candidates = [
-        (list_radius_bound(L, R, grid=grid)[0], "theorem1"),
+        (list_radius_bound(L, R)[0], "theorem1"),
         (blinovsky_bound(L, R), "blinovsky"),
     ]
     if L == 2:
@@ -582,7 +579,7 @@ def best_upper_bound(L: int, R: float, grid: int = XI0_GRID) -> tuple[float, str
 class BoundSpec:
     """One bound of :data:`BOUNDS`: the list sizes it accepts, the CSV
     columns it adds after ``rate,tau``, and its row evaluator, called as
-    ``row(L, R, beta=, grid=)`` and returning ``(tau, witness, label)``."""
+    ``row(L, R, beta=)`` and returning ``(tau, witness, label)``."""
 
     min_L: int
     max_L: int
@@ -590,13 +587,13 @@ class BoundSpec:
     row: Callable
 
 
-def _theorem1_row(L, R, beta, grid):
-    tau, witness = list_radius_bound(L, R, beta=beta, grid=grid)
+def _theorem1_row(L, R, beta):
+    tau, witness = list_radius_bound(L, R, beta=beta)
     return tau, witness, None
 
 
-def _best_row(L, R, grid, **_):
-    tau, label = best_upper_bound(L, R, grid=grid)
+def _best_row(L, R, **_):
+    tau, label = best_upper_bound(L, R)
     return tau, None, label
 
 
@@ -618,13 +615,7 @@ BOUNDS = {
 }
 
 
-def sample_curve(
-    bound: str,
-    L: int,
-    rates,
-    beta: float | None = None,
-    grid: int = XI0_GRID,
-) -> BoundCurve:
+def sample_curve(bound: str, L: int, rates, beta: float | None = None) -> BoundCurve:
     """Evaluate one bound over a rate grid; rows that fail their domain
     checks are recorded with a note instead of aborting the sweep.  A list
     size outside the bound's range, and an explicit beta, which applies to
@@ -645,7 +636,7 @@ def sample_curve(
     for R in rates:
         R = float(R)
         try:
-            tau, witness, label = spec.row(L, R, beta=beta, grid=grid)
+            tau, witness, label = spec.row(L, R, beta=beta)
             note = None
         except (DomainError, NoSolutionError) as exc:
             tau, witness, label, note = None, None, None, str(exc)

@@ -11,53 +11,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
 
 from . import bounds, checks, oracle
-from .errors import DomainError, ListRadiusError
+from .errors import DomainError, ListRadiusError, SizeLimitError
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 USAGE_EXIT = 1
 FAILURE_EXIT = 2
 MAX_CURVE_ROWS = 100_000
-
-
-@dataclass
-class RunConfig:
-    """Numeric knobs shared by the subcommands; overridable from a
-    ``key=value`` config file."""
-
-    xi0_grid: int = bounds.XI0_GRID
-    output_precision: int = 10
-
-
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-
-
-def load_config(path) -> RunConfig:
-    """Parse a plain key=value config file; '#' starts a comment; unknown
-    keys are fatal.  Each value is parsed as the type of its default and
-    must be positive."""
-    cfg = RunConfig()
-    with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                setattr(cfg, key, type(getattr(cfg, key))(value.strip()))
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    if not (cfg.xi0_grid > 0 and cfg.output_precision > 0):
-        raise DomainError("grid sizes and precision must be positive")
-    return cfg
+# Significant digits of every float that curve and witness print.
+OUTPUT_PRECISION = 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +45,6 @@ def _build_parser() -> _Parser:
         "--beta", type=float, default=None,
         help="explicit beta (default: entropy-matched h(beta) = rate)",
     )
-    p_curve.add_argument("--config", default=None)
 
     p_wit = sub.add_parser("witness", help="maximizer report for one rate")
     p_wit.add_argument("--L", required=True, type=int)
@@ -90,10 +53,8 @@ def _build_parser() -> _Parser:
     p_wit.add_argument(
         "--exponent", choices=bounds.EXPONENT_MODES, default="parametric"
     )
-    p_wit.add_argument("--config", default=None)
 
-    p_tab = sub.add_parser("table1", help="crossover table vs published values")
-    p_tab.add_argument("--config", default=None)
+    sub.add_parser("table1", help="crossover table vs published values")
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument(
@@ -101,7 +62,6 @@ def _build_parser() -> _Parser:
     )
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--code", default=None, help="0/1 code file for oracle checks")
-    p_ver.add_argument("--config", default=None)
     return parser
 
 
@@ -114,75 +74,63 @@ def _rate_grid(rmin, rmax, step):
     return [rmin + k * step for k in range(math.floor(span) + 1)]
 
 
-def _fmt(value, digits):
-    return f"{value:.{digits}g}"
+def _fmt(value):
+    return f"{value:.{OUTPUT_PRECISION}g}"
 
 
-def cmd_curve(args, cfg: RunConfig, out, err) -> int:
+def cmd_curve(args, out, err) -> int:
     try:
         rates = _rate_grid(args.rmin, args.rmax, args.step)
-        curve = bounds.sample_curve(
-            args.bound,
-            args.L,
-            rates,
-            beta=args.beta,
-            grid=cfg.xi0_grid,
-        )
+        curve = bounds.sample_curve(args.bound, args.L, rates, beta=args.beta)
     except (DomainError, ListRadiusError) as exc:
         print(f"listradius curve: error: {exc}", file=err)
         return USAGE_EXIT
-    digits = cfg.output_precision
     columns = bounds.BOUNDS[args.bound].columns
     print(",".join(("rate", "tau") + columns), file=out)
     for pt in curve.points:
-        row = [_fmt(pt.rate, digits)]
+        row = [_fmt(pt.rate)]
         if pt.tau is None:
             print(",".join(row + [""] * (1 + len(columns))), file=out)
             print(f"listradius curve: warning: rate {pt.rate:g}: {pt.note}", file=err)
             continue
-        row.append(_fmt(pt.tau, digits))
+        row.append(_fmt(pt.tau))
         for col in columns:
             value = pt.label if col == "label" else getattr(pt.witness, col)
-            row.append(_fmt(value, digits) if isinstance(value, float) else str(value))
+            row.append(_fmt(value) if isinstance(value, float) else str(value))
         print(",".join(row), file=out)
     return 0
 
 
-def cmd_witness(args, cfg: RunConfig, out, err) -> int:
+def cmd_witness(args, out, err) -> int:
     try:
         tau, w = bounds.list_radius_bound(
-            args.L,
-            args.R,
-            beta=args.beta,
-            grid=cfg.xi0_grid,
-            exponent=args.exponent,
+            args.L, args.R, beta=args.beta, exponent=args.exponent
         )
     except (DomainError, ListRadiusError) as exc:
         print(f"listradius witness: error: {exc}", file=err)
         return USAGE_EXIT
-    digits = cfg.output_precision
     xi_max = 0.5 - math.sqrt(w.beta * (1.0 - w.beta))
     at_limit = abs(w.xi0 - xi_max) <= 1e-6
     print(f"L = {args.L}", file=out)
-    print(f"rate = {_fmt(args.R, digits)}", file=out)
-    print(f"tau = {_fmt(tau, digits)}", file=out)
-    print(f"xi0 = {_fmt(w.xi0, digits)}", file=out)
-    print(f"xi1 = {_fmt(w.xi1, digits)}", file=out)
+    print(f"rate = {_fmt(args.R)}", file=out)
+    print(f"tau = {_fmt(tau)}", file=out)
+    print(f"xi0 = {_fmt(w.xi0)}", file=out)
+    print(f"xi1 = {_fmt(w.xi1)}", file=out)
     print(f"j = {w.j}", file=out)
-    print(f"beta = {_fmt(w.beta, digits)}", file=out)
-    print(f"r_prime = {_fmt(w.r_prime, digits)}", file=out)
-    print(f"xi0_upper_limit = {_fmt(xi_max, digits)}", file=out)
+    print(f"beta = {_fmt(w.beta)}", file=out)
+    print(f"r_prime = {_fmt(w.r_prime)}", file=out)
+    print(f"xi0_upper_limit = {_fmt(xi_max)}", file=out)
     print(f"xi0_at_upper_limit = {'yes' if at_limit else 'no'}", file=out)
     print(f"j_is_one = {'yes' if w.j == 1 else 'no'}", file=out)
     return 0
 
 
-def cmd_table1(args, cfg: RunConfig, out, err) -> int:
+def cmd_table1(args, out, err) -> int:
     refs = bounds.reference_crossovers()
     print(f"{'L':>3} {'computed':>10} {'reference':>10} {'delta':>10}", file=out)
     worst = 0.0
     for L, ref in refs.items():
-        res = bounds.crossover_rate(L, grid=cfg.xi0_grid)
+        res = bounds.crossover_rate(L)
         delta = res.r_cross - ref
         worst = max(worst, abs(delta))
         print(f"{L:>3} {res.r_cross:>10.4f} {ref:>10.3f} {delta:>+10.4f}", file=out)
@@ -195,12 +143,18 @@ def cmd_table1(args, cfg: RunConfig, out, err) -> int:
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig, out, err) -> int:
+def cmd_verify(args, out, err) -> int:
     code = None
     if args.code is not None:
+        # every bad code file fails here, before any suite runs
         try:
             code = oracle.load_code(args.code)
-        except (OSError, DomainError) as exc:
+            if len(code.words) > oracle.MAX_AVG_TYPE_SIZE:
+                raise SizeLimitError(
+                    f"{args.code}: {len(code.words)} words, the oracle checks "
+                    f"take at most {oracle.MAX_AVG_TYPE_SIZE}"
+                )
+        except (OSError, ValueError) as exc:
             print(f"listradius verify: error: {exc}", file=err)
             return USAGE_EXIT
     results = checks.run_suite(args.suite, seed=args.seed, code=code)
@@ -222,18 +176,13 @@ def main(argv=None, out=None, err=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-    except (OSError, DomainError) as exc:
-        print(f"listradius: error: {exc}", file=err)
-        return USAGE_EXIT
     if args.command == "curve":
-        return cmd_curve(args, cfg, out, err)
+        return cmd_curve(args, out, err)
     if args.command == "witness":
-        return cmd_witness(args, cfg, out, err)
+        return cmd_witness(args, out, err)
     if args.command == "table1":
-        return cmd_table1(args, cfg, out, err)
-    return cmd_verify(args, cfg, out, err)
+        return cmd_table1(args, out, err)
+    return cmd_verify(args, out, err)
 
 
 def run():  # console entry point

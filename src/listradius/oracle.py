@@ -31,7 +31,6 @@ __all__ = [
     "check_tail_inequality",
     "joint_type",
     "load_code",
-    "majority_center",
     "tau_list",
     "verify_monotonicity_region",
     "weight_marginal_exact",
@@ -84,9 +83,6 @@ class BinaryCode:
             words.append(int(ln, 2))
         words.sort()
         return cls(n=n, words=tuple(words))
-
-    def to_strings(self) -> list[str]:
-        return [format(w, f"0{self.n}b") for w in self.words]
 
     def shifted(self, x: int) -> "BinaryCode":
         """Translate by XOR with x (a Hamming-space isometry)."""
@@ -198,21 +194,6 @@ def _chebyshev_bnb(words: list[int], n: int) -> int:
     return best
 
 
-def majority_center(words, n: int) -> int:
-    """Per-coordinate majority vote center, ties broken toward bit 0."""
-    words = list(words)
-    if not words:
-        raise DomainError("need at least one word")
-    _validate_words(words, n)
-    m = len(words)
-    center = 0
-    for pos in range(n):
-        ones = sum((w >> pos) & 1 for w in words)
-        if 2 * ones > m:
-            center |= 1 << pos
-    return center
-
-
 def average_radius(words, n: int) -> Fraction:
     """Minimum over centers of the mean distance to the words (exact).
 
@@ -275,28 +256,6 @@ class JointType:
         if other.L != self.L:
             raise DomainError("types must share the same L")
         return max(abs(a - b) for a, b in zip(self.t, other.t))
-
-    def permuted(self, sigma) -> "JointType":
-        """Relabel words by the permutation sigma (sigma[i] = new index)."""
-        out = [Fraction(0)] * (1 << self.L)
-        for v, tv in enumerate(self.t):
-            nv = 0
-            for i in range(self.L):
-                if (v >> i) & 1:
-                    nv |= 1 << sigma[i]
-            out[nv] += tv
-        return JointType(L=self.L, t=tuple(out))
-
-    def is_symmetric(self) -> bool:
-        ref = {}
-        for v, tv in enumerate(self.t):
-            w = v.bit_count()
-            if w in ref:
-                if ref[w] != tv:
-                    return False
-            else:
-                ref[w] = tv
-        return True
 
 
 def joint_type(words, n: int) -> JointType:

@@ -578,7 +578,14 @@ class TestCrossover:
         assert res.tau_at_cross <= blinovsky_bound(L, res.r_cross)
 
     def test_memo_shared_across_spellings(self):
-        assert crossover_rate(3) is crossover_rate(3, grid=2000)
+        # one entry per int L; the float spelling 3.0 is keyed apart and
+        # still rejected
+        crossover_rate.cache_clear()
+        assert crossover_rate(3) is crossover_rate(3)
+        info = crossover_rate.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        with pytest.raises(DomainError):
+            crossover_rate(3.0)
 
     @pytest.mark.parametrize("L", [3, 5, 7, 9, 11])
     def test_no_crossing_above_on_fine_grid(self, L):

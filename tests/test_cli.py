@@ -1,16 +1,15 @@
 import io
 import os
+import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
 
 import pytest
 
 import listradius
 
-from listradius.cli import RunConfig, load_config, main
-from listradius.errors import DomainError
+from listradius.cli import _build_parser, main
 
 
 def run_cli(argv):
@@ -196,72 +195,6 @@ class TestTable1:
             assert abs(float(computed) - refs[int(L)]) <= 0.002
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = RunConfig()
-        assert cfg.xi0_grid == 2000
-        assert cfg.output_precision == 10
-
-    def test_file_override(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("output_precision = 4  # fewer digits\nxi0_grid=500\n")
-        cfg = load_config(path)
-        assert cfg.output_precision == 4
-        assert cfg.xi0_grid == 500
-
-    def test_unknown_key_fatal(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("not_a_key=1\n")
-        with pytest.raises(DomainError):
-            load_config(path)
-
-    @pytest.mark.parametrize("line", ["not_a_key=1", "bisect_tol=1e-12", "lp2_grid=400"])
-    def test_unknown_key_rejected(self, tmp_path, line):
-        path = tmp_path / "cfg"
-        path.write_text(line + "\n")
-        code, out, err = run_cli(
-            ["witness", "--L", "3", "--R", "0.2", "--config", str(path)]
-        )
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert "unknown config key" in err
-
-    @pytest.mark.parametrize("line", ["xi0_grid=0", "output_precision=-1"])
-    def test_nonpositive_value_rejected(self, tmp_path, line):
-        path = tmp_path / "cfg"
-        path.write_text(line + "\n")
-        code, out, err = run_cli(["table1", "--config", str(path)])
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
-
-    def test_readme_lists_the_config_keys(self):
-        # the fenced block after the README's "### Config file" heading
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
-            readme = fh.read()
-        block = readme.split("### Config file", 1)[1].split("```")[1]
-        documented = {}
-        for line in block.strip().splitlines():
-            key, _, value = line.split("#", 1)[0].partition("=")
-            documented[key.strip()] = value.strip()
-        defaults = {f.name: f.default for f in fields(RunConfig)}
-        assert documented.keys() == defaults.keys()
-        for key, value in documented.items():
-            assert type(defaults[key])(value) == defaults[key]
-
-    def test_precision_applies(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("output_precision=4\n")
-        _, out, _ = run_cli(
-            ["curve", "--bound", "blinovsky", "--L", "3", "--config", str(path),
-             "--rmin", "0.2", "--rmax", "0.3", "--step", "0.1"]
-        )
-        tau_field = out.strip().splitlines()[1].split(",")[1]
-        assert len(tau_field.replace(".", "").lstrip("0")) <= 4
-
-
 class TestVerify:
     def test_identities_suite_passes(self):
         code, out, _ = run_cli(["verify", "--suite", "oracle", "--seed", "7"])
@@ -292,6 +225,25 @@ class TestVerify:
     def test_bad_suite_usage(self):
         code, _, _ = run_cli(["verify", "--suite", "bogus"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "".join(format(w, "05b") + "\n" for w in range(15)).encode(),
+            "0101\n10\xe91\n".encode("latin-1"),
+            ("0" * 25 + "\n" + "1" * 25 + "\n").encode(),
+        ],
+        ids=["15-words", "non-ascii", "blocklength-25"],
+    )
+    def test_bad_code_file_rejected_before_suites(self, tmp_path, content):
+        path = tmp_path / "code.txt"
+        path.write_bytes(content)
+        code, out, err = run_cli(
+            ["verify", "--suite", "oracle", "--seed", "1", "--code", str(path)]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
 
 
 class TestUsage:
@@ -325,6 +277,42 @@ class TestUsage:
     def test_missing_required_flag(self):
         code, _, _ = run_cli(["witness", "--L", "3"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--bound", "blinovsky", "--L", "3",
+             "--rmin", "0.1", "--rmax", "0.2", "--step", "0.1"],
+            ["witness", "--L", "3", "--R", "0.2"],
+            ["table1"],
+            ["verify", "--suite", "identities"],
+        ],
+        ids=["curve", "witness", "table1", "verify"],
+    )
+    def test_config_flag_is_unknown(self, tmp_path, argv):
+        # a file that the former --config flag accepted is now a usage error
+        path = tmp_path / "cfg"
+        path.write_text("# comments only\n")
+        code, out, _ = run_cli(argv + ["--config", str(path)])
+        assert code == 1
+        assert out == ""
+
+    def test_readme_documents_every_option(self):
+        # every option of every subcommand appears in README's command
+        # line section, and the removed --config appears nowhere
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        subparsers = next(
+            a for a in _build_parser()._actions if a.dest == "command"
+        ).choices
+        for name, sub in subparsers.items():
+            for action in sub._actions:
+                for option in action.option_strings:
+                    if option not in ("-h", "--help"):
+                        assert re.search(rf"{option}\b", section), (name, option)
+        assert "--config" not in readme
 
 
 class TestStartup:

@@ -7,6 +7,8 @@ import pytest
 from listradius.core import admissible_j, avg_radius_poly
 from listradius.errors import DomainError, SizeLimitError
 from listradius.oracle import (
+    MAX_AVG_TYPE_L,
+    MAX_AVG_TYPE_SIZE,
     BinaryCode,
     JointType,
     avg_joint_type,
@@ -19,7 +21,6 @@ from listradius.oracle import (
     check_tail_inequality,
     joint_type,
     load_code,
-    majority_center,
     tau_list,
     verify_monotonicity_region,
     weight_marginal_exact,
@@ -76,8 +77,6 @@ class TestAverageRadius:
                 sum((y ^ w).bit_count() for w in words) for y in range(1 << n)
             )
             assert average_radius(words, n) == Fraction(best, m)
-            center = majority_center(words, n)
-            assert sum((center ^ w).bit_count() for w in words) == best
 
     def test_at_most_chebyshev(self):
         rng = random.Random(9)
@@ -123,7 +122,7 @@ class TestTauList:
 class TestBinaryCode:
     def test_orders_and_validates(self):
         code = BinaryCode.from_strings(["110", "001", "010"])
-        assert code.to_strings() == ["001", "010", "110"]
+        assert code.words == (0b001, 0b010, 0b110)
 
     def test_rejects_duplicates(self):
         with pytest.raises(DomainError):
@@ -181,9 +180,10 @@ class TestAvgJointType:
         rng = random.Random(4)
         code = BinaryCode.random(rng, 8, 6)
         T = avg_joint_type(code, 3)
-        assert T.is_symmetric()
-        for sigma in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-            assert T.permuted(sigma).t == T.t
+        # every permutation of the three words maps a pattern to one of the
+        # same weight, so equal mass per weight is invariance under them all
+        for v, tv in enumerate(T.t):
+            assert tv == T.t[(1 << v.bit_count()) - 1]
 
     def test_single_subset_code(self):
         code = BinaryCode(n=4, words=(0b0011, 0b1100))
@@ -193,15 +193,13 @@ class TestAvgJointType:
         assert T.weight_marginal() == M.weight_marginal()
 
     def test_weight_marginal_identity(self):
+        # at the oracle caps, above the |C| <= 10, L <= 4 of the verify check
         rng = random.Random(7)
-        for _ in range(50):
-            n = rng.randint(4, 12)
-            size = rng.randint(4, 10)
-            L = rng.randint(1, min(4, size))
-            code = BinaryCode.random(rng, n, size)
-            assert avg_joint_type(code, L).weight_marginal() == weight_marginal_exact(
-                code, L
-            )
+        for size in range(11, MAX_AVG_TYPE_SIZE + 1):
+            for L in range(3, MAX_AVG_TYPE_L + 1):
+                code = BinaryCode.random(rng, rng.randint(4, 12), size)
+                marginal = avg_joint_type(code, L).weight_marginal()
+                assert marginal == weight_marginal_exact(code, L), (size, L)
 
     def test_degenerate_marginal_is_column_histogram(self):
         # |C| = L: the hypergeometric collapses to the column weights
