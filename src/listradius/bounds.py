@@ -14,10 +14,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
+    _is_array,
     admissible_j,
     avg_radius_evaluator,
     avg_radius_poly,
@@ -30,6 +30,9 @@ from .core import (
 from .errors import DomainError, NoSolutionError
 from .lp import abl2_tau, lp1_tau, lp2_tau
 from .solve import brent_root, golden_max
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BOUNDS",
@@ -238,6 +241,8 @@ def _solve_xi1_vec(xi0: np.ndarray, r_prime: np.ndarray, tol: float = 1e-12) -> 
     compressed to them, and a point leaves them in the pass in which it
     stops; 1 - xi0, 2 xi0 and 2 (1 - xi0) are formed once, outside the loop.
     """
+    import numpy as np
+
     h0 = binary_entropy(xi0)
     xi0c, d0 = 1.0 - xi0, 2.0 * xi0
     top = d0 * xi0c
@@ -276,8 +281,8 @@ def _split_args(xi0, xi1):
     average radius, clipped to [0, 1]; floats or numpy arrays."""
     a1 = 1.0 - xi1 / (2.0 * xi0)
     a2 = xi1 / (2.0 * (1.0 - xi0))
-    if isinstance(a1, np.ndarray):
-        return np.clip(a1, 0.0, 1.0), np.clip(a2, 0.0, 1.0)
+    if type(a1) is not float and _is_array(a1):
+        return a1.clip(0.0, 1.0), a2.clip(0.0, 1.0)
     return min(max(a1, 0.0), 1.0), min(max(a2, 0.0), 1.0)
 
 
@@ -331,6 +336,8 @@ class _RateGeometry:
 # it too.  Exceptions are not cached: a bad input raises on every call.
 @functools.lru_cache(maxsize=32)
 def _rate_geometry(R, beta, grid, exponent) -> _RateGeometry:
+    import numpy as np
+
     beta = _checked_beta(inverse_entropy(R) if beta is None else beta)
     hbeta = binary_entropy(beta)
     if hbeta > R + 1e-9:
@@ -379,6 +386,8 @@ def list_radius_bound(
     R = float(R)
     if not 0.0 < R < 1.0:
         raise DomainError(f"rate must lie in (0, 1), got {R}")
+    import numpy as np
+
     geo = _rate_geometry(R, None if beta is None else float(beta), grid, exponent)
     beta, hbeta, xi_max, xs, solved = geo.beta, geo.hbeta, geo.xi_max, geo.xs, geo.solved
     feasible = geo.rp >= -1e-12
@@ -500,12 +509,11 @@ def reference_crossovers() -> dict[int, float]:
     return dict(_REFERENCE_CROSSOVERS)
 
 
-# Rates of the top-down crossover scan, 0.02 to 0.99 at steps of
-# _CROSSOVER_SCAN_STEP, and the width at which the root finder after it stops.
-_CROSSOVER_SCAN_STEP = 0.1
+# Rates of the top-down crossover scan, 0.02, then 0.1 to 0.9 at steps of
+# 0.1 as np.arange(0.1, 0.95, 0.1) forms them, then 0.99; and the width at
+# which the root finder after it stops.
 _CROSSOVER_SCAN = (
-    0.02,
-    *np.arange(_CROSSOVER_SCAN_STEP, 0.95, _CROSSOVER_SCAN_STEP).tolist(),
+    0.02, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.6, 0.7000000000000001, 0.8, 0.9,
     0.99,
 )
 _CROSSOVER_R_TOL = 1e-5

@@ -24,11 +24,14 @@ MAX_CURVE_ROWS = 100_000
 OUTPUT_PRECISION = 10
 
 
+class _UsageError(Exception):
+    """A usage error, raised with the (sub)parser and the message, for
+    main to print to the err stream it was given."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
+        raise _UsageError(self, message)
 
 
 def _build_parser() -> _Parser:
@@ -174,6 +177,11 @@ def main(argv=None, out=None, err=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except _UsageError as exc:
+        failed, message = exc.args
+        failed.print_usage(err)
+        print(f"{failed.prog}: error: {message}", file=err)
+        return USAGE_EXIT
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     if args.command == "curve":

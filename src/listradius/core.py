@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from math import comb
-
-import numpy as np
 
 from .errors import DomainError
 from .solve import bisect
@@ -36,12 +35,22 @@ __all__ = [
 ]
 
 
+def _is_array(x) -> bool:
+    """Whether x is a numpy array.  numpy is not imported to find out: no
+    array exists before it is, and the commands that need no array run
+    without it."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
 def binary_entropy(p):
     """Binary entropy h(p) in bits, with h(0) = h(1) = 0.
 
     Accepts a float or a numpy array.
     """
-    if isinstance(p, np.ndarray):
+    if type(p) is not float and _is_array(p):
+        import numpy as np
+
         if np.any(p < 0.0) or np.any(p > 1.0):
             raise DomainError("entropy argument must lie in [0, 1]")
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -110,7 +119,9 @@ def _omega_root(beta, xi):
     """
     b = 1.0 - 2.0 * xi
     disc = b * b - 4.0 * beta * (1.0 - beta)
-    if isinstance(disc, np.ndarray):
+    if type(disc) is not float and _is_array(disc):
+        import numpy as np
+
         if np.any(disc < -1e-9):
             raise DomainError("xi exceeds 1/2 - sqrt(beta(1-beta))")
         disc = np.maximum(disc, 0.0)
@@ -135,7 +146,9 @@ def krawtchouk_exponent_value(beta, xi):
     if not 0.0 < beta <= 0.5:
         raise DomainError(f"beta must lie in (0, 1/2], got {beta}")
     w = _omega_root(beta, xi)
-    if isinstance(xi, np.ndarray):
+    if type(xi) is not float and _is_array(xi):
+        import numpy as np
+
         if np.any(xi < -1e-15):
             raise DomainError("xi must be nonnegative")
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -173,8 +186,8 @@ def admissible_j(L: int) -> tuple[int, ...]:
 
 
 def _validate_nu(nu):
-    if isinstance(nu, np.ndarray):
-        if np.any(nu < 0.0) or np.any(nu > 1.0):
+    if type(nu) is not float and _is_array(nu):
+        if (nu < 0.0).any() or (nu > 1.0).any():
             raise DomainError("probability argument must lie in [0, 1]")
     elif not 0 <= nu <= 1:
         raise DomainError(f"probability argument must lie in [0, 1], got {nu}")

@@ -10,11 +10,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import binary_entropy, delta_lp1
 from .errors import DomainError, NoSolutionError
-from .solve import brent_root, golden_max
+from .solve import brent_root, golden_max, grid_argmin
 
 __all__ = [
     "Lp2Witness",
@@ -28,10 +26,15 @@ __all__ = [
     "r_lp2",
 ]
 
-# Beta intervals of the r_lp2 scan before its golden-section refinement.
+# Betas of the r_lp2 scan before its golden-section refinement: 400
+# intervals of [0, 1/2], formed as np.linspace(0.0, 0.5, 401) forms them,
+# i * step + start (its last point, which it sets to the end, is exact).
 _LP2_GRID = 400
+_LP2_BETAS = tuple(i * (0.5 / _LP2_GRID) for i in range(_LP2_GRID + 1))
 
-# Width at which the golden section of the list-2 branch point stops.
+# Taus of the list-2 branch point scan, np.linspace(0.02, 0.24, 45) formed
+# the same way, and the width at which the golden section after it stops.
+_BRANCH_TAUS = tuple(i * (0.22 / 44) + 0.02 for i in range(45))
 _BRANCH_TOL = 1e-9
 
 
@@ -54,21 +57,28 @@ def lp2_constraint(alpha: float, beta: float) -> float:
     )
 
 
-def _alpha_on_constraint(beta, delta: float):
+def _alpha_on_constraint(beta: float, delta: float) -> float:
     """Largest alpha in [beta, 1/2] keeping the constraint at most delta.
 
     The constraint is alpha(1-alpha) <= c = beta(1-beta) + delta (1/2 +
     sqrt(beta(1-beta))), so the boundary is 2c / (1 + sqrt(1 - 4c)), or
-    1/2 once c >= 1/4.  Accepts a float or a numpy array of betas; a float
-    takes math.sqrt, which rounds like np.sqrt at a fraction of its call
-    cost.
+    1/2 once c >= 1/4.
     """
     q = beta * (1.0 - beta)
-    if isinstance(q, np.ndarray):
-        c = q + delta * (0.5 + np.sqrt(q))
-        return np.minimum(2.0 * c / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * c, 0.0))), 0.5)
     c = q + delta * (0.5 + math.sqrt(q))
     return min(2.0 * c / (1.0 + math.sqrt(max(1.0 - 4.0 * c, 0.0))), 0.5)
+
+
+def _boundary_obj(beta: float, delta: float) -> float:
+    """The objective 1 - h(alpha) + h(beta) on the constraint boundary."""
+    return 1.0 - binary_entropy(_alpha_on_constraint(beta, delta)) + binary_entropy(beta)
+
+
+def _lp2_scan_index(delta: float) -> int:
+    """Index of the first minimum of the boundary objective over
+    ``_LP2_BETAS``.  The objective falls and then rises over the grid, so
+    a Fibonacci search finds the index a full scan would."""
+    return grid_argmin(lambda i: _boundary_obj(_LP2_BETAS[i], delta), len(_LP2_BETAS))
 
 
 def r_lp2(delta: float):
@@ -77,23 +87,18 @@ def r_lp2(delta: float):
 
     The objective 1 - h(alpha) + h(beta) decreases in alpha, so for each
     beta the minimum sits on the constraint boundary, which has a closed
-    form.  The boundary is scanned at 401 betas in [0, 1/2] and
-    refined by golden section around the best scan point.  The witness
+    form.  The boundary is searched over 401 betas in [0, 1/2] and
+    refined by golden section around the best grid point.  The witness
     alpha is stepped down by ulps until the constraint holds exactly.
     """
     delta = float(delta)
     if not 0.0 < delta <= 0.5:
         raise DomainError(f"relative distance must lie in (0, 1/2], got {delta}")
-
-    def boundary_obj(beta):
-        return 1.0 - binary_entropy(_alpha_on_constraint(beta, delta)) + binary_entropy(beta)
-
-    betas = np.linspace(0.0, 0.5, _LP2_GRID + 1)
-    k = int(np.argmin(boundary_obj(betas)))
-    blo = float(betas[max(k - 1, 0)])
-    bhi = float(betas[min(k + 1, len(betas) - 1)])
-    beta, _ = golden_max(lambda b: -boundary_obj(b), blo, bhi, 1e-12)
-    alpha = float(_alpha_on_constraint(beta, delta))
+    k = _lp2_scan_index(delta)
+    blo = _LP2_BETAS[max(k - 1, 0)]
+    bhi = _LP2_BETAS[min(k + 1, _LP2_GRID)]
+    beta, _ = golden_max(lambda b: -_boundary_obj(b, delta), blo, bhi, 1e-12)
+    alpha = _alpha_on_constraint(beta, delta)
     while lp2_constraint(alpha, beta) > delta:
         alpha = math.nextafter(alpha, 0.0)
     rate = max(1.0 - binary_entropy(alpha) + binary_entropy(beta), 0.0)
@@ -138,14 +143,14 @@ def abl_branch_point() -> float:
     def gap(tau):
         return _lp2_rate(tau) - _abl_second_branch(tau)
 
-    taus = np.linspace(0.02, 0.24, 45)
+    taus = _BRANCH_TAUS
     gaps = [gap(t) for t in taus]
     if max(gaps) > 0.0:
         raise NoSolutionError("list-2 bound branches cross instead of touching")
-    k = int(np.argmax(gaps))
+    k = max(range(len(gaps)), key=gaps.__getitem__)
     lo = taus[max(k - 1, 0)]
     hi = taus[min(k + 1, len(taus) - 1)]
-    tau0, peak = golden_max(gap, float(lo), float(hi), _BRANCH_TOL)
+    tau0, peak = golden_max(gap, lo, hi, _BRANCH_TOL)
     if peak < -1e-6:
         raise NoSolutionError("list-2 bound branches do not touch within 1e-6")
     return tau0

@@ -14,6 +14,7 @@ from listradius.bounds import (
     MAX_CATALAN_L,
     MAX_POLY_L,
     XI0_GRID,
+    _CROSSOVER_SCAN,
     _rate_geometry,
     _solve_xi1_vec,
     best_upper_bound,
@@ -36,6 +37,7 @@ from listradius.core import (
     krawtchouk_exponent_value,
 )
 from listradius.errors import DomainError, NoSolutionError
+from listradius.lp import abl2_tau, lp1_tau, lp2_tau
 
 
 class TestBlinovsky:
@@ -601,6 +603,9 @@ class TestCrossover:
     def test_large_list_sizes_resolve(self, L, r_cross):
         assert crossover_rate(L).r_cross == pytest.approx(r_cross, abs=2e-5)
 
+    def test_scan_rates_match_arange(self):
+        assert _CROSSOVER_SCAN == (0.02, *np.arange(0.1, 0.95, 0.1).tolist(), 0.99)
+
 
 class TestBestUpperBound:
     def test_list3_winner_flips(self):
@@ -621,6 +626,40 @@ class TestBestUpperBound:
     def test_list2_includes_abl(self):
         tau, label = best_upper_bound(2, 0.3)
         assert label in ("theorem1", "blinovsky", "abl2")
+
+
+# Curve-level claims over random (L, R): L in 2..15 (1..15 for best) and
+# R in [0.005, 0.995], at the tolerances of the fixed-point tests above.
+_property_settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+_rates = st.floats(0.005, 0.995)
+
+
+class TestProperties:
+    @_property_settings
+    @given(st.integers(1, 15), _rates)
+    def test_best_at_most_each_applicable_bound(self, L, R):
+        tau, _ = best_upper_bound(L, R)
+        if L == 1:
+            # lp2 wins only by more than 1e-9
+            assert tau <= lp1_tau(R)
+            assert tau <= lp2_tau(R) + 1e-9
+            return
+        applicable = [list_radius_bound(L, R)[0], blinovsky_bound(L, R)]
+        if L == 2:
+            applicable.append(abl2_tau(R))
+        assert all(tau <= b for b in applicable)
+
+    @_property_settings
+    @given(st.integers(2, 15), _rates)
+    def test_binomial_exponent_never_stronger(self, L, R):
+        a = list_radius_bound(L, R, exponent="parametric")[0]
+        b = list_radius_bound(L, R, exponent="binomial")[0]
+        assert b >= a - 1e-12
+
+    @_property_settings
+    @given(st.integers(2, 15), _rates)
+    def test_slope_relaxation_dominates_theorem1(self, L, R):
+        assert list_radius_bound(L, R)[0] <= slope_relaxation_bound(L, R).tau + 1e-10
 
 
 class TestSampleCurve:

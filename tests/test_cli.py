@@ -278,6 +278,14 @@ class TestUsage:
         code, _, _ = run_cli(["witness", "--L", "3"])
         assert code == 1
 
+    def test_usage_error_goes_to_err(self):
+        code, out, err = run_cli(["table1", "--bogus"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: listradius ")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["listradius: error: unrecognized arguments: --bogus"]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -352,6 +360,48 @@ class TestStartup:
             "listradius.oracle True",
             "True",
             "True True",
+        ]
+
+    def test_numpy_imported_only_for_the_central_bound(self):
+        # the LP, Catalan-sum and slope curves and usage errors run without
+        # numpy; the central bound's xi0 grid (witness) imports it
+        script = textwrap.dedent(
+            """
+            import io, sys
+            import listradius.cli
+            print("numpy" in sys.modules)
+            rates = ["--rmin", "0.3", "--rmax", "0.5", "--step", "0.1"]
+            for argv in (
+                ["curve", "--bound", "lp1", "--L", "1", *rates],
+                ["curve", "--bound", "lp2", "--L", "1", *rates],
+                ["curve", "--bound", "best", "--L", "1", *rates],
+                ["curve", "--bound", "abl2", "--L", "2", *rates],
+                ["curve", "--bound", "blinovsky", "--L", "3", *rates],
+                ["curve", "--bound", "slope", "--L", "4", *rates],
+                ["table1", "--bogus"],
+                ["witness", "--L", "3", "--R", "0.2"],
+            ):
+                code = listradius.cli.main(argv, out=io.StringIO(), err=io.StringIO())
+                print(*argv[:3], code, "numpy" in sys.modules)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(listradius.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "False",
+            "curve --bound lp1 0 False",
+            "curve --bound lp2 0 False",
+            "curve --bound best 0 False",
+            "curve --bound abl2 0 False",
+            "curve --bound blinovsky 0 False",
+            "curve --bound slope 0 False",
+            "table1 --bogus 1 False",
+            "witness --L 3 0 True",
         ]
 
     def test_benchmark_traced_names_resolve(self):

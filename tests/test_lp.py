@@ -6,7 +6,9 @@ import pytest
 from listradius.core import binary_entropy, delta_lp1
 from listradius.errors import DomainError
 from listradius.lp import (
-    _alpha_on_constraint,
+    _BRANCH_TAUS,
+    _LP2_BETAS,
+    _lp2_scan_index,
     abl2_tau,
     abl_branch_point,
     abl_list2,
@@ -43,13 +45,20 @@ class TestRLp2:
         got, w = r_lp2(delta)
         assert (got, w.alpha, w.beta, w.rate_bits) == (rate, alpha, beta, rate)
 
-    def test_boundary_float_path_matches_array_path(self):
+    def test_scan_index_matches_array_argmin(self):
+        # the Fibonacci search finds the index that np.argmin found on the
+        # boundary objective at all 401 betas as one array expression,
+        # from tiny distances through the kink region delta >= 0.3 to 1/2
         betas = np.linspace(0.0, 0.5, 401)
-        for delta in (1e-4, 0.05, 0.2, 0.41, 0.5):
-            want = _alpha_on_constraint(betas, delta)
-            got = [_alpha_on_constraint(float(b), delta) for b in betas]
-            assert all(type(a) is float for a in got)
-            np.testing.assert_array_equal(got, want)
+        assert list(_LP2_BETAS) == betas.tolist()
+        q = betas * (1.0 - betas)
+        sq = np.sqrt(q)
+        deltas = np.concatenate((np.geomspace(1e-9, 1e-3, 200), np.linspace(0.0, 0.5, 2001)[1:]))
+        for delta in deltas.tolist():
+            c = q + delta * (0.5 + sq)
+            alpha = np.minimum(2.0 * c / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * c, 0.0))), 0.5)
+            want = int(np.argmin(1.0 - binary_entropy(alpha) + binary_entropy(betas)))
+            assert _lp2_scan_index(delta) == want, delta
 
     def test_half_distance(self):
         rate, w = r_lp2(0.5)
@@ -89,6 +98,9 @@ class TestAbl:
     def test_branch_point_value(self):
         assert abl_branch_point() == pytest.approx(0.1093, abs=0.001)
         assert abl_branch_point() == PINNED_BRANCH_POINT
+
+    def test_scan_taus_match_linspace(self):
+        assert list(_BRANCH_TAUS) == np.linspace(0.02, 0.24, 45).tolist()
 
     def test_branch_point_solved_once(self):
         abl_branch_point.cache_clear()
