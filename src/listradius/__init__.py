@@ -29,13 +29,11 @@ from .bounds import (
     zero_rate_radius,
 )
 from .core import (
-    KrawtchoukPoint,
     admissible_j,
     avg_radius_poly,
     binary_entropy,
     delta_lp1,
     inverse_entropy,
-    krawtchouk_exponent,
     plotkin_radius,
 )
 from .errors import DomainError, ListRadiusError, NoSolutionError, SizeLimitError
@@ -57,43 +55,18 @@ def _lazy_submodule(name):
 
 
 # Only ``verify`` runs the checks and the exact oracles; the other commands
-# do not pay for compiling and executing them.
+# do not pay for compiling and executing them, nor for the numpy import that
+# both make at module level.
 oracle = _lazy_submodule("oracle")
 checks = _lazy_submodule("checks")
-
-_ORACLE_NAMES = frozenset(
-    {
-        "BinaryCode",
-        "JointType",
-        "average_radius",
-        "avg_joint_type",
-        "avg_radius_of_type",
-        "chebyshev_radius",
-        "joint_type",
-        "load_code",
-        "tau_list",
-        "weight_marginal_exact",
-    }
-)
-
-
-def __getattr__(name):
-    """Resolve the oracle names of ``__all__`` on first use (PEP 562)."""
-    if name in _ORACLE_NAMES:
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryCode",
     "BoundCurve",
     "CrossoverResult",
     "CurvePoint",
     "DomainError",
-    "JointType",
-    "KrawtchoukPoint",
     "ListRadiusError",
     "Lp2Witness",
     "NoSolutionError",
@@ -103,29 +76,20 @@ __all__ = [
     "abl_branch_point",
     "abl_list2",
     "admissible_j",
-    "average_radius",
-    "avg_joint_type",
-    "avg_radius_of_type",
     "avg_radius_poly",
     "best_upper_bound",
     "binary_entropy",
     "blinovsky_bound",
-    "chebyshev_radius",
     "crossover_rate",
     "delta_lp1",
     "inverse_entropy",
-    "joint_type",
-    "krawtchouk_exponent",
     "list3_closed_form",
     "list_radius_bound",
-    "load_code",
     "plotkin_radius",
     "r_lp2",
     "sample_curve",
     "slope_relaxation_bound",
     "solve_xi1",
-    "tau_list",
-    "weight_marginal_exact",
     "zero_rate_radius",
     "__version__",
 ]

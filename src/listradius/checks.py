@@ -92,7 +92,7 @@ def check_region_inequality():
     """Region scan of the two-variable log inequality."""
     violations = oracle.verify_monotonicity_region()
     return _result(
-        "maximizer-monotonicity region scan (step 0.001)",
+        f"maximizer-monotonicity region scan (step {oracle.REGION_STEP:g})",
         not violations,
         float(len(violations)),
         detail=f"{len(violations)} violations",

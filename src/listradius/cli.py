@@ -9,6 +9,7 @@ acceptance failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -85,7 +86,7 @@ def cmd_curve(args, out, err) -> int:
     try:
         rates = _rate_grid(args.rmin, args.rmax, args.step)
         curve = bounds.sample_curve(args.bound, args.L, rates, beta=args.beta)
-    except (DomainError, ListRadiusError) as exc:
+    except ListRadiusError as exc:
         print(f"listradius curve: error: {exc}", file=err)
         return USAGE_EXIT
     columns = bounds.BOUNDS[args.bound].columns
@@ -109,7 +110,7 @@ def cmd_witness(args, out, err) -> int:
         tau, w = bounds.list_radius_bound(
             args.L, args.R, beta=args.beta, exponent=args.exponent
         )
-    except (DomainError, ListRadiusError) as exc:
+    except ListRadiusError as exc:
         print(f"listradius witness: error: {exc}", file=err)
         return USAGE_EXIT
     xi_max = 0.5 - math.sqrt(w.beta * (1.0 - w.beta))
@@ -176,7 +177,8 @@ def main(argv=None, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):  # --help prints to out
+            args = parser.parse_args(argv)
     except _UsageError as exc:
         failed, message = exc.args
         failed.print_usage(err)

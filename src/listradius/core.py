@@ -11,14 +11,12 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from math import comb
 
 from .errors import DomainError
 from .solve import bisect
 
 __all__ = [
-    "KrawtchoukPoint",
     "admissible_j",
     "avg_radius_evaluator",
     "avg_radius_poly",
@@ -29,7 +27,6 @@ __all__ = [
     "delta_lp1",
     "expected_excess",
     "inverse_entropy",
-    "krawtchouk_exponent",
     "krawtchouk_exponent_value",
     "plotkin_radius",
 ]
@@ -97,20 +94,6 @@ def _inverse_entropy(y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class KrawtchoukPoint:
-    """One point of the parametric Krawtchouk exponent representation.
-
-    ``omega`` is the parameter value tying ``xi`` to ``exponent_bits``; it
-    lies in [beta/(1-beta), sqrt(beta/(1-beta))].
-    """
-
-    beta: float
-    omega: float
-    xi: float
-    exponent_bits: float
-
-
 def _omega_root(beta, xi):
     """Smaller root of (1-beta) w^2 - (1-2 xi) w + beta = 0.
 
@@ -159,20 +142,6 @@ def krawtchouk_exponent_value(beta, xi):
         raise DomainError(f"xi must be nonnegative, got {xi}")
     t1 = xi * math.log2(1.0 - w) if xi > 0.0 else 0.0
     return t1 + (1.0 - xi) * math.log2(1.0 + w) - beta * math.log2(w)
-
-
-def krawtchouk_exponent(beta: float, xi: float) -> KrawtchoukPoint:
-    """Solve the parametric form for omega and return the full point."""
-    beta = float(beta)
-    if not 0.0 < beta <= 0.5:
-        raise DomainError(f"beta must lie in (0, 1/2], got {beta}")
-    xi = float(xi)
-    if xi < 0.0:
-        raise DomainError(f"xi must be nonnegative, got {xi}")
-    w = _omega_root(beta, xi)
-    return KrawtchoukPoint(
-        beta=beta, omega=w, xi=xi, exponent_bits=krawtchouk_exponent_value(beta, xi)
-    )
 
 
 def admissible_j(L: int) -> tuple[int, ...]:

@@ -39,6 +39,7 @@ __all__ = [
 MAX_EXHAUSTIVE_N = 24
 MAX_AVG_TYPE_SIZE = 14
 MAX_AVG_TYPE_L = 5
+REGION_STEP = 1e-3
 
 
 def _validate_words(words, n):
@@ -110,88 +111,24 @@ def _popcount_table(n: int) -> np.ndarray:
 
 
 def chebyshev_radius(words, n: int) -> int:
-    """Radius of the smallest Hamming ball containing all words: exhaustive
-    over 2^n centers for n <= 24, branch and bound over column classes for
-    at most 8 words otherwise."""
+    """Radius of the smallest Hamming ball containing all words, by
+    exhaustive search over the 2^n centers (n <= 24)."""
     words = list(words)
     if not words:
         raise DomainError("need at least one word")
     _validate_words(words, n)
+    if n > MAX_EXHAUSTIVE_N:
+        raise SizeLimitError(
+            f"exhaustive center search capped at n = {MAX_EXHAUSTIVE_N}, got {n}"
+        )
     if len(set(words)) == 1:
         return 0
-    if n <= MAX_EXHAUSTIVE_N:
-        pc = _popcount_table(n)
-        centers = np.arange(1 << n, dtype=np.uint32)
-        worst = np.zeros(1 << n, dtype=np.uint8)
-        for w in words:
-            np.maximum(worst, pc[centers ^ np.uint32(w)], out=worst)
-        return int(worst.min())
-    if len(set(words)) <= 8:
-        return _chebyshev_bnb(sorted(set(words)), n)
-    raise SizeLimitError(
-        f"exhaustive center search capped at n = {MAX_EXHAUSTIVE_N}; "
-        "branch and bound needs at most 8 distinct words"
-    )
-
-
-def _chebyshev_bnb(words: list[int], n: int) -> int:
-    """Exact branch and bound: group coordinates into identical-column
-    classes and choose how many ones the center places in each class."""
-    m = len(words)
-    classes: dict[int, int] = {}
-    for pos in range(n):
-        mask = 0
-        for i, w in enumerate(words):
-            if (w >> pos) & 1:
-                mask |= 1 << i
-        classes[mask] = classes.get(mask, 0) + 1
-    items = sorted(classes.items(), key=lambda kv: -kv[1])
-    ncls = len(items)
-    # remaining pairwise-difference suffix: any center adds at least this
-    # much to d_i + d_k over the remaining classes
-    pair_idx = list(itertools.combinations(range(m), 2))
-    suffix = [[0] * len(pair_idx) for _ in range(ncls + 1)]
-    for c in range(ncls - 1, -1, -1):
-        mask, cnt = items[c]
-        for p, (i, k) in enumerate(pair_idx):
-            differ = ((mask >> i) & 1) != ((mask >> k) & 1)
-            suffix[c][p] = suffix[c + 1][p] + (cnt if differ else 0)
-
-    # majority-vote incumbent
-    best = 0
-    dists = [0] * m
-    for mask, cnt in items:
-        ones = bin(mask).count("1")
-        k = cnt if 2 * ones > m else 0
-        for i in range(m):
-            dists[i] += (cnt - k) if (mask >> i) & 1 else k
-    best = max(dists)
-
-    def lower_bound(c, d):
-        lb = max(d)
-        for p, (i, k) in enumerate(pair_idx):
-            lb = max(lb, -(-(d[i] + d[k] + suffix[c][p]) // 2))
-        return lb
-
-    def dfs(c, d):
-        nonlocal best
-        if lower_bound(c, d) >= best:
-            return
-        if c == ncls:
-            best = min(best, max(d))
-            return
-        mask, cnt = items[c]
-        ones = [(mask >> i) & 1 for i in range(m)]
-        ks = sorted(range(cnt + 1), key=lambda k: abs(2 * k - cnt))
-        for k in ks:
-            nd = [
-                d[i] + ((cnt - k) if ones[i] else k)
-                for i in range(m)
-            ]
-            dfs(c + 1, nd)
-
-    dfs(0, [0] * m)
-    return best
+    pc = _popcount_table(n)
+    centers = np.arange(1 << n, dtype=np.uint32)
+    worst = np.zeros(1 << n, dtype=np.uint8)
+    for w in words:
+        np.maximum(worst, pc[centers ^ np.uint32(w)], out=worst)
+    return int(worst.min())
 
 
 def average_radius(words, n: int) -> Fraction:
@@ -375,7 +312,7 @@ def check_tail_inequality(a: int) -> bool:
     return lhs == n * comb(n - 1, a - 1) and lhs < n * comb(n, a)
 
 
-def verify_monotonicity_region(grid_step: float = 1e-3):
+def verify_monotonicity_region():
     """Scan the region {0 <= a1 <= 1, 0 <= a2 <= a1(1-a1)} for violations of
     the two-variable log inequality that makes the list-3 maximizer
     monotone:
@@ -383,21 +320,19 @@ def verify_monotonicity_region(grid_step: float = 1e-3):
         -2 log((1-a2)/a1) (a1^2 - a2^2)
             >= (2 a1^2 - 4/3 (a1^3 - a2^3) - 1) log((1-a2)/a2 * a1/(1-a1))
 
-    Interior points are scanned on the grid with a 1e-6 margin excluding
-    the singular boundaries; the a2 = 0 slice reduces to
-    2 a1^2 - 4/3 a1^3 - 1 <= 0 and is checked in that form.  Returns the
+    Interior points are scanned on a grid of step ``REGION_STEP`` with a
+    1e-6 margin excluding the singular boundaries; the a2 = 0 slice reduces
+    to 2 a1^2 - 4/3 a1^3 - 1 <= 0 and is checked in that form.  Returns the
     list of violating (a1, a2) pairs (expected empty).
     """
-    if not 0.0 < grid_step <= 1e-2:
-        raise DomainError("grid step must lie in (0, 1e-2]")
     violations: list[tuple[float, float]] = []
 
     margin = 1e-6
-    a1s = np.arange(grid_step, 1.0 - margin, grid_step)
+    a1s = np.arange(REGION_STEP, 1.0 - margin, REGION_STEP)
     a1s = a1s[a1s >= margin]
     for a1 in a1s:
         top = a1 * (1.0 - a1)
-        a2s = np.arange(grid_step, top, grid_step)
+        a2s = np.arange(REGION_STEP, top, REGION_STEP)
         a2s = np.append(a2s, top)  # include the upper boundary slice
         a2s = a2s[a2s >= margin]
         if a2s.size == 0:

@@ -286,6 +286,13 @@ class TestUsage:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert errors == ["listradius: error: unrecognized arguments: --bogus"]
 
+    def test_help_goes_to_out(self, capsys):
+        code, out, err = run_cli(["table1", "--help"])
+        assert code == 0
+        assert out.startswith("usage:")
+        assert err == ""
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -339,7 +346,7 @@ class TestStartup:
             print(sorted(ran & {"checks.py", "oracle.py"}))
             print("listradius.checks" in sys.modules, "listradius.oracle" in sys.modules)
             import listradius
-            print(listradius.chebyshev_radius.__module__, "oracle.py" in ran)
+            print(listradius.oracle.chebyshev_radius.__module__, "oracle.py" in ran)
             names = {}
             exec("from listradius import *", names)
             print(all(name in names for name in listradius.__all__))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from listradius.core import (
+    _omega_root,
     admissible_j,
     avg_radius_evaluator,
     avg_radius_poly,
@@ -16,7 +17,6 @@ from listradius.core import (
     delta_lp1,
     expected_excess,
     inverse_entropy,
-    krawtchouk_exponent,
     krawtchouk_exponent_value,
     plotkin_radius,
 )
@@ -95,29 +95,29 @@ class TestKrawtchoukExponent:
     def test_left_endpoint_is_entropy(self):
         # at xi = 0 the parameter sits at beta/(1-beta) and the formula
         # collapses to h(beta)
-        pt = krawtchouk_exponent(0.1, 0.0)
-        assert pt.exponent_bits == pytest.approx(binary_entropy(0.1), abs=1e-12)
-        assert pt.omega == pytest.approx(0.1 / 0.9, abs=1e-12)
+        value = krawtchouk_exponent_value(0.1, 0.0)
+        assert value == pytest.approx(binary_entropy(0.1), abs=1e-12)
+        assert _omega_root(0.1, 0.0) == pytest.approx(0.1 / 0.9, abs=1e-12)
 
     def test_right_endpoint_closed_form(self):
         # frozen from (1 - h(0.2) + h(0.1)) / 2 = 0.3735337...
-        pt = krawtchouk_exponent(0.1, 0.2)
-        assert pt.exponent_bits == pytest.approx(0.37353, abs=1e-5)
+        value = krawtchouk_exponent_value(0.1, 0.2)
+        assert value == pytest.approx(0.37353, abs=1e-5)
         closed = 0.5 * (1.0 - binary_entropy(0.2) + binary_entropy(0.1))
-        assert pt.exponent_bits == pytest.approx(closed, abs=1e-12)
+        assert value == pytest.approx(closed, abs=1e-12)
 
     def test_degenerate_half(self):
-        assert krawtchouk_exponent(0.5, 0.0).exponent_bits == pytest.approx(1.0)
+        assert krawtchouk_exponent_value(0.5, 0.0) == pytest.approx(1.0)
 
     def test_omega_interval_and_xi_reconstruction(self):
         for beta in (0.05, 0.2, 0.4):
             top = 0.5 - math.sqrt(beta * (1 - beta))
             for xi in np.linspace(0.0, top, 20):
-                pt = krawtchouk_exponent(beta, float(xi))
+                omega = _omega_root(beta, float(xi))
                 lo = beta / (1 - beta)
                 hi = math.sqrt(beta / (1 - beta))
-                assert lo - 1e-12 <= pt.omega <= hi + 1e-12
-                rebuilt = 0.5 * (1 - (1 - beta) * pt.omega - beta / pt.omega)
+                assert lo - 1e-12 <= omega <= hi + 1e-12
+                rebuilt = 0.5 * (1 - (1 - beta) * omega - beta / omega)
                 assert rebuilt == pytest.approx(float(xi), abs=1e-9)
 
     def test_endpoint_identities_grid(self):
@@ -139,11 +139,11 @@ class TestKrawtchoukExponent:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            krawtchouk_exponent(0.1, 0.21)  # past the right endpoint
+            krawtchouk_exponent_value(0.1, 0.21)  # past the right endpoint
         with pytest.raises(DomainError):
-            krawtchouk_exponent(0.0, 0.0)
+            krawtchouk_exponent_value(0.0, 0.0)
         with pytest.raises(DomainError):
-            krawtchouk_exponent(0.1, -0.05)
+            krawtchouk_exponent_value(0.1, -0.05)
 
 
 def _lone_poly(L, j, nu):

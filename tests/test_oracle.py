@@ -22,10 +22,8 @@ from listradius.oracle import (
     joint_type,
     load_code,
     tau_list,
-    verify_monotonicity_region,
     weight_marginal_exact,
 )
-from listradius.oracle import _chebyshev_bnb
 
 
 class TestChebyshevRadius:
@@ -44,17 +42,11 @@ class TestChebyshevRadius:
             d = (a ^ b).bit_count()
             assert chebyshev_radius([a, b], n) == (d + 1) // 2
 
-    def test_branch_and_bound_matches_exhaustive(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            n = rng.randint(2, 10)
-            m = rng.randint(2, 6)
-            words = sorted(set(rng.randrange(1 << n) for _ in range(m)))
-            assert _chebyshev_bnb(words, n) == chebyshev_radius(words, n)
-
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             chebyshev_radius(list(range(20)), 30)
+        with pytest.raises(SizeLimitError):
+            chebyshev_radius([0, 1], 25)
 
 
 class TestAverageRadius:
@@ -308,15 +300,6 @@ class TestIntegerIdentities:
     def test_domain(self):
         with pytest.raises(DomainError):
             check_sum_identity(65, 3)
-
-
-class TestRegionScan:
-    def test_coarse_scan_clean(self):
-        assert verify_monotonicity_region(1e-2) == []
-
-    def test_step_validation(self):
-        with pytest.raises(DomainError):
-            verify_monotonicity_region(0.1)
 
 
 class TestG1Dominance:
