@@ -75,7 +75,8 @@ def _rate_grid(rmin, rmax, step):
     span = (rmax - rmin) / step + 1e-9
     if span >= MAX_CURVE_ROWS:
         raise DomainError(f"step {step:g} gives more than {MAX_CURVE_ROWS} rows")
-    return [rmin + k * step for k in range(math.floor(span) + 1)]
+    # the slack may put the last row past rmax; it is then evaluated at rmax
+    return [min(rmin + k * step, rmax) for k in range(math.floor(span) + 1)]
 
 
 def _fmt(value):

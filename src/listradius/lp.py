@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import binary_entropy, delta_lp1
 from .errors import DomainError, NoSolutionError
-from .solve import brent_root, golden_max, grid_argmin
+from .solve import brent_root, golden_max
 
 __all__ = [
     "Lp2Witness",
@@ -26,14 +26,9 @@ __all__ = [
     "r_lp2",
 ]
 
-# Betas of the r_lp2 scan before its golden-section refinement: 400
-# intervals of [0, 1/2], formed as np.linspace(0.0, 0.5, 401) forms them,
-# i * step + start (its last point, which it sets to the end, is exact).
-_LP2_GRID = 400
-_LP2_BETAS = tuple(i * (0.5 / _LP2_GRID) for i in range(_LP2_GRID + 1))
-
-# Taus of the list-2 branch point scan, np.linspace(0.02, 0.24, 45) formed
-# the same way, and the width at which the golden section after it stops.
+# Taus of the list-2 branch point scan, formed as np.linspace(0.02, 0.24, 45)
+# forms them (i * step + start), and the width at which the golden section
+# after it stops.
 _BRANCH_TAUS = tuple(i * (0.22 / 44) + 0.02 for i in range(45))
 _BRANCH_TOL = 1e-9
 
@@ -44,7 +39,6 @@ class Lp2Witness:
 
     alpha: float
     beta: float
-    rate_bits: float
 
 
 def lp2_constraint(alpha: float, beta: float) -> float:
@@ -57,52 +51,50 @@ def lp2_constraint(alpha: float, beta: float) -> float:
     )
 
 
-def _alpha_on_constraint(beta: float, delta: float) -> float:
-    """Largest alpha in [beta, 1/2] keeping the constraint at most delta.
+def _alpha_on_constraint(s: float, delta: float) -> float:
+    """Largest alpha in [beta, 1/2] keeping the constraint at most delta,
+    for s = sqrt(beta(1-beta)).
 
-    The constraint is alpha(1-alpha) <= c = beta(1-beta) + delta (1/2 +
-    sqrt(beta(1-beta))), so the boundary is 2c / (1 + sqrt(1 - 4c)), or
-    1/2 once c >= 1/4.
+    The constraint is alpha(1-alpha) <= c = s^2 + delta (1/2 + s), so the
+    boundary is 2c / (1 + sqrt(1 - 4c)), or 1/2 once c >= 1/4.
     """
-    q = beta * (1.0 - beta)
-    c = q + delta * (0.5 + math.sqrt(q))
+    c = s * s + delta * (0.5 + s)
     return min(2.0 * c / (1.0 + math.sqrt(max(1.0 - 4.0 * c, 0.0))), 0.5)
 
 
-def _boundary_obj(beta: float, delta: float) -> float:
+def _beta_of(s: float) -> float:
+    """The beta in [0, 1/2] with sqrt(beta(1-beta)) = s."""
+    return 2.0 * s * s / (1.0 + math.sqrt(1.0 - 4.0 * s * s))
+
+
+def _boundary_obj(s: float, delta: float) -> float:
     """The objective 1 - h(alpha) + h(beta) on the constraint boundary."""
-    return 1.0 - binary_entropy(_alpha_on_constraint(beta, delta)) + binary_entropy(beta)
-
-
-def _lp2_scan_index(delta: float) -> int:
-    """Index of the first minimum of the boundary objective over
-    ``_LP2_BETAS``.  The objective falls and then rises over the grid, so
-    a Fibonacci search finds the index a full scan would."""
-    return grid_argmin(lambda i: _boundary_obj(_LP2_BETAS[i], delta), len(_LP2_BETAS))
+    return 1.0 - binary_entropy(_alpha_on_constraint(s, delta)) + binary_entropy(_beta_of(s))
 
 
 def r_lp2(delta: float):
     """Second LP bound on rate at relative distance delta, minimized over the
-    feasible (alpha, beta) region; returns (rate_bits, witness).
+    feasible (alpha, beta) region; returns (rate, witness).
 
     The objective 1 - h(alpha) + h(beta) decreases in alpha, so for each
     beta the minimum sits on the constraint boundary, which has a closed
-    form.  The boundary is searched over 401 betas in [0, 1/2] and
-    refined by golden section around the best grid point.  The witness
-    alpha is stepped down by ulps until the constraint holds exactly.
+    form in s = sqrt(beta(1-beta)).  The boundary alpha reaches 1/2 at
+    s = 1/2 - delta, the first LP bound's beta = 1/2 - sqrt(delta(1-delta));
+    beyond it the objective is h(beta), which rises.  So one golden section
+    over s in [0, 1/2 - delta] finds the minimum, and returns that end
+    exactly when the minimum sits there.  The witness alpha is stepped
+    down by ulps until the constraint holds exactly at the witness beta.
     """
     delta = float(delta)
     if not 0.0 < delta <= 0.5:
         raise DomainError(f"relative distance must lie in (0, 1/2], got {delta}")
-    k = _lp2_scan_index(delta)
-    blo = _LP2_BETAS[max(k - 1, 0)]
-    bhi = _LP2_BETAS[min(k + 1, _LP2_GRID)]
-    beta, _ = golden_max(lambda b: -_boundary_obj(b, delta), blo, bhi, 1e-12)
-    alpha = _alpha_on_constraint(beta, delta)
+    s, _ = golden_max(lambda s: -_boundary_obj(s, delta), 0.0, 0.5 - delta, 1e-12)
+    beta = _beta_of(s)
+    alpha = _alpha_on_constraint(s, delta)
     while lp2_constraint(alpha, beta) > delta:
         alpha = math.nextafter(alpha, 0.0)
     rate = max(1.0 - binary_entropy(alpha) + binary_entropy(beta), 0.0)
-    return rate, Lp2Witness(alpha=alpha, beta=beta, rate_bits=rate)
+    return rate, Lp2Witness(alpha=alpha, beta=beta)
 
 
 def abl_sphere_param(tau: float) -> float:

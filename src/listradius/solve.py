@@ -1,11 +1,10 @@
 """One-dimensional solvers shared by the bounds: bisection on a one-sided
-predicate, Brent-Dekker root bracketing, golden-section maximization and
-Fibonacci search for the minimum of a unimodal sequence."""
+predicate, Brent-Dekker root bracketing and golden-section maximization."""
 from __future__ import annotations
 
 import math
 
-__all__ = ["bisect", "brent_root", "golden_max", "grid_argmin"]
+__all__ = ["bisect", "brent_root", "golden_max"]
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -106,31 +105,3 @@ def golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     fbest, xbest = max(candidates, key=lambda t: t[0])
     return xbest, fbest
 
-
-def grid_argmin(f, n: int) -> int:
-    """First index k in range(n) that minimizes f(k), the index np.argmin
-    gives on [f(0), ..., f(n - 1)], for a sequence that strictly falls and
-    then strictly rises (a tie of the two lowest values is allowed).
-
-    Fibonacci search: the bracket [a, a + fib[k]] holds the first minimizer,
-    and its probes a + fib[k - 2] and a + fib[k - 1] shrink it to a bracket
-    of width fib[k - 1] that holds one of them as a probe again.  Indices
-    past n - 1 read as +inf, and each index is evaluated at most once,
-    about log_phi(n) + 2 evaluations in all.
-    """
-    vals = {}
-
-    def at(i):
-        if i not in vals:
-            vals[i] = f(i) if i < n else math.inf
-        return vals[i]
-
-    fib = [1, 2]
-    while fib[-1] < n - 1:
-        fib.append(fib[-2] + fib[-1])
-    a, k = 0, len(fib) - 1
-    while k >= 2:
-        if at(a + fib[k - 2]) > at(a + fib[k - 1]):
-            a += fib[k - 2]
-        k -= 1
-    return min(range(a, min(a + fib[k], n - 1) + 1), key=at)

@@ -88,6 +88,18 @@ class TestCurve:
         # one unit in the last (10th significant) printed digit
         assert abs(reparsed - exact) <= 10.0 ** (-9) * max(abs(exact), 1e-30)
 
+    def test_last_row_within_rmax(self):
+        # the grid's 1e-9 slack reaches a third row at rmin + 2 step > 1,
+        # which is evaluated at rmax (printed as 1 at ten digits)
+        code, out, err = run_cli(
+            ["curve", "--bound", "lp1", "--L", "1", "--rmin", "0.5",
+             "--rmax", "0.99999999999", "--step", "0.2500000000025"]
+        )
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["0.5", "0.75", "1"]
+        assert all(r[1] for r in rows)
+
     def test_bound_compat_usage_error(self):
         code, _, err = run_cli(
             ["curve", "--bound", "abl2", "--L", "3",

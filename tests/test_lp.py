@@ -7,8 +7,6 @@ from listradius.core import binary_entropy, delta_lp1
 from listradius.errors import DomainError
 from listradius.lp import (
     _BRANCH_TAUS,
-    _LP2_BETAS,
-    _lp2_scan_index,
     abl2_tau,
     abl_branch_point,
     abl_list2,
@@ -21,44 +19,64 @@ from listradius.lp import (
 
 
 # r_lp2(delta) -> (rate, witness alpha, witness beta), and the list-2 branch
-# point, as computed before the float path of the boundary; a faster
-# evaluation must reproduce them exactly
+# point; a faster evaluation must reproduce them exactly
 PINNED_LP2 = [
-    (0.0001, 0.9992134135884256, 5.001000308278267e-05, 2.501041247616569e-09),
-    (0.001, 0.9937908096602037, 0.000501002830497018, 2.5091381008945363e-07),
-    (0.01, 0.9542335550955467, 0.0051028082441412995, 2.5889346405816516e-05),
-    (0.05, 0.8251368080398247, 0.027877464563351367, 0.0007406342518157245),
-    (0.1, 0.6927407430788792, 0.06346017046404927, 0.0035215618814007704),
-    (0.15, 0.5734500437036663, 0.11143125316823883, 0.009531055258557908),
-    (0.2, 0.4613596037635178, 0.1819134965856854, 0.020745270243406565),
-    (0.27, 0.3115071689084515, 0.42899267294520094, 0.05249671535852556),
-    (0.33, 0.19332396429257465, 0.49999948899661906, 0.02978728217950918),
-    (0.41, 0.06837826534529964, 0.4999993855642104, 0.008166694905565404),
+    (0.0001, 0.9992134135884256, 5.001000214675514e-05, 2.5005732428945644e-09),
+    (0.001, 0.9937908096602037, 0.0005010028324110368, 2.509147670128605e-07),
+    (0.01, 0.9542335550955466, 0.005102808225367971, 2.5889337033333685e-05),
+    (0.05, 0.8251368080398246, 0.027877463732537616, 0.0007406338423994582),
+    (0.1, 0.692740743078879, 0.0634601737229312, 0.0035215634352874295),
+    (0.15, 0.5734500437036661, 0.11143125749290694, 0.009531057192154566),
+    (0.2, 0.46135960376351776, 0.18191350578947246, 0.020745273833342286),
+    (0.27, 0.31150716890845137, 0.4289927016830185, 0.052496718199072145),
+    (0.33, 0.19332396429252935, 0.49999999999999994, 0.029787282179650095),
+    (0.41, 0.06837826534502116, 0.5, 0.008166694905682505),
     (0.5, 0.0, 0.5, 0.0),
 ]
-PINNED_BRANCH_POINT = 0.10930122679981412
+PINNED_BRANCH_POINT = 0.10930122631515923
+
+# r_lp2 at the same distances from the earlier search, a 401-point beta grid
+# refined by golden section around its best point; the search in s is not looser
+GRID_SEARCH_RATES = [
+    0.9992134135884256, 0.9937908096602037, 0.9542335550955467, 0.8251368080398247,
+    0.6927407430788792, 0.5734500437036663, 0.4613596037635178, 0.3115071689084515,
+    0.19332396429257465, 0.06837826534529964, 0.0,
+]
 
 
 class TestRLp2:
     @pytest.mark.parametrize("delta, rate, alpha, beta", PINNED_LP2)
     def test_pinned_values(self, delta, rate, alpha, beta):
         got, w = r_lp2(delta)
-        assert (got, w.alpha, w.beta, w.rate_bits) == (rate, alpha, beta, rate)
+        assert (got, w.alpha, w.beta) == (rate, alpha, beta)
 
-    def test_scan_index_matches_array_argmin(self):
-        # the Fibonacci search finds the index that np.argmin found on the
-        # boundary objective at all 401 betas as one array expression,
-        # from tiny distances through the kink region delta >= 0.3 to 1/2
-        betas = np.linspace(0.0, 0.5, 401)
-        assert list(_LP2_BETAS) == betas.tolist()
-        q = betas * (1.0 - betas)
-        sq = np.sqrt(q)
+    def test_at_most_grid_search(self):
+        for (delta, *_), ceiling in zip(PINNED_LP2, GRID_SEARCH_RATES, strict=True):
+            assert r_lp2(delta)[0] <= ceiling, delta
+
+    def test_at_most_brute_force_scan(self):
+        # the boundary objective at 2001 values of s = sqrt(beta(1-beta))
+        # in [0, 1/2 - delta] as one array expression, from tiny distances
+        # through the kink region delta >= 0.28 to 1/2
         deltas = np.concatenate((np.geomspace(1e-9, 1e-3, 200), np.linspace(0.0, 0.5, 2001)[1:]))
         for delta in deltas.tolist():
-            c = q + delta * (0.5 + sq)
+            s = np.linspace(0.0, 0.5 - delta, 2001)
+            betas = 2.0 * s * s / (1.0 + np.sqrt(1.0 - 4.0 * s * s))
+            c = s * s + delta * (0.5 + s)
             alpha = np.minimum(2.0 * c / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * c, 0.0))), 0.5)
-            want = int(np.argmin(1.0 - binary_entropy(alpha) + binary_entropy(betas)))
-            assert _lp2_scan_index(delta) == want, delta
+            scan = np.min(1.0 - binary_entropy(alpha) + binary_entropy(betas))
+            assert r_lp2(delta)[0] <= scan + 1e-15, delta
+
+    def test_kink_is_the_lp1_point(self):
+        # past delta ~ 0.273 the minimum sits at the end s = 1/2 - delta of
+        # the bracket, where the boundary alpha is 1/2 and the rate is the first
+        # LP bound's
+        for delta in np.linspace(0.28, 0.5, 221).tolist():
+            lp1 = binary_entropy(0.5 - math.sqrt(delta * (1.0 - delta)))
+            rate, w = r_lp2(delta)
+            assert abs(rate - lp1) <= 2e-15, delta
+            assert lp2_constraint(w.alpha, w.beta) <= delta, delta
+        assert r_lp2(0.5)[0] == 0.0
 
     def test_half_distance(self):
         rate, w = r_lp2(0.5)

@@ -1,10 +1,9 @@
 import math
-import random
 import time
 
 import pytest
 
-from listradius.solve import bisect, brent_root, golden_max, grid_argmin
+from listradius.solve import bisect, brent_root, golden_max
 
 
 class TestBisect:
@@ -105,27 +104,3 @@ class TestGoldenMax:
         assert abs(x - 0.3) <= 1e-8
         assert v == -((x - 0.3) ** 2)
 
-
-class TestGridArgmin:
-    def test_first_minimum_of_valleys(self):
-        # strictly falling then strictly rising, with and without a tie of
-        # the two lowest values, at every length and valley position
-        rng = random.Random(3)
-        for n in range(1, 60):
-            for k in range(n):
-                steps = [1.0 + rng.random() for _ in range(n)]
-                for tie in (False, True):
-                    vals = [sum(steps[min(i, k) : max(i, k)]) for i in range(n)]
-                    if tie and k + 1 < n:
-                        vals[k + 1] = 0.0
-                    assert grid_argmin(vals.__getitem__, n) == vals.index(min(vals))
-
-    def test_each_index_evaluated_once(self):
-        seen = []
-
-        def f(i):
-            seen.append(i)
-            return (i - 123) ** 2
-
-        assert grid_argmin(f, 401) == 123
-        assert len(seen) == len(set(seen)) <= 15
