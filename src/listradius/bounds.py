@@ -11,10 +11,8 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
     _is_array,
@@ -32,6 +30,8 @@ from .lp import abl2_tau, lp1_tau, lp2_tau
 from .solve import brent_root, golden_max
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 __all__ = [
@@ -75,8 +75,7 @@ _REFINE_TOL = 1e-10
 XI0_GRID = 2000
 
 
-@dataclass(frozen=True)
-class RadiusWitness:
+class RadiusWitness(NamedTuple):
     """Maximizing parameters of the central bound at one rate."""
 
     xi0: float
@@ -87,8 +86,7 @@ class RadiusWitness:
     r_prime: float
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
+class CrossoverResult(NamedTuple):
     """Largest rate at which the central bound still matches or beats the
     Catalan-sum bound."""
 
@@ -97,8 +95,7 @@ class CrossoverResult:
     tau_at_cross: float
 
 
-@dataclass(frozen=True)
-class SlopeBound:
+class SlopeBound(NamedTuple):
     """Concavity relaxation: max over j of the average-radius polynomial
     evaluated at the first LP distance."""
 
@@ -108,8 +105,7 @@ class SlopeBound:
     max_at_j1: bool
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     rate: float
     tau: float | None
     witness: RadiusWitness | None = None
@@ -117,8 +113,7 @@ class CurvePoint:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class BoundCurve:
+class BoundCurve(NamedTuple):
     bound: str
     L: int
     points: tuple[CurvePoint, ...]
@@ -162,6 +157,8 @@ def zero_rate_radius(L: int) -> Fraction:
         raise DomainError(f"list size must be a positive integer, got {L}")
     if L % 2 == 0:
         raise DomainError(f"zero-rate radius formula requires odd L, got {L}")
+    from fractions import Fraction
+
     return Fraction(1, 2) - Fraction(comb(L, (L - 1) // 2), 2 ** (L + 1))
 
 
@@ -313,8 +310,7 @@ def _subcode_rate(R, beta, hbeta, xi0, exponent):
     raise DomainError(f"unknown exponent mode {exponent!r}")
 
 
-@dataclass(frozen=True)
-class _RateGeometry:
+class _RateGeometry(NamedTuple):
     """The half of :func:`list_radius_bound` that depends on the rate, beta,
     grid and exponent but not on L or j: the resolved beta, h(beta) and
     xi_max, the xi0 grid ``xs`` with its subcode rates ``rp`` and roots
@@ -583,8 +579,7 @@ def best_upper_bound(L: int, R: float) -> tuple[float, str]:
     return min(candidates, key=lambda t: t[0])
 
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(NamedTuple):
     """One bound of :data:`BOUNDS`: the list sizes it accepts, the CSV
     columns it adds after ``rate,tau``, and its row evaluator, called as
     ``row(L, R, beta=)`` and returning ``(tau, witness, label)``."""

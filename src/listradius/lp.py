@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import binary_entropy, delta_lp1
 from .errors import DomainError, NoSolutionError
@@ -33,8 +33,7 @@ _BRANCH_TAUS = tuple(i * (0.22 / 44) + 0.02 for i in range(45))
 _BRANCH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Lp2Witness:
+class Lp2Witness(NamedTuple):
     """Minimizing point of the second LP bound objective."""
 
     alpha: float

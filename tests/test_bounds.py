@@ -37,7 +37,12 @@ from listradius.core import (
     krawtchouk_exponent_value,
 )
 from listradius.errors import DomainError, NoSolutionError
-from listradius.lp import abl2_tau, lp1_tau, lp2_tau
+from listradius.lp import abl2_tau, lp1_tau, lp2_tau, r_lp2
+
+# Claims over random (L, R): L in 2..15 (1..15 for best) and R in
+# [0.005, 0.995], at the tolerances of the fixed-point tests.
+_property_settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+_rates = st.floats(0.005, 0.995)
 
 
 class TestBlinovsky:
@@ -367,24 +372,38 @@ class TestListRadiusBound:
                     <= slope_relaxation_bound(L, R).tau + 1e-10
                 )
 
-    def test_witness_invariants(self):
-        for L in (3, 4, 9):
-            for R in (0.1, 0.3, 0.6):
-                tau, w = list_radius_bound(L, R)
-                ximax = 0.5 - math.sqrt(w.beta * (1 - w.beta))
-                assert -1e-8 <= w.xi0 <= ximax + 1e-8
-                assert -1e-8 <= w.xi1 <= 2 * w.xi0 * (1 - w.xi0) + 1e-8
-                assert w.j in admissible_j(L)
-                assert w.theta == pytest.approx(tau, abs=1e-12)
-                assert split_avg_radius(L, w.j, w.xi0, w.xi1) == pytest.approx(
-                    w.theta, abs=1e-8
-                )
-                rp = (
-                    R
-                    + binary_entropy(w.beta)
-                    - 2 * krawtchouk_exponent_value(w.beta, w.xi0)
-                )
-                assert rp == pytest.approx(w.r_prime, abs=1e-8)
+    @_property_settings
+    @given(st.integers(2, 15), _rates, st.sampled_from(EXPONENT_MODES))
+    def test_witness_invariants(self, L, R, exponent):
+        tau, w = list_radius_bound(L, R, exponent=exponent)
+        ximax = 0.5 - math.sqrt(w.beta * (1 - w.beta))
+        assert -1e-8 <= w.xi0 <= ximax + 1e-8
+        assert -1e-8 <= w.xi1 <= 2 * w.xi0 * (1 - w.xi0) + 1e-8
+        assert w.j in admissible_j(L)
+        assert w.theta == pytest.approx(tau, abs=1e-12)
+        assert split_avg_radius(L, w.j, w.xi0, w.xi1) == pytest.approx(w.theta, abs=1e-8)
+        if exponent == "parametric":
+            rp = R + binary_entropy(w.beta) - 2 * krawtchouk_exponent_value(w.beta, w.xi0)
+        else:
+            rp = R + binary_entropy(w.xi0) - 1
+        assert rp == pytest.approx(w.r_prime, abs=1e-8)
+
+    def test_records_are_read_only(self):
+        # crossover_rate and _rate_geometry are memoized and hand the same
+        # object to every caller
+        curve = sample_curve("theorem1", 3, [0.2])
+        point = curve.points[0]
+        records = [
+            (point.witness, "xi0"),
+            (crossover_rate(3), "r_cross"),
+            (slope_relaxation_bound(3, 0.2), "tau"),
+            (point, "tau"),
+            (curve, "points"),
+            (r_lp2(0.1)[1], "alpha"),
+        ]
+        for record, field in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0.0)
 
     def test_endpoint_maximizer_small_list(self):
         # for L=3 the maximizer is j=1 at the xi0 endpoint (that is what
@@ -627,11 +646,6 @@ class TestBestUpperBound:
         tau, label = best_upper_bound(2, 0.3)
         assert label in ("theorem1", "blinovsky", "abl2")
 
-
-# Curve-level claims over random (L, R): L in 2..15 (1..15 for best) and
-# R in [0.005, 0.995], at the tolerances of the fixed-point tests above.
-_property_settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
-_rates = st.floats(0.005, 0.995)
 
 
 class TestProperties:

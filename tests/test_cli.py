@@ -383,12 +383,21 @@ class TestStartup:
 
     def test_numpy_imported_only_for_the_central_bound(self):
         # the LP, Catalan-sum and slope curves and usage errors run without
-        # numpy; the central bound's xi0 grid (witness) imports it
+        # numpy; the central bound's xi0 grid (witness) imports it.  None
+        # of them loads dataclasses, fractions or their imports; numpy
+        # imports inspect itself, so a run with it prints "-"
         script = textwrap.dedent(
             """
             import io, sys
+            before = set(sys.modules)
+            def heavy():
+                if "numpy" in sys.modules:
+                    return "-"
+                added = set(sys.modules) - before
+                names = {"dataclasses", "inspect", "ast", "dis", "fractions", "decimal"}
+                return sorted(added & names)
             import listradius.cli
-            print("numpy" in sys.modules)
+            print("numpy" in sys.modules, heavy())
             rates = ["--rmin", "0.3", "--rmax", "0.5", "--step", "0.1"]
             for argv in (
                 ["curve", "--bound", "lp1", "--L", "1", *rates],
@@ -401,7 +410,7 @@ class TestStartup:
                 ["witness", "--L", "3", "--R", "0.2"],
             ):
                 code = listradius.cli.main(argv, out=io.StringIO(), err=io.StringIO())
-                print(*argv[:3], code, "numpy" in sys.modules)
+                print(*argv[:3], code, "numpy" in sys.modules, heavy())
             """
         )
         src = os.path.dirname(os.path.dirname(listradius.__file__))
@@ -412,15 +421,15 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "False",
-            "curve --bound lp1 0 False",
-            "curve --bound lp2 0 False",
-            "curve --bound best 0 False",
-            "curve --bound abl2 0 False",
-            "curve --bound blinovsky 0 False",
-            "curve --bound slope 0 False",
-            "table1 --bogus 1 False",
-            "witness --L 3 0 True",
+            "False []",
+            "curve --bound lp1 0 False []",
+            "curve --bound lp2 0 False []",
+            "curve --bound best 0 False []",
+            "curve --bound abl2 0 False []",
+            "curve --bound blinovsky 0 False []",
+            "curve --bound slope 0 False []",
+            "table1 --bogus 1 False []",
+            "witness --L 3 0 True -",
         ]
 
     def test_benchmark_traced_names_resolve(self):
