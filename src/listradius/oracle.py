@@ -103,22 +103,11 @@ def load_code(path) -> BinaryCode:
         return BinaryCode.from_strings(fh.readlines())
 
 
-def _radius_scan(n: int):
-    """The Chebyshev radius of sets of length-n words, as a function of the
-    set, by exhaustive search over the 2^n centers; the popcount table and
-    the centers are built here, once for every set it is given."""
+def _popcount_table(n: int) -> np.ndarray:
     pc = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
         pc[1 << i : 1 << (i + 1)] = pc[: 1 << i] + 1
-    centers = np.arange(1 << n, dtype=np.uint32)
-
-    def radius(words) -> int:
-        worst = np.zeros(1 << n, dtype=np.uint8)
-        for w in words:
-            np.maximum(worst, pc[centers ^ np.uint32(w)], out=worst)
-        return int(worst.min())
-
-    return radius
+    return pc
 
 
 def chebyshev_radius(words, n: int) -> int:
@@ -134,7 +123,12 @@ def chebyshev_radius(words, n: int) -> int:
         )
     if len(set(words)) == 1:
         return 0
-    return _radius_scan(n)(words)
+    pc = _popcount_table(n)
+    centers = np.arange(1 << n, dtype=np.uint32)
+    worst = np.zeros(1 << n, dtype=np.uint8)
+    for w in words:
+        np.maximum(worst, pc[centers ^ np.uint32(w)], out=worst)
+    return int(worst.min())
 
 
 def average_radius(words, n: int) -> Fraction:
@@ -164,9 +158,11 @@ def tau_list(code: BinaryCode, L: int) -> Fraction:
         raise DomainError(f"code needs at least {L + 1} words")
     if comb(len(code.words), L + 1) > 500_000:
         raise SizeLimitError("too many subsets to enumerate")
-    # BinaryCode holds what chebyshev_radius checks (distinct words, n <= 24),
-    # so every subset goes to one scan, whose tables are built once
-    best = min(map(_radius_scan(code.n), itertools.combinations(code.words, L + 1)))
+    best = None
+    for sub in itertools.combinations(code.words, L + 1):
+        r = chebyshev_radius(sub, code.n)
+        if best is None or r < best:
+            best = r
     return Fraction(best - 1, code.n)
 
 

@@ -6,7 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listradius.bounds import (
@@ -374,6 +374,15 @@ class TestListRadiusBound:
 
     @_property_settings
     @given(st.integers(2, 15), _rates, st.sampled_from(EXPONENT_MODES))
+    @example(3, 0.1, "parametric")
+    @example(3, 0.3, "parametric")
+    @example(3, 0.6, "parametric")
+    @example(4, 0.1, "parametric")
+    @example(4, 0.3, "parametric")
+    @example(4, 0.6, "parametric")
+    @example(9, 0.1, "parametric")
+    @example(9, 0.3, "parametric")
+    @example(9, 0.6, "parametric")
     def test_witness_invariants(self, L, R, exponent):
         tau, w = list_radius_bound(L, R, exponent=exponent)
         ximax = 0.5 - math.sqrt(w.beta * (1 - w.beta))
@@ -645,7 +654,6 @@ class TestBestUpperBound:
     def test_list2_includes_abl(self):
         tau, label = best_upper_bound(2, 0.3)
         assert label in ("theorem1", "blinovsky", "abl2")
-
 
 
 class TestProperties:
