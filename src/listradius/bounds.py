@@ -11,15 +11,13 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from math import comb
+from math import comb, log2
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
-    _is_array,
     admissible_j,
     avg_radius_evaluator,
     avg_radius_poly,
-    avg_radius_polys,
     binary_entropy,
     delta_lp1,
     inverse_entropy,
@@ -31,8 +29,6 @@ from .solve import brent_root, golden_max
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    import numpy as np
 
 __all__ = [
     "BOUNDS",
@@ -62,7 +58,7 @@ __all__ = [
 MAX_CATALAN_L = 1040
 MAX_POLY_L = 1025
 
-# Iteration cap of the xi1 solvers: past the ~40 halvings that take the
+# Iteration cap of the xi1 solver: past the ~40 halvings that take the
 # bracket from 1/2 to 1e-12, and the only exit when tol is below the float
 # spacing of the root.
 _NEWTON_MAX_ITER = 100
@@ -70,9 +66,11 @@ _NEWTON_MAX_ITER = 100
 # Width at which the golden-section refinement of the central bound stops.
 _REFINE_TOL = 1e-10
 
-# xi0 grid points of the central bound scan; every command uses this
-# density, and only list_radius_bound takes another (``grid=``).
-XI0_GRID = 2000
+# xi0 grid points of the central bound scan over the feasible xi0
+# interval; the grid only brackets each j's maximizer for the refinement.
+# Every command uses this density, and only list_radius_bound takes another
+# (``grid=``).
+XI0_GRID = 16
 
 
 class RadiusWitness(NamedTuple):
@@ -162,19 +160,6 @@ def zero_rate_radius(L: int) -> Fraction:
     return Fraction(1, 2) - Fraction(comb(L, (L - 1) // 2), 2 ** (L + 1))
 
 
-def _xi1_residual(x, xi0, xi0c, d0, d1, h0, r_prime, log2):
-    """Right-hand side of the xi1 equation minus r_prime at xi1 = x, and
-    its slope in x.  The solvers pass the per-xi0 invariants xi0c = 1 - xi0,
-    d0 = 2 xi0 and d1 = 2 (1 - xi0) from outside their iteration; ``log2``
-    is math.log2 for floats, np.log2 for arrays."""
-    p, q = x / d0, x / d1
-    pc, qc = 1.0 - p, 1.0 - q
-    lp, lq = log2(p), log2(q)
-    lp1, lq1 = log2(pc), log2(qc)
-    g = h0 + xi0 * (p * lp + pc * lp1) + xi0c * (q * lq + qc * lq1) - r_prime
-    return g, 0.5 * (lp + lq - lp1 - lq1)
-
-
 def solve_xi1(xi0: float, r_prime: float, tol: float = 1e-12) -> float:
     """Unique xi1 in [0, 2 xi0 (1 - xi0)] with
     r_prime = h(xi0) - xi0 h(xi1/(2 xi0)) - (1-xi0) h(xi1/(2(1-xi0))).
@@ -213,7 +198,13 @@ def _solve_xi1(xi0: float, h0: float, rp: float, tol: float = 1e-12) -> float:
     lo, hi = 0.0, top
     x = 0.5 * top
     for _ in range(_NEWTON_MAX_ITER):
-        g, slope = _xi1_residual(x, xi0, xi0c, d0, d1, h0, rp, math.log2)
+        # the right-hand side minus rp at xi1 = x, and its slope in x
+        p, q = x / d0, x / d1
+        pc, qc = 1.0 - p, 1.0 - q
+        lp, lq = log2(p), log2(q)
+        lp1, lq1 = log2(pc), log2(qc)
+        g = h0 + xi0 * (p * lp + pc * lp1) + xi0c * (q * lq + qc * lq1) - rp
+        slope = 0.5 * (lp + lq - lp1 - lq1)
         if g >= 0.0:
             lo = x
         else:
@@ -229,64 +220,17 @@ def _solve_xi1(xi0: float, h0: float, rp: float, tol: float = 1e-12) -> float:
     return x
 
 
-def _solve_xi1_vec(xi0: np.ndarray, r_prime: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Array form of :func:`solve_xi1`, the same iteration elementwise;
-    r_prime at or below 0 gives the upper endpoint, at or above h(xi0)
-    gives 0, and NaN is not checked for.
-
-    Only the points strictly between the endpoint roots iterate, on arrays
-    compressed to them, and a point leaves them in the pass in which it
-    stops; 1 - xi0, 2 xi0 and 2 (1 - xi0) are formed once, outside the loop.
-    """
-    import numpy as np
-
-    h0 = binary_entropy(xi0)
-    xi0c, d0 = 1.0 - xi0, 2.0 * xi0
-    top = d0 * xi0c
-    x = 0.5 * top
-    idx = np.flatnonzero((r_prime > 0.0) & (r_prime < h0))
-    inv = np.stack((xi0[idx], xi0c[idx], d0[idx], 2.0 * xi0c[idx], h0[idx], r_prime[idx]))
-    xa, lo, hi = x[idx], np.zeros(idx.size), top[idx]
-    # a point at a bracket end may take log2(0) or divide by a zero slope
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_MAX_ITER):
-            if not idx.size:
-                break
-            g, slope = _xi1_residual(xa, *inv, np.log2)
-            step = np.where(slope < 0.0, g / slope, np.inf)
-            up = g >= 0.0
-            np.copyto(lo, xa, where=up)
-            np.copyto(hi, xa, where=~up)
-            small = np.abs(step) <= tol
-            x_new = xa - step
-            xa = np.where(
-                small,
-                np.minimum(np.maximum(x_new, lo), hi),
-                np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi)),
-            )
-            stop = small | (hi - lo <= tol)
-            if stop.any():
-                x[idx] = xa
-                keep = ~stop
-                idx, xa, lo, hi, inv = idx[keep], xa[keep], lo[keep], hi[keep], inv[:, keep]
-    x[idx] = xa
-    return np.where(r_prime >= h0, 0.0, np.where(r_prime <= 0.0, top, x))
-
-
 def _split_args(xi0, xi1):
     """Polynomial arguments 1 - xi1/(2 xi0) and xi1/(2(1-xi0)) of the split
-    average radius, clipped to [0, 1]; floats or numpy arrays."""
+    average radius, clipped to [0, 1]."""
     a1 = 1.0 - xi1 / (2.0 * xi0)
     a2 = xi1 / (2.0 * (1.0 - xi0))
-    if type(a1) is not float and _is_array(a1):
-        return a1.clip(0.0, 1.0), a2.clip(0.0, 1.0)
     return min(max(a1, 0.0), 1.0), min(max(a2, 0.0), 1.0)
 
 
 def split_avg_radius(L: int, j: int, xi0, xi1):
     """Two-piece average-radius value
-    xi0 * poly(1 - xi1/(2 xi0)) + (1-xi0) * poly(xi1/(2(1-xi0)));
-    works on floats and numpy arrays."""
+    xi0 * poly(1 - xi1/(2 xi0)) + (1-xi0) * poly(xi1/(2(1-xi0)))."""
     a1, a2 = _split_args(xi0, xi1)
     return xi0 * avg_radius_poly(L, j, a1) + (1.0 - xi0) * avg_radius_poly(L, j, a2)
 
@@ -301,7 +245,7 @@ def _subcode_rate(R, beta, hbeta, xi0, exponent):
     "parametric" evaluates the Krawtchouk exponent exactly; "binomial"
     substitutes its upper estimate (1 + h(beta) - h(xi0))/2, which weakens
     the bound monotonically and is the evaluation behind the published
-    crossover table.  Works on floats and numpy arrays.
+    crossover table.
     """
     if exponent == "parametric":
         return R + hbeta - 2.0 * krawtchouk_exponent_value(beta, xi0)
@@ -313,40 +257,47 @@ def _subcode_rate(R, beta, hbeta, xi0, exponent):
 class _RateGeometry(NamedTuple):
     """The half of :func:`list_radius_bound` that depends on the rate, beta,
     grid and exponent but not on L or j: the resolved beta, h(beta) and
-    xi_max, the xi0 grid ``xs`` with its subcode rates ``rp`` and roots
-    ``xi1`` (read-only arrays), and ``solved``, the scalar (xi1, r_prime)
-    of every refinement point so far, filled by the calls that share it.
-    Each value depends on its xi0 alone, so a call gets the numbers it
-    would compute itself, whatever ran before it."""
+    xi_max, the xi0 grid ``xs``, and ``solved``, the (xi1, r_prime) of the
+    grid and of every refinement point so far, filled by the calls that
+    share it.  Each value depends on its xi0 alone, so a call gets the
+    numbers it would compute itself, whatever ran before it."""
 
     beta: float
     hbeta: float
     xi_max: float
-    xs: np.ndarray
-    rp: np.ndarray
-    xi1: np.ndarray
+    xs: tuple[float, ...]
     solved: dict
+
+
+def _solve_at(R, beta, hbeta, x, exponent):
+    """(xi1, r_prime) at xi0 = x; xi1 is 0 where the subcode rate is
+    negative, and r_prime is reported under the chosen exponent."""
+    rp = _subcode_rate(R, beta, hbeta, x, exponent)
+    if rp < -1e-12:
+        return 0.0, rp
+    return _solve_xi1(x, binary_entropy(x), max(rp, 0.0)), rp
 
 
 # Keyed on beta as passed (None for the default), so a hit skips resolving
 # it too.  Exceptions are not cached: a bad input raises on every call.
 @functools.lru_cache(maxsize=32)
 def _rate_geometry(R, beta, grid, exponent) -> _RateGeometry:
-    import numpy as np
-
     beta = _checked_beta(inverse_entropy(R) if beta is None else beta)
     hbeta = binary_entropy(beta)
     if hbeta > R + 1e-9:
         raise DomainError(f"h(beta)={hbeta} exceeds rate {R}")
     xi_max = 0.5 - math.sqrt(beta * (1.0 - beta))
-    xs = np.linspace(xi_max / grid, xi_max, grid)
-    rp = _subcode_rate(R, beta, hbeta, xs, exponent)
-    if not np.any(rp >= -1e-12):
+    # The subcode rate rises in xi0, so the feasible xi0 form one interval
+    # up to xi_max: all of (0, xi_max] for the exact exponent, from
+    # h^-1(1 - R) on for the binomial estimate.  The grid spans it, from
+    # one step above its start to exactly xi_max.
+    start = min(inverse_entropy(1.0 - R), xi_max) if exponent == "binomial" else 0.0
+    step = (xi_max - start) / grid
+    xs = tuple(xi_max - (grid - k) * step for k in range(1, grid + 1))
+    solved = {x: _solve_at(R, beta, hbeta, x, exponent) for x in xs}
+    if not any(rp >= -1e-12 for _, rp in solved.values()):
         raise NoSolutionError("no admissible xi0: subcode rate negative everywhere")
-    xi1 = _solve_xi1_vec(xs, rp)
-    for a in (xs, rp, xi1):
-        a.setflags(write=False)
-    return _RateGeometry(beta, hbeta, xi_max, xs, rp, xi1, {})
+    return _RateGeometry(beta, hbeta, xi_max, xs, solved)
 
 
 def list_radius_bound(
@@ -361,11 +312,11 @@ def list_radius_bound(
     For every admissible shift count j and every sphere radius xi0 up to
     1/2 - sqrt(beta(1-beta)), the subcode rate R + h(beta) - 2E_beta(xi0)
     determines the intersection parameter xi1, and the split average-radius
-    value is maximized.  Search is a dense xi0 grid followed by
-    golden-section refinement around the best cell, per j; domain
-    endpoints are always evaluated explicitly.  xi1 depends on xi0 only,
-    and neither depends on L or j: the grid, its xi1 solve and the xi1 of
-    every refinement point are kept per (R, beta, grid, exponent) in
+    value is maximized.  Search is a ``grid``-point scan of the feasible
+    xi0 interval followed by golden-section refinement around the best
+    cell, per j; the xi0 endpoint is a grid point.  xi1 depends on xi0
+    only, and neither depends on L or j: the grid and the xi1 of every grid
+    and refinement point are kept per (R, beta, grid, exponent) in
     :func:`_rate_geometry` and shared by every list size at that rate.
 
     beta defaults to h(beta) = R.  xi0 with negative subcode rate are
@@ -382,62 +333,39 @@ def list_radius_bound(
     R = float(R)
     if not 0.0 < R < 1.0:
         raise DomainError(f"rate must lie in (0, 1), got {R}")
-    import numpy as np
-
     geo = _rate_geometry(R, None if beta is None else float(beta), grid, exponent)
     beta, hbeta, xi_max, xs, solved = geo.beta, geo.hbeta, geo.xi_max, geo.xs, geo.solved
-    feasible = geo.rp >= -1e-12
 
-    js = admissible_j(L)
-    polys = {j: avg_radius_evaluator(L, j) for j in js}
-
-    def theta_at(x, j):
-        """Objective at one (xi0, j), split_avg_radius(L, j, x, xi1) on
-        floats; -inf where the subcode rate is negative."""
+    def theta_at(x, poly):
+        """Objective at one (xi0, j), split_avg_radius(L, j, x, xi1) with
+        poly the evaluator of j; -inf where the subcode rate is negative."""
         if x not in solved:
-            rp_x = _subcode_rate(R, beta, hbeta, x, exponent)
-            if rp_x < -1e-12:
-                xi1_x = 0.0
-            else:
-                xi1_x = _solve_xi1(x, binary_entropy(x), max(rp_x, 0.0))
-            solved[x] = (xi1_x, rp_x)
+            solved[x] = _solve_at(R, beta, hbeta, x, exponent)
         xi1_x, rp_x = solved[x]
         if rp_x < -1e-12:
             return -math.inf
         a1, a2 = _split_args(x, xi1_x)
-        poly = polys[j]
         return x * poly(a1) + (1.0 - x) * poly(a2)
 
-    # split_avg_radius on the grid for every j at once
-    a1, a2 = _split_args(xs, geo.xi1)
-    grid_thetas = [
-        xs * p1 + (1.0 - xs) * p2
-        for p1, p2 in zip(avg_radius_polys(L, js, a1), avg_radius_polys(L, js, a2))
-    ]
-
     best: tuple[float, float, float, float, int] | None = None
-    for j, theta in zip(js, grid_thetas):
-        theta = np.where(feasible, theta, -np.inf)
-        k = int(np.argmax(theta))
-        lo = float(xs[max(k - 1, 0)])
-        hi = float(xs[min(k + 1, grid - 1)])
-        t_end = theta_at(xi_max, j)
+    for j in admissible_j(L):
+        poly = avg_radius_evaluator(L, j)
+        theta = [theta_at(x, poly) for x in xs]
+        k = max(range(grid), key=theta.__getitem__)
+        lo, hi = xs[max(k - 1, 0)], xs[min(k + 1, grid - 1)]
         # Grid maximum at the xi_max endpoint: if the objective does not
         # rise towards xi_max over the last _REFINE_TOL, a unimodal bracket
         # has its maximum within _REFINE_TOL of xi_max, which is all that
         # golden section would establish.
-        if k == grid - 1 and theta_at(max(xi_max - _REFINE_TOL, lo), j) <= t_end:
-            x_ref, t_ref = xi_max, t_end
+        if k == grid - 1 and theta_at(max(xi_max - _REFINE_TOL, lo), poly) <= theta[k]:
+            x_ref, t_ref = xi_max, theta[k]
         else:
             x_ref, t_ref = golden_max(
-                lambda x, j=j: theta_at(x, j), lo, hi, _REFINE_TOL
+                lambda x, poly=poly: theta_at(x, poly), lo, hi, _REFINE_TOL
             )
-        t_bestj, x_bestj = max(
-            (t_ref, x_ref), (float(theta[k]), float(xs[k])), (t_end, xi_max)
-        )
+        t_bestj, x_bestj = max((t_ref, x_ref), (theta[k], xs[k]))
         if best is None or t_bestj > best[0]:
-            theta_b = theta_at(x_bestj, j)
-            best = (theta_b, x_bestj, *solved[x_bestj], j)
+            best = (t_bestj, x_bestj, *solved[x_bestj], j)
 
     theta_star, xi0_star, xi1_star, rp_star, j_star = best
     witness = RadiusWitness(

@@ -4,7 +4,8 @@ Entropies, the Krawtchouk polynomial exponent in parametric form, the
 average-radius polynomials, the Plotkin-type radius and the first
 linear-programming distance.  All rates and entropies are in bits.  The
 polynomial evaluators accept floats, numpy arrays or ``fractions.Fraction``
-(the latter giving exact results).
+(the latter giving exact results); the entropy and exponent functions take
+floats.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ __all__ = [
     "admissible_j",
     "avg_radius_evaluator",
     "avg_radius_poly",
-    "avg_radius_polys",
     "binary_entropy",
     "binomial_pmf",
     "binomial_tail",
@@ -41,18 +41,7 @@ def _is_array(x) -> bool:
 
 
 def binary_entropy(p):
-    """Binary entropy h(p) in bits, with h(0) = h(1) = 0.
-
-    Accepts a float or a numpy array.
-    """
-    if type(p) is not float and _is_array(p):
-        import numpy as np
-
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise DomainError("entropy argument must lie in [0, 1]")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-        return np.where((p > 0.0) & (p < 1.0), raw, 0.0)
+    """Binary entropy h(p) in bits, with h(0) = h(1) = 0."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"entropy argument must lie in [0, 1], got {p}")
@@ -98,18 +87,10 @@ def _omega_root(beta, xi):
     """Smaller root of (1-beta) w^2 - (1-2 xi) w + beta = 0.
 
     Clamped into the admissible interval to absorb floating-point drift at
-    the endpoints.  Works on floats and numpy arrays.
+    the endpoints.
     """
     b = 1.0 - 2.0 * xi
     disc = b * b - 4.0 * beta * (1.0 - beta)
-    if type(disc) is not float and _is_array(disc):
-        import numpy as np
-
-        if np.any(disc < -1e-9):
-            raise DomainError("xi exceeds 1/2 - sqrt(beta(1-beta))")
-        disc = np.maximum(disc, 0.0)
-        w = (b - np.sqrt(disc)) / (2.0 * (1.0 - beta))
-        return np.clip(w, beta / (1.0 - beta), math.sqrt(beta / (1.0 - beta)))
     if disc < 0.0:
         if disc < -1e-9:
             raise DomainError(
@@ -124,19 +105,11 @@ def _omega_root(beta, xi):
 
 def krawtchouk_exponent_value(beta, xi):
     """Exponential growth rate (bits) of the Krawtchouk polynomial along the
-    diagonal (beta, xi); ``xi`` may be a float or a numpy array."""
+    diagonal (beta, xi)."""
     beta = float(beta)
     if not 0.0 < beta <= 0.5:
         raise DomainError(f"beta must lie in (0, 1/2], got {beta}")
     w = _omega_root(beta, xi)
-    if type(xi) is not float and _is_array(xi):
-        import numpy as np
-
-        if np.any(xi < -1e-15):
-            raise DomainError("xi must be nonnegative")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = np.where(xi > 0.0, xi * np.log2(1.0 - w), 0.0)
-        return t1 + (1.0 - xi) * np.log2(1.0 + w) - beta * np.log2(w)
     xi = float(xi)
     if xi < -1e-15:
         raise DomainError(f"xi must be nonnegative, got {xi}")
@@ -169,44 +142,17 @@ def _excess_coeffs(L: int, j: int) -> tuple[int, ...]:
     return tuple(comb(L, w) * (2 * w - L - j) for w in range((L + j) // 2 + 1, L + 1))
 
 
-def _validate_shifts(L: int, js):
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
-    for j in js:
-        if not isinstance(j, int) or not 0 <= j <= L:
-            raise DomainError(f"shift count must be an integer in [0, {L}], got {j}")
-
-
-def avg_radius_polys(L: int, js, nu) -> list:
-    """[avg_radius_poly(L, j, nu) for j in js], sharing 1 - nu and the
-    powers nu**w, (1 - nu)**(L - w) across j.
-
-    Each j sums its terms in ascending w with the same grouping as a lone
-    evaluation, so every value is bit-identical to it (exact for Fraction).
-    """
-    js = tuple(js)
-    _validate_shifts(L, js)
-    _validate_nu(nu)
-    q = 1 - nu
-    terms = [((L + j) // 2 + 1, _excess_coeffs(L, j)) for j in js]
-    excess = [0] * len(terms)
-    for w in range(min((w0 for w0, _ in terms), default=L + 1), L + 1):
-        nu_w, q_w = nu**w, q ** (L - w)
-        for i, (w0, coeffs) in enumerate(terms):
-            if w >= w0:
-                excess[i] = excess[i] + coeffs[w - w0] * nu_w * q_w
-    return [(L * nu - e) / (L + j) for j, e in zip(js, excess)]
-
-
 def avg_radius_evaluator(L: int, j: int):
-    """The function nu -> avg_radius_poly(L, j, nu) for scalar nu in [0, 1].
+    """The function nu -> avg_radius_poly(L, j, nu).
 
     L and j are validated here, nu not at all: this serves inner loops
-    whose arguments are already clipped to [0, 1].  The terms are summed
-    in ascending w with the grouping of :func:`avg_radius_polys`, so every
-    value is bit-identical to it.
+    whose arguments are already clipped to [0, 1].  The terms
+    c * nu**w * (1 - nu)**(L - w) are summed in ascending w.
     """
-    _validate_shifts(L, (j,))
+    if not isinstance(L, int) or L < 1:
+        raise DomainError(f"list size must be a positive integer, got {L}")
+    if not isinstance(j, int) or not 0 <= j <= L:
+        raise DomainError(f"shift count must be an integer in [0, {L}], got {j}")
     w0 = (L + j) // 2 + 1
     terms = tuple(zip(_excess_coeffs(L, j), range(w0, L + 1), range(L - w0, -1, -1)))
     norm = L + j
@@ -228,7 +174,9 @@ def avg_radius_poly(L: int, j: int, nu):
 
     Degree-L polynomial in nu; exact when nu is a Fraction.
     """
-    return avg_radius_polys(L, (j,), nu)[0]
+    poly = avg_radius_evaluator(L, j)
+    _validate_nu(nu)
+    return poly(nu)
 
 
 def plotkin_radius(L: int, xi):

@@ -16,7 +16,6 @@ from listradius.bounds import (
     XI0_GRID,
     _CROSSOVER_SCAN,
     _rate_geometry,
-    _solve_xi1_vec,
     best_upper_bound,
     blinovsky_bound,
     crossover_rate,
@@ -160,19 +159,6 @@ class TestSolveXi1:
                     self.reference_xi1(xi0, rp), abs=tol
                 )
 
-    def test_array_form_matches_scalar(self):
-        xi0 = np.repeat(np.linspace(0.01, 0.49, 13), len(self.FRACTIONS))
-        frac = np.tile(self.FRACTIONS, 13)
-        rp = frac * binary_entropy(xi0)
-        got = _solve_xi1_vec(xi0, rp)
-        want = [solve_xi1(float(x), float(r)) for x, r in zip(xi0, rp)]
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
-        # out-of-range subcode rates clamp to the endpoint roots
-        np.testing.assert_array_equal(
-            _solve_xi1_vec(xi0, rp - 1.0), 2 * xi0 * (1 - xi0)
-        )
-        np.testing.assert_array_equal(_solve_xi1_vec(xi0, rp + 1.0), 0.0)
-
     def test_tolerance_below_float_spacing_terminates(self):
         # 1e-300 is never reached, so the iteration cap ends the solve
         for xi0 in np.linspace(0.01, 0.49, 13):
@@ -182,75 +168,6 @@ class TestSolveXi1:
                 assert solve_xi1(xi0, rp, 1e-300) == pytest.approx(
                     solve_xi1(xi0, rp), abs=1e-12
                 )
-
-
-def reference_solve_xi1_vec(xi0, r_prime, tol=1e-12):
-    """The grid solve before its active set: every Newton pass runs on the
-    whole grid, and finished points iterate on frozen values."""
-    h0 = binary_entropy(xi0)
-    top = 2.0 * xi0 * (1.0 - xi0)
-    lo, hi = np.zeros_like(xi0), top.copy()
-    x = 0.5 * top
-    active = (r_prime > 0.0) & (r_prime < h0)
-    for _ in range(100):
-        if not active.any():
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p, q = x / (2.0 * xi0), x / (2.0 * (1.0 - xi0))
-            lp, lq = np.log2(p), np.log2(q)
-            lp1, lq1 = np.log2(1.0 - p), np.log2(1.0 - q)
-            g = (
-                h0
-                + xi0 * (p * lp + (1.0 - p) * lp1)
-                + (1.0 - xi0) * (q * lq + (1.0 - q) * lq1)
-                - r_prime
-            )
-            slope = 0.5 * (lp + lq - lp1 - lq1)
-            step = np.where(slope < 0.0, g / slope, np.inf)
-        up = g >= 0.0
-        lo = np.where(up, x, lo)
-        hi = np.where(up, hi, x)
-        small = np.abs(step) <= tol
-        x_new = x - step
-        x_new = np.where(
-            small,
-            np.clip(x_new, lo, hi),
-            np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi)),
-        )
-        x = np.where(active, x_new, x)
-        active &= ~(small | (hi - lo <= tol))
-    return np.where(r_prime >= h0, 0.0, np.where(r_prime <= 0.0, top, x))
-
-
-class TestSolveXi1Grid:
-    @staticmethod
-    def grid(R, exponent, n=XI0_GRID):
-        """The xi0 grid and subcode rates of list_radius_bound; neither
-        depends on L."""
-        geo = _rate_geometry(R, None, n, exponent)
-        return geo.xs, geo.rp
-
-    @pytest.mark.parametrize("exponent", ["parametric", "binomial"])
-    @pytest.mark.parametrize("R", [0.01, 0.1, 0.3, 0.5, 0.8, 0.99])
-    def test_bit_identical_to_full_grid_loop(self, R, exponent):
-        xs, rp = self.grid(R, exponent)
-        if exponent == "binomial" and R < 0.9:
-            assert np.any(rp < 0.0)  # infeasible points present
-        for tol in (1e-12, 1e-300):  # 1e-300 runs into the iteration cap
-            np.testing.assert_array_equal(
-                _solve_xi1_vec(xs, rp, tol), reference_solve_xi1_vec(xs, rp, tol)
-            )
-
-    def test_bit_identical_at_endpoint_roots(self):
-        xs, _ = self.grid(0.2, "parametric", n=300)
-        h = binary_entropy(xs)
-        frac = np.resize([0.0, 1.0, 0.5, -0.1, 1.1, 1e-9, 1.0 - 1e-9], xs.size)
-        rp = frac * h  # exactly 0 and exactly h(xi0) at frac 0 and 1
-        for tol in (1e-12, 1e-300):
-            got = _solve_xi1_vec(xs, rp, tol)
-            np.testing.assert_array_equal(got, reference_solve_xi1_vec(xs, rp, tol))
-        assert np.all(got[frac == 1.0] == 0.0)
-        np.testing.assert_array_equal(got[frac == 0.0], (2 * xs * (1 - xs))[frac == 0.0])
 
 
 class TestSplitAvgRadius:
@@ -297,22 +214,23 @@ PINNED_TAU = [
     (15, 0.02, "binomial", 0.3762439211172396, 1),
 ]
 
-# Exact outputs (tau, xi0, xi1, j) of list_radius_bound, recorded before the
-# endpoint shortcut of the refinement: an interior maximizer comes from
-# golden section, an endpoint one (xi0 = 1/2 - sqrt(beta(1-beta))) from the
-# shortcut.  At the near-unit rates xi_max is below the refinement
-# tolerance bounds._REFINE_TOL.
+# Exact outputs (tau, xi0, xi1, j) of list_radius_bound: an interior
+# maximizer comes from golden section, an endpoint one (xi0 = 1/2 -
+# sqrt(beta(1-beta))) from the endpoint shortcut of the refinement.  The
+# endpoint rows were recorded before that shortcut, the interior rows with
+# the XI0_GRID = 16 scan of the feasible xi0 interval.  At the near-unit
+# rates xi_max is below the refinement tolerance bounds._REFINE_TOL.
 WITNESS_PINS = [
     # interior
-    (2, 0.1, "parametric", 0.2165414334658041, 0.38676267584802193, 0.3344351931934144, 0),
-    (2, 0.6, "binomial", 0.07765209928298707, 0.12878355769809413, 0.0998811203316244, 0),
-    (4, 0.2, "parametric", 0.22102022300301466, 0.326144737942275, 0.2652081974708382, 0),
-    (4, 0.45, "binomial", 0.1318947332139182, 0.181753753117018, 0.1556738049435017, 0),
-    (6, 0.35, "parametric", 0.1731264491985242, 0.25137981010553484, 0.18919261464458106, 0),
-    (9, 0.12, "parametric", 0.2851675798141723, 0.3730678481900424, 0.3186294825544488, 0),
-    (9, 0.14, "binomial", 0.27475341543755255, 0.3317332594269466, 0.31765685633019763, 0),
-    (11, 0.08, "parametric", 0.3170914545250484, 0.40077223079600083, 0.35212859856486023, 0),
-    (11, 0.1, "binomial", 0.304822702185922, 0.3593792907159594, 0.34845735944013656, 0),
+    (2, 0.1, "parametric", 0.21654143346580407, 0.386762675956019, 0.33443519315219744, 0),
+    (2, 0.6, "binomial", 0.07765209928298705, 0.12878355179017112, 0.09988112189772146, 0),
+    (4, 0.2, "parametric", 0.22102022300301472, 0.32614473976523545, 0.265208196925269, 0),
+    (4, 0.45, "binomial", 0.1318947332139182, 0.1817537509204667, 0.15567380573706077, 0),
+    (6, 0.35, "parametric", 0.17312644919852413, 0.25137980947060196, 0.18919261477496138, 0),
+    (9, 0.12, "parametric", 0.2851675798141722, 0.37306784655677233, 0.3186294830851896, 0),
+    (9, 0.14, "binomial", 0.27475341543755255, 0.3317332623082278, 0.317656854577967, 0),
+    (11, 0.08, "parametric", 0.3170914545250485, 0.40077223145901764, 0.35212859833032045, 0),
+    (11, 0.1, "binomial", 0.3048227021859221, 0.3593792811983092, 0.34845736573628566, 0),
     # endpoint
     (3, 0.05, "parametric", 0.27304042193657657, 0.42532919113016965, 0.3830834790158536, 1),
     (3, 0.3, "binomial", 0.17341947492183613, 0.2754902110958689, 0.21204906340227334, 1),
@@ -332,6 +250,31 @@ WITNESS_PINS = [
     (12, 0.9999999999, "binomial", 1.7467438671233486e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 10),
 ]
 
+# xi0 of the interior rows as a 2000-point grid over (0, xi_max] bracketed
+# them: a refinement from another bracket must find the same maximizer
+DENSE_GRID_XI0 = {
+    (2, 0.1, "parametric"): 0.38676267584802193,
+    (2, 0.6, "binomial"): 0.12878355769809413,
+    (4, 0.2, "parametric"): 0.326144737942275,
+    (4, 0.45, "binomial"): 0.181753753117018,
+    (6, 0.35, "parametric"): 0.25137981010553484,
+    (9, 0.12, "parametric"): 0.3730678481900424,
+    (9, 0.14, "binomial"): 0.3317332594269466,
+    (11, 0.08, "parametric"): 0.40077223079600083,
+    (11, 0.1, "binomial"): 0.3593792907159594,
+}
+
+# Seeded cases of the dense-grid audit, L <= 31 and R in [0.005, 0.995]
+_audit_rng = random.Random(29)
+DENSE_AUDIT = [
+    (
+        _audit_rng.randint(2, 31),
+        round(_audit_rng.uniform(0.005, 0.995), 4),
+        _audit_rng.choice(EXPONENT_MODES),
+    )
+    for _ in range(20)
+]
+
 
 class TestListRadiusBound:
     @pytest.mark.parametrize("L, R, exponent, tau, j", PINNED_TAU)
@@ -346,6 +289,29 @@ class TestListRadiusBound:
         assert (got, w.xi0, w.xi1, w.j) == (tau, xi0, xi1, j)
         xi_max = 0.5 - math.sqrt(w.beta * (1.0 - w.beta))
         assert w.xi0 <= xi_max
+
+    def test_interior_xi0_near_dense_grid(self):
+        for (L, R, exponent), xi0 in DENSE_GRID_XI0.items():
+            _, w = list_radius_bound(L, R, exponent=exponent)
+            assert w.xi0 == pytest.approx(xi0, abs=1e-7)
+
+    @pytest.mark.parametrize("L, R, exponent", DENSE_AUDIT)
+    def test_grid_agrees_with_dense_grid(self, L, R, exponent):
+        # the XI0_GRID scan only brackets each j's maximum; a 512-point
+        # scan of the same interval must find the same j and tau
+        tau, w = list_radius_bound(L, R, exponent=exponent)
+        tau_dense, w_dense = list_radius_bound(L, R, grid=512, exponent=exponent)
+        assert w.j == w_dense.j
+        assert abs(tau - tau_dense) <= 1e-14
+
+    def test_grid_starts_at_feasible_end(self):
+        # the binomial subcode rate is negative below h^-1(1 - R), here on
+        # all but the top 2% of (0, xi_max]: a grid spanning all of it
+        # brackets the wrong cell and returns a tau 7.4e-6 too low, which
+        # is no upper bound
+        tau, w = list_radius_bound(75, 0.001, exponent="binomial")
+        assert tau == pytest.approx(0.4514483035444498, abs=1e-12)
+        assert w.j == 0
 
     def test_below_catalan_at_published_edge(self):
         tau, _ = list_radius_bound(3, 0.361)
@@ -523,12 +489,6 @@ class TestRateGeometryCache:
         list_radius_bound(5, 0.2)
         info = _rate_geometry.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-
-    def test_cached_arrays_are_read_only(self):
-        geo = _rate_geometry(0.2, None, XI0_GRID, "parametric")
-        for a in (geo.xs, geo.rp, geo.xi1):
-            with pytest.raises(ValueError):
-                a[0] = 0.0
 
     def test_errors_are_not_cached(self):
         _rate_geometry.cache_clear()

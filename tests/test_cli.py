@@ -381,11 +381,11 @@ class TestStartup:
             "True True",
         ]
 
-    def test_numpy_imported_only_for_the_central_bound(self):
-        # the LP, Catalan-sum and slope curves and usage errors run without
-        # numpy; the central bound's xi0 grid (witness) imports it.  None
-        # of them loads dataclasses, fractions or their imports; numpy
-        # imports inspect itself, so a run with it prints "-"
+    def test_numpy_imported_only_by_verify(self):
+        # every curve, witness, table1 and usage errors run without numpy;
+        # only verify, through the checks and oracles, imports it.  None of
+        # them loads dataclasses, fractions or their imports; numpy imports
+        # inspect itself, so a run with it prints "-"
         script = textwrap.dedent(
             """
             import io, sys
@@ -406,8 +406,12 @@ class TestStartup:
                 ["curve", "--bound", "abl2", "--L", "2", *rates],
                 ["curve", "--bound", "blinovsky", "--L", "3", *rates],
                 ["curve", "--bound", "slope", "--L", "4", *rates],
+                ["curve", "--bound", "theorem1", "--L", "3", *rates],
+                ["curve", "--bound", "best", "--L", "3", *rates],
                 ["table1", "--bogus"],
                 ["witness", "--L", "3", "--R", "0.2"],
+                ["table1"],
+                ["verify", "--suite", "identities"],
             ):
                 code = listradius.cli.main(argv, out=io.StringIO(), err=io.StringIO())
                 print(*argv[:3], code, "numpy" in sys.modules, heavy())
@@ -428,8 +432,12 @@ class TestStartup:
             "curve --bound abl2 0 False []",
             "curve --bound blinovsky 0 False []",
             "curve --bound slope 0 False []",
+            "curve --bound theorem1 0 False []",
+            "curve --bound best 0 False []",
             "table1 --bogus 1 False []",
-            "witness --L 3 0 True -",
+            "witness --L 3 0 False []",
+            "table1 0 False []",
+            "verify --suite identities 0 True -",
         ]
 
     def test_benchmark_traced_names_resolve(self):
