@@ -240,33 +240,16 @@ EXPONENT_MODES = ("parametric", "binomial")
 
 def _subcode_rate(R, beta, hbeta, xi0, exponent):
     """Subcode rate R + h(beta) - 2E(xi0) under the chosen exponent
-    treatment.
+    treatment, which list_radius_bound has checked.
 
     "parametric" evaluates the Krawtchouk exponent exactly; "binomial"
     substitutes its upper estimate (1 + h(beta) - h(xi0))/2, which weakens
     the bound monotonically and is the evaluation behind the published
     crossover table.
     """
-    if exponent == "parametric":
-        return R + hbeta - 2.0 * krawtchouk_exponent_value(beta, xi0)
     if exponent == "binomial":
         return R + binary_entropy(xi0) - 1.0
-    raise DomainError(f"unknown exponent mode {exponent!r}")
-
-
-class _RateGeometry(NamedTuple):
-    """The half of :func:`list_radius_bound` that depends on the rate, beta,
-    grid and exponent but not on L or j: the resolved beta, h(beta) and
-    xi_max, the xi0 grid ``xs``, and ``solved``, the (xi1, r_prime) of the
-    grid and of every refinement point so far, filled by the calls that
-    share it.  Each value depends on its xi0 alone, so a call gets the
-    numbers it would compute itself, whatever ran before it."""
-
-    beta: float
-    hbeta: float
-    xi_max: float
-    xs: tuple[float, ...]
-    solved: dict
+    return R + hbeta - 2.0 * krawtchouk_exponent_value(beta, xi0)
 
 
 def _solve_at(R, beta, hbeta, x, exponent):
@@ -281,7 +264,13 @@ def _solve_at(R, beta, hbeta, x, exponent):
 # Keyed on beta as passed (None for the default), so a hit skips resolving
 # it too.  Exceptions are not cached: a bad input raises on every call.
 @functools.lru_cache(maxsize=32)
-def _rate_geometry(R, beta, grid, exponent) -> _RateGeometry:
+def _rate_geometry(R, beta, grid, exponent):
+    """The half of :func:`list_radius_bound` that depends on the rate, beta,
+    grid and exponent but not on L or j: the resolved beta, h(beta) and
+    xi_max, the xi0 grid ``xs``, and ``solved``, the (xi1, r_prime) of the
+    grid and of every refinement point so far, filled by the calls that
+    share it.  Each value depends on its xi0 alone, so a call gets the
+    numbers it would compute itself, whatever ran before it."""
     beta = _checked_beta(inverse_entropy(R) if beta is None else beta)
     hbeta = binary_entropy(beta)
     if hbeta > R + 1e-9:
@@ -297,7 +286,7 @@ def _rate_geometry(R, beta, grid, exponent) -> _RateGeometry:
     solved = {x: _solve_at(R, beta, hbeta, x, exponent) for x in xs}
     if not any(rp >= -1e-12 for _, rp in solved.values()):
         raise NoSolutionError("no admissible xi0: subcode rate negative everywhere")
-    return _RateGeometry(beta, hbeta, xi_max, xs, solved)
+    return beta, hbeta, xi_max, xs, solved
 
 
 def list_radius_bound(
@@ -333,8 +322,9 @@ def list_radius_bound(
     R = float(R)
     if not 0.0 < R < 1.0:
         raise DomainError(f"rate must lie in (0, 1), got {R}")
-    geo = _rate_geometry(R, None if beta is None else float(beta), grid, exponent)
-    beta, hbeta, xi_max, xs, solved = geo.beta, geo.hbeta, geo.xi_max, geo.xs, geo.solved
+    beta, hbeta, xi_max, xs, solved = _rate_geometry(
+        R, None if beta is None else float(beta), grid, exponent
+    )
 
     def theta_at(x, poly):
         """Objective at one (xi0, j), split_avg_radius(L, j, x, xi1) with

@@ -107,7 +107,7 @@ def check_poly_concavity():
     h = 1e-3
     for L in range(1, 13):
         for j in range(0, L + 1):
-            g = core.avg_radius_poly(L, j, xs)
+            g = core.avg_radius_evaluator(L, j)(xs)
             second = g[2:] - 2.0 * g[1:-1] + g[:-2]
             worst = max(worst, float(second.max()))
     return _result("average-radius polynomial concavity", worst <= 1e-12, worst)
@@ -119,7 +119,7 @@ def check_poly_monotone():
     xs = np.arange(0.0, 0.5, 1e-3)
     for L in range(1, 13):
         for j in range(0, L + 1):
-            g = core.avg_radius_poly(L, j, xs)
+            g = core.avg_radius_evaluator(L, j)(xs)
             worst = max(worst, float((g[:-1] - g[1:]).max()))
     return _result("average-radius polynomial monotone on [0, 1/2]", worst <= 1e-12, worst)
 

@@ -3,15 +3,13 @@
 Entropies, the Krawtchouk polynomial exponent in parametric form, the
 average-radius polynomials, the Plotkin-type radius and the first
 linear-programming distance.  All rates and entropies are in bits.  The
-polynomial evaluators accept floats, numpy arrays or ``fractions.Fraction``
-(the latter giving exact results); the entropy and exponent functions take
-floats.
+polynomial evaluators accept floats or ``fractions.Fraction`` (the latter
+giving exact results); the entropy and exponent functions take floats.
 """
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from math import comb
 
 from .errors import DomainError
@@ -30,14 +28,6 @@ __all__ = [
     "krawtchouk_exponent_value",
     "plotkin_radius",
 ]
-
-
-def _is_array(x) -> bool:
-    """Whether x is a numpy array.  numpy is not imported to find out: no
-    array exists before it is, and the commands that need no array run
-    without it."""
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(x, np.ndarray)
 
 
 def binary_entropy(p):
@@ -109,10 +99,11 @@ def krawtchouk_exponent_value(beta, xi):
     beta = float(beta)
     if not 0.0 < beta <= 0.5:
         raise DomainError(f"beta must lie in (0, 1/2], got {beta}")
-    w = _omega_root(beta, xi)
     xi = float(xi)
-    if xi < -1e-15:
+    # negated, so that NaN fails it too
+    if not xi >= -1e-15:
         raise DomainError(f"xi must be nonnegative, got {xi}")
+    w = _omega_root(beta, xi)
     t1 = xi * math.log2(1.0 - w) if xi > 0.0 else 0.0
     return t1 + (1.0 - xi) * math.log2(1.0 + w) - beta * math.log2(w)
 
@@ -125,14 +116,6 @@ def admissible_j(L: int) -> tuple[int, ...]:
     if L % 2 == 1:
         return (0,) + tuple(range(1, L + 1, 2))
     return tuple(range(0, L + 1, 2))
-
-
-def _validate_nu(nu):
-    if type(nu) is not float and _is_array(nu):
-        if (nu < 0.0).any() or (nu > 1.0).any():
-            raise DomainError("probability argument must lie in [0, 1]")
-    elif not 0 <= nu <= 1:
-        raise DomainError(f"probability argument must lie in [0, 1], got {nu}")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -175,7 +158,8 @@ def avg_radius_poly(L: int, j: int, nu):
     Degree-L polynomial in nu; exact when nu is a Fraction.
     """
     poly = avg_radius_evaluator(L, j)
-    _validate_nu(nu)
+    if not 0 <= nu <= 1:
+        raise DomainError(f"probability argument must lie in [0, 1], got {nu}")
     return poly(nu)
 
 
@@ -183,17 +167,12 @@ def plotkin_radius(L: int, xi):
     """Zero-rate list-L decoding radius of codes on the sphere of relative
     radius xi: E[min(W, L+1-W)] / (L+1) with W ~ Bino(L+1, xi).
 
-    Exact when xi is a Fraction.
+    Since min(W, L+1-W) = W - max(0, 2W - (L+1)), this is the average-radius
+    polynomial avg_radius_poly(L+1, 0, xi).  Exact when xi is a Fraction.
     """
     if not isinstance(L, int) or L < 1:
         raise DomainError(f"list size must be a positive integer, got {L}")
-    _validate_nu(xi)
-    acc = 0
-    for w in range(L + 2):
-        acc = acc + comb(L + 1, w) * min(w, L + 1 - w) * xi**w * (1 - xi) ** (
-            L + 1 - w
-        )
-    return acc / (L + 1)
+    return avg_radius_poly(L + 1, 0, xi)
 
 
 def delta_lp1(R: float) -> float:

@@ -103,10 +103,7 @@ def abl_sphere_param(tau: float) -> float:
     if not 0.0 < tau < 0.25:
         raise DomainError(f"tau must lie in (0, 1/4), got {tau}")
     inner = math.sqrt(tau - 3.0 * tau * tau) - tau
-    rad = 0.25 - inner * inner
-    if rad < 0.0:
-        raise DomainError(f"sphere parameter undefined at tau={tau}")
-    return 0.5 - math.sqrt(rad)
+    return 0.5 - math.sqrt(0.25 - inner * inner)
 
 
 def _lp2_rate(tau: float) -> float:

@@ -320,27 +320,23 @@ def verify_monotonicity_region():
         -2 log((1-a2)/a1) (a1^2 - a2^2)
             >= (2 a1^2 - 4/3 (a1^3 - a2^3) - 1) log((1-a2)/a2 * a1/(1-a1))
 
-    Interior points are scanned on a grid of step ``REGION_STEP`` with a
-    1e-6 margin excluding the singular boundaries; the a2 = 0 slice reduces
-    to 2 a1^2 - 4/3 a1^3 - 1 <= 0 and is checked in that form.  Returns the
-    list of violating (a1, a2) pairs (expected empty).
+    Interior points are scanned on a grid of step ``REGION_STEP``, which
+    keeps off the singular boundaries: a1 runs from REGION_STEP to short of
+    1 and a2 from REGION_STEP to a1(1-a1) >= 9.99e-4, so every logarithm
+    is finite.  The a2 = 0 slice reduces to 2 a1^2 - 4/3 a1^3 - 1 <= 0 and
+    is checked in that form.  Returns the list of violating (a1, a2) pairs
+    (expected empty).
     """
     violations: list[tuple[float, float]] = []
 
-    margin = 1e-6
-    a1s = np.arange(REGION_STEP, 1.0 - margin, REGION_STEP)
-    a1s = a1s[a1s >= margin]
+    a1s = np.arange(REGION_STEP, 1.0 - 1e-6, REGION_STEP)
     for a1 in a1s:
         top = a1 * (1.0 - a1)
         a2s = np.arange(REGION_STEP, top, REGION_STEP)
         a2s = np.append(a2s, top)  # include the upper boundary slice
-        a2s = a2s[a2s >= margin]
-        if a2s.size == 0:
-            continue
-        with np.errstate(divide="ignore"):
-            lhs = -2.0 * np.log2((1.0 - a2s) / a1) * (a1 * a1 - a2s * a2s)
-            bracket = 2.0 * a1 * a1 - (4.0 / 3.0) * (a1**3 - a2s**3) - 1.0
-            rhs = bracket * np.log2((1.0 - a2s) / a2s * a1 / (1.0 - a1))
+        lhs = -2.0 * np.log2((1.0 - a2s) / a1) * (a1 * a1 - a2s * a2s)
+        bracket = 2.0 * a1 * a1 - (4.0 / 3.0) * (a1**3 - a2s**3) - 1.0
+        rhs = bracket * np.log2((1.0 - a2s) / a2s * a1 / (1.0 - a1))
         bad = lhs < rhs - 1e-12
         for a2 in a2s[bad]:
             violations.append((float(a1), float(a2)))

@@ -497,6 +497,21 @@ class TestRateGeometryCache:
                 list_radius_bound(3, 0.2, beta=inverse_entropy(0.3))
         assert _rate_geometry.cache_info().currsize == 0
 
+    def test_infeasible_grid_points(self):
+        # beta near 1/2 with R just inside the 1e-9 slack of h(beta) <= R:
+        # xi_max is about 1e-10, and the subcode rate is negative on the
+        # low end of the grid, where xi1 is not solved and theta is -inf
+        beta = 0.49999
+        R = binary_entropy(beta) - 9e-10
+        _rate_geometry.cache_clear()
+        tau, w = list_radius_bound(3, R, beta=beta)
+        _, _, xi_max, _, solved = _rate_geometry(R, beta, XI0_GRID, "parametric")
+        infeasible = [xi1 for xi1, rp in solved.values() if rp < -1e-12]
+        assert infeasible and set(infeasible) == {0.0}
+        assert 0.0 < tau < 1e-9
+        assert w.r_prime >= -1e-12
+        assert 0.0 < w.xi0 <= xi_max
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=15)
     @given(rate_sequences())
     def test_warm_equals_cold_and_tau_nonincreasing(self, cases):

@@ -9,6 +9,7 @@ import pytest
 
 import listradius
 
+from listradius import bounds
 from listradius.cli import _build_parser, main
 
 
@@ -205,6 +206,14 @@ class TestTable1:
             assert float(ref) == refs[int(L)]
             assert abs(float(delta)) <= 0.002
             assert abs(float(computed) - refs[int(L)]) <= 0.002
+
+    def test_deviation_past_tolerance_exits_2(self, monkeypatch):
+        # a reference 0.0096 away from the computed L = 3 crossover
+        monkeypatch.setitem(bounds._REFERENCE_CROSSOVERS, 3, 0.371)
+        code, out, err = run_cli(["table1"])
+        assert code == 2
+        assert len(out.strip().splitlines()) == 6  # header + five list sizes
+        assert err == "listradius table1: worst deviation 0.0096 exceeds 0.002\n"
 
 
 class TestVerify:

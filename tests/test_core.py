@@ -137,6 +137,8 @@ class TestKrawtchoukExponent:
             krawtchouk_exponent_value(0.0, 0.0)
         with pytest.raises(DomainError):
             krawtchouk_exponent_value(0.1, -0.05)
+        with pytest.raises(DomainError):
+            krawtchouk_exponent_value(0.1, math.nan)
 
 
 def _lone_poly(L, j, nu):
@@ -200,10 +202,13 @@ class TestAvgRadiusPoly:
     def test_shared_powers_bit_identical(self, L, js):
         # avg_radius_poly, built from the coefficients cached per (L, j),
         # equals a term-by-term sum from scratch to the last bit, on
-        # scalars and on an array with 0, 1 and interior points
-        for nu in POLY_NUS + [np.array(POLY_NUS)]:
-            for j in js:
+        # scalars; the evaluator does on an array with 0, 1 and interior
+        # points, as the checks hand it one
+        nus = np.array(POLY_NUS)
+        for j in js:
+            for nu in POLY_NUS:
                 assert _bits(avg_radius_poly(L, j, nu)) == _bits(_lone_poly(L, j, nu))
+            assert _bits(avg_radius_evaluator(L, j)(nus)) == _bits(_lone_poly(L, j, nus))
 
     @pytest.mark.parametrize(
         "L, js",
@@ -221,7 +226,7 @@ class TestAvgRadiusPoly:
         xs = np.arange(1e-3, 1.0 - 1e-3, 1e-3)
         for L in range(1, 13):
             for j in range(L + 1):
-                g = avg_radius_poly(L, j, xs)
+                g = avg_radius_evaluator(L, j)(xs)
                 second = g[2:] - 2 * g[1:-1] + g[:-2]
                 assert second.max() <= 1e-12
 
@@ -238,6 +243,14 @@ class TestAvgRadiusPoly:
             avg_radius_evaluator(0, 0)
 
 
+def _plotkin_sum(L, xi):
+    """E[min(W, L+1-W)] / (L+1), W ~ Bino(L+1, xi), summed term by term."""
+    acc = 0
+    for w in range(L + 2):
+        acc = acc + comb(L + 1, w) * min(w, L + 1 - w) * xi**w * (1 - xi) ** (L + 1 - w)
+    return acc / (L + 1)
+
+
 class TestPlotkinRadius:
     def test_reference_value(self):
         # Bino(4, 1/2): (4*1 + 6*2 + 4*1) / 16 / 4
@@ -252,6 +265,17 @@ class TestPlotkinRadius:
             assert plotkin_radius(2, float(xi)) == pytest.approx(
                 plotkin_radius(1, float(xi)), abs=1e-14
             )
+
+    def test_equals_binomial_sum(self):
+        # plotkin_radius is avg_radius_poly(L+1, 0, .): exactly the sum on
+        # fractions, within rounding on floats
+        for L in range(1, 13):
+            for k in range(38):
+                xi = Fraction(k, 37)
+                assert plotkin_radius(L, xi) == _plotkin_sum(L, xi)
+            for k in range(101):
+                xi = k / 100
+                assert abs(plotkin_radius(L, xi) - _plotkin_sum(L, xi)) <= 1e-15
 
 
 class TestDeltaLp1:
