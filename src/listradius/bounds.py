@@ -58,9 +58,12 @@ __all__ = [
 MAX_CATALAN_L = 1040
 MAX_POLY_L = 1025
 
+# Stopping width of the xi1 solver's bracket and Newton step.
+_XI1_TOL = 1e-12
+
 # Iteration cap of the xi1 solver: past the ~40 halvings that take the
-# bracket from 1/2 to 1e-12, and the only exit when tol is below the float
-# spacing of the root.
+# bracket from 1/2 to _XI1_TOL, and the only exit when _XI1_TOL is below
+# the float spacing of the root.
 _NEWTON_MAX_ITER = 100
 
 # Width at which the golden-section refinement of the central bound stops.
@@ -160,7 +163,7 @@ def zero_rate_radius(L: int) -> Fraction:
     return Fraction(1, 2) - Fraction(comb(L, (L - 1) // 2), 2 ** (L + 1))
 
 
-def solve_xi1(xi0: float, r_prime: float, tol: float = 1e-12) -> float:
+def solve_xi1(xi0: float, r_prime: float) -> float:
     """Unique xi1 in [0, 2 xi0 (1 - xi0)] with
     r_prime = h(xi0) - xi0 h(xi1/(2 xi0)) - (1-xi0) h(xi1/(2(1-xi0))).
 
@@ -169,7 +172,8 @@ def solve_xi1(xi0: float, r_prime: float, tol: float = 1e-12) -> float:
     p = xi1/(2 xi0), q = xi1/(2(1-xi0)).  Both endpoint roots are returned
     directly (the slope vanishes at the upper one).  Between them, Newton
     steps run inside a bisection bracket and fall back to its midpoint
-    when they leave it, until the bracket or the step is below ``tol``.
+    when they leave it, until the bracket or the step is below
+    ``_XI1_TOL`` (1e-12).
     """
     xi0 = float(xi0)
     if not 0.0 < xi0 < 1.0:
@@ -181,10 +185,10 @@ def solve_xi1(xi0: float, r_prime: float, tol: float = 1e-12) -> float:
         raise NoSolutionError(
             f"no xi1 solution: r_prime={r_prime} outside [0, h(xi0)={h0}]"
         )
-    return _solve_xi1(xi0, h0, rp, tol)
+    return _solve_xi1(xi0, h0, rp)
 
 
-def _solve_xi1(xi0: float, h0: float, rp: float, tol: float = 1e-12) -> float:
+def _solve_xi1(xi0: float, h0: float, rp: float) -> float:
     """:func:`solve_xi1` without its checks, for a caller that already has
     h0 = h(xi0); r_prime at or below 0 gives the upper endpoint, at or
     above h0 gives 0."""
@@ -195,6 +199,7 @@ def _solve_xi1(xi0: float, h0: float, rp: float, tol: float = 1e-12) -> float:
     if rp <= 0.0:
         return top
     d1 = 2.0 * xi0c
+    tol = _XI1_TOL
     lo, hi = 0.0, top
     x = 0.5 * top
     for _ in range(_NEWTON_MAX_ITER):

@@ -73,9 +73,10 @@ def check_tail_derivative():
 
 
 def check_sum_identity_all():
-    """Weighted partial binomial sums collapse to n C(n-1, ell), exactly."""
+    """Weighted partial binomial sums collapse to n C(n-1, ell), exactly:
+    sum_{u <= ell} (n - 2u) C(n, u) = n C(n-1, ell)."""
     ok = all(
-        oracle.check_sum_identity(n, ell)
+        sum((n - 2 * u) * comb(n, u) for u in range(ell + 1)) == n * comb(n - 1, ell)
         for n in range(1, 65)
         for ell in range(0, n + 1)
     )
@@ -83,8 +84,14 @@ def check_sum_identity_all():
 
 
 def check_tail_inequality_all():
-    """Strict majority-tail inequality for half lengths up to 20, exact."""
-    ok = all(oracle.check_tail_inequality(a) for a in range(1, 21))
+    """Strict majority-tail inequality for half lengths up to 20, exact:
+    sum_{u < a} (2a+1-2u) C(2a+1, u) equals (2a+1) C(2a, a-1) and is
+    strictly below (2a+1) C(2a+1, a)."""
+    ok = True
+    for a in range(1, 21):
+        n = 2 * a + 1
+        lhs = sum((n - 2 * u) * comb(n, u) for u in range(a))
+        ok &= lhs == n * comb(n - 1, a - 1) and lhs < n * comb(n, a)
     return _result("strict majority-tail inequality (a <= 20)", ok, 0.0)
 
 
@@ -187,13 +194,23 @@ def check_split_endpoints():
 
 
 def check_g1_dominance():
-    """j = 1 dominates near 1/2 for odd L (grids shrink with L) plus the
-    exact strict sandwich at 1/2; even-L control has its maximum at j = 0."""
+    """j = 1 dominates every admissible j near 1/2 for odd L (grids shrink
+    with L), plus the exact strict sandwich P[W > a+1] < g1(1/2) < P[W >= a+1]
+    with W ~ Bino(L, 1/2), L = 2a + 1; even-L control has its maximum at
+    j = 0."""
     ok = True
-    for L in (3, 5, 7, 9):
-        ok &= oracle.check_g1_max(L, np.arange(0.45, 0.50001, 0.001))
-    for L in (11, 13, 15):
-        ok &= oracle.check_g1_max(L, np.arange(0.47, 0.50001, 0.001))
+    for L in (3, 5, 7, 9, 11, 13, 15):
+        lo = 0.45 if L <= 9 else 0.47
+        for x in np.arange(lo, 0.50001, 0.001).tolist():
+            g1 = core.avg_radius_poly(L, 1, x)
+            ok &= all(
+                core.avg_radius_poly(L, j, x) <= g1 + 1e-12 for j in core.admissible_j(L)
+            )
+        a = (L - 1) // 2
+        g1_half = core.avg_radius_poly(L, 1, Fraction(1, 2))
+        tail_ge = Fraction(sum(comb(L, w) for w in range(a + 1, L + 1)), 2**L)
+        tail_gt = Fraction(sum(comb(L, w) for w in range(a + 2, L + 1)), 2**L)
+        ok &= tail_gt < g1_half < tail_ge
     vals = {j: core.avg_radius_poly(4, j, 0.49) for j in core.admissible_j(4)}
     ok &= max(vals, key=vals.get) == 0
     return _result("j=1 dominance near 1/2 (odd L), j=0 control (L=4)", ok, 0.0)

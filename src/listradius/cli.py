@@ -96,7 +96,7 @@ def cmd_curve(args, out, err) -> int:
         row = [_fmt(pt.rate)]
         if pt.tau is None:
             print(",".join(row + [""] * (1 + len(columns))), file=out)
-            print(f"listradius curve: warning: rate {pt.rate:g}: {pt.note}", file=err)
+            print(f"listradius curve: warning: rate {_fmt(pt.rate)}: {pt.note}", file=err)
             continue
         row.append(_fmt(pt.tau))
         for col in columns:

@@ -1,9 +1,9 @@
 """Exact small-scale combinatorial oracles.
 
-Everything here is computed in integer or rational arithmetic: Chebyshev
-and average radii of explicit word sets, joint types and their weight
-marginals, the average-radius functional on types, and the integer/region
-identities behind the explicit corollaries.  Codewords are stored as
+Exact integer or rational computations: Chebyshev and average radii of
+explicit word sets, joint types and their weight marginals, and the
+average-radius functional on types.  The one float routine is the region
+scan behind the list-3 maximizer monotonicity.  Codewords are stored as
 integers whose most significant bit is the first coordinate, so integer
 order coincides with lexicographic order of the 0/1 strings.
 """
@@ -26,9 +26,6 @@ __all__ = [
     "average_radius",
     "bernoulli_mixture_type",
     "chebyshev_radius",
-    "check_g1_max",
-    "check_sum_identity",
-    "check_tail_inequality",
     "joint_type",
     "load_code",
     "tau_list",
@@ -103,13 +100,6 @@ def load_code(path) -> BinaryCode:
         return BinaryCode.from_strings(fh.readlines())
 
 
-def _popcount_table(n: int) -> np.ndarray:
-    pc = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        pc[1 << i : 1 << (i + 1)] = pc[: 1 << i] + 1
-    return pc
-
-
 def chebyshev_radius(words, n: int) -> int:
     """Radius of the smallest Hamming ball containing all words, by
     exhaustive search over the 2^n centers (n <= 24)."""
@@ -121,13 +111,10 @@ def chebyshev_radius(words, n: int) -> int:
         raise SizeLimitError(
             f"exhaustive center search capped at n = {MAX_EXHAUSTIVE_N}, got {n}"
         )
-    if len(set(words)) == 1:
-        return 0
-    pc = _popcount_table(n)
     centers = np.arange(1 << n, dtype=np.uint32)
     worst = np.zeros(1 << n, dtype=np.uint8)
     for w in words:
-        np.maximum(worst, pc[centers ^ np.uint32(w)], out=worst)
+        np.maximum(worst, np.bitwise_count(centers ^ np.uint32(w)), out=worst)
     return int(worst.min())
 
 
@@ -294,24 +281,6 @@ def avg_radius_of_type(T: JointType, j: int) -> Fraction:
     return (ew - excess) / (T.L + j)
 
 
-def check_sum_identity(n: int, ell: int) -> bool:
-    """Exact check of sum_{u <= ell} (n - 2u) C(n, u) = n C(n-1, ell)."""
-    if not (isinstance(n, int) and isinstance(ell, int) and 0 <= ell <= n <= 64):
-        raise DomainError("need integers 0 <= ell <= n <= 64")
-    lhs = sum((n - 2 * u) * comb(n, u) for u in range(ell + 1))
-    return lhs == n * comb(n - 1, ell)
-
-
-def check_tail_inequality(a: int) -> bool:
-    """Exact check that sum_{u < a} (2a+1-2u) C(2a+1, u) equals
-    (2a+1) C(2a, a-1) and is strictly below (2a+1) C(2a+1, a)."""
-    if not isinstance(a, int) or a < 1:
-        raise DomainError(f"need a positive integer, got {a}")
-    n = 2 * a + 1
-    lhs = sum((n - 2 * u) * comb(n, u) for u in range(a))
-    return lhs == n * comb(n - 1, a - 1) and lhs < n * comb(n, a)
-
-
 def verify_monotonicity_region():
     """Scan the region {0 <= a1 <= 1, 0 <= a2 <= a1(1-a1)} for violations of
     the two-variable log inequality that makes the list-3 maximizer
@@ -346,25 +315,3 @@ def verify_monotonicity_region():
         if 2.0 * a1 * a1 - (4.0 / 3.0) * a1**3 - 1.0 > 1e-12:
             violations.append((float(a1), 0.0))
     return violations
-
-
-def check_g1_max(L: int, x_grid) -> bool:
-    """For odd L: the j = 1 average-radius polynomial dominates every
-    admissible j on the given grid, and the exact strict sandwich
-    P[W > a+1] < value at 1/2 < P[W >= a+1] holds in rational arithmetic
-    (W ~ Bino(L, 1/2), L = 2a + 1)."""
-    from .core import admissible_j, avg_radius_poly
-
-    if not isinstance(L, int) or L % 2 == 0 or not 3 <= L <= 15:
-        raise DomainError(f"need odd L in [3, 15], got {L}")
-    for x in x_grid:
-        g1 = avg_radius_poly(L, 1, float(x))
-        for j in admissible_j(L):
-            if avg_radius_poly(L, j, float(x)) > g1 + 1e-12:
-                return False
-    a = (L - 1) // 2
-    half = Fraction(1, 2)
-    g1_half = avg_radius_poly(L, 1, half)
-    tail_ge = Fraction(sum(comb(L, w) for w in range(a + 1, L + 1)), 2**L)
-    tail_gt = Fraction(sum(comb(L, w) for w in range(a + 2, L + 1)), 2**L)
-    return tail_gt < g1_half < tail_ge

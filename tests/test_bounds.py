@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from listradius import bounds
 from listradius.bounds import (
     EXPONENT_MODES,
     MAX_CATALAN_L,
@@ -159,15 +160,17 @@ class TestSolveXi1:
                     self.reference_xi1(xi0, rp), abs=tol
                 )
 
-    def test_tolerance_below_float_spacing_terminates(self):
+    def test_tolerance_below_float_spacing_terminates(self, monkeypatch):
         # 1e-300 is never reached, so the iteration cap ends the solve
-        for xi0 in np.linspace(0.01, 0.49, 13):
-            xi0 = float(xi0)
-            for frac in self.FRACTIONS:
-                rp = frac * binary_entropy(xi0)
-                assert solve_xi1(xi0, rp, 1e-300) == pytest.approx(
-                    solve_xi1(xi0, rp), abs=1e-12
-                )
+        cases = [
+            (xi0, frac * binary_entropy(xi0))
+            for xi0 in np.linspace(0.01, 0.49, 13).tolist()
+            for frac in self.FRACTIONS
+        ]
+        expected = [solve_xi1(xi0, rp) for xi0, rp in cases]
+        monkeypatch.setattr(bounds, "_XI1_TOL", 1e-300)
+        for (xi0, rp), want in zip(cases, expected):
+            assert solve_xi1(xi0, rp) == pytest.approx(want, abs=1e-12)
 
 
 class TestSplitAvgRadius:

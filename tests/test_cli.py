@@ -136,6 +136,19 @@ class TestCurve:
         assert "warning" in err
         assert lines[2].split(",")[1] != ""
 
+    def test_warning_rate_matches_row_precision(self):
+        # rates that need more than 6 significant digits must not round to 1
+        code, out, err = run_cli(
+            ["curve", "--bound", "lp2", "--L", "1", "--rmin", "0.9999999",
+             "--rmax", "0.99999999", "--step", "0.00000001"]
+        )
+        assert code == 0
+        assert "0.99999997,\n0.99999998,\n" in out
+        assert err.splitlines() == [
+            f"listradius curve: warning: rate {r}: target rate out of range"
+            for r in ("0.99999997", "0.99999998")
+        ]
+
     @pytest.mark.parametrize(
         "bound, L, beta",
         [("theorem1", "3", "nan"), ("theorem1", "3", "0.5"), ("theorem1", "3", "-0.1"),
@@ -218,10 +231,22 @@ class TestTable1:
 
 class TestVerify:
     def test_identities_suite_passes(self):
-        code, out, _ = run_cli(["verify", "--suite", "oracle", "--seed", "7"])
+        code, out, _ = run_cli(["verify", "--suite", "identities"])
         assert code == 0
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+    def test_failed_check_exits_2(self, monkeypatch):
+        # a reference 0.0096 away from the computed L = 3 crossover
+        monkeypatch.setitem(bounds._REFERENCE_CROSSOVERS, 3, 0.371)
+        code, out, err = run_cli(["verify", "--suite", "bounds"])
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[0].startswith(
+            "[FAIL] crossover rates vs published table: worst residual 0.00961"
+        )
+        assert lines[-1] == "10/11 checks passed"
+        assert err == ""
 
     def test_seeded_determinism(self):
         _, out1, _ = run_cli(["verify", "--suite", "oracle", "--seed", "3"])

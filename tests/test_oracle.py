@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from listradius.core import admissible_j, avg_radius_poly
@@ -16,9 +15,6 @@ from listradius.oracle import (
     average_radius,
     bernoulli_mixture_type,
     chebyshev_radius,
-    check_g1_max,
-    check_sum_identity,
-    check_tail_inequality,
     joint_type,
     load_code,
     tau_list,
@@ -280,39 +276,7 @@ class TestBernoulliMixture:
         assert errs[14] * 14 <= 4 * max(errs[4] * 4, 1e-9)
 
 
-class TestIntegerIdentities:
-    def test_sum_identity_reference(self):
-        # 5 + 15 + 10 = 30 = 5 C(4,2)
-        assert check_sum_identity(5, 2)
-
-    def test_sum_identity_trivial(self):
-        for n in range(1, 65):
-            assert check_sum_identity(n, 0)
-
-    def test_sum_identity_all(self):
-        assert all(
-            check_sum_identity(n, ell) for n in range(1, 65) for ell in range(n + 1)
-        )
-
-    def test_tail_inequality(self):
-        assert all(check_tail_inequality(a) for a in range(1, 21))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            check_sum_identity(65, 3)
-
-
 class TestG1Dominance:
-    def test_small_odd_sizes(self):
-        grid = np.arange(0.45, 0.50001, 0.001)
-        for L in (3, 5, 7, 9):
-            assert check_g1_max(L, grid)
-
-    def test_larger_odd_sizes_narrower_grid(self):
-        grid = np.arange(0.47, 0.50001, 0.001)
-        for L in (11, 13, 15):
-            assert check_g1_max(L, grid)
-
     def test_exact_sandwich_values_list3(self):
         # L = 3, W ~ Bino(3, 1/2): P[W > 2] = 1/8 < 5/16 < 1/2 = P[W >= 2]
         g1 = avg_radius_poly(3, 1, Fraction(1, 2))
@@ -322,7 +286,3 @@ class TestG1Dominance:
     def test_even_control(self):
         vals = {j: avg_radius_poly(4, j, 0.49) for j in admissible_j(4)}
         assert max(vals, key=vals.get) == 0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            check_g1_max(4, [0.5])
