@@ -12,33 +12,6 @@ Library surface:
 import importlib.util
 import sys
 
-from .bounds import (
-    BoundCurve,
-    CrossoverResult,
-    CurvePoint,
-    RadiusWitness,
-    SlopeBound,
-    best_upper_bound,
-    blinovsky_bound,
-    crossover_rate,
-    list3_closed_form,
-    list_radius_bound,
-    sample_curve,
-    slope_relaxation_bound,
-    solve_xi1,
-    zero_rate_radius,
-)
-from .core import (
-    admissible_j,
-    avg_radius_poly,
-    binary_entropy,
-    delta_lp1,
-    inverse_entropy,
-    plotkin_radius,
-)
-from .errors import DomainError, ListRadiusError, NoSolutionError, SizeLimitError
-from .lp import Lp2Witness, abl_branch_point, abl_list2, r_lp2
-
 
 def _lazy_submodule(name):
     """Register the submodule ``name`` without running it: its source is
@@ -62,34 +35,4 @@ checks = _lazy_submodule("checks")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundCurve",
-    "CrossoverResult",
-    "CurvePoint",
-    "DomainError",
-    "ListRadiusError",
-    "Lp2Witness",
-    "NoSolutionError",
-    "RadiusWitness",
-    "SizeLimitError",
-    "SlopeBound",
-    "abl_branch_point",
-    "abl_list2",
-    "admissible_j",
-    "avg_radius_poly",
-    "best_upper_bound",
-    "binary_entropy",
-    "blinovsky_bound",
-    "crossover_rate",
-    "delta_lp1",
-    "inverse_entropy",
-    "list3_closed_form",
-    "list_radius_bound",
-    "plotkin_radius",
-    "r_lp2",
-    "sample_curve",
-    "slope_relaxation_bound",
-    "solve_xi1",
-    "zero_rate_radius",
-    "__version__",
-]
+__all__ = ["__version__"]

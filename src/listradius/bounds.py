@@ -23,7 +23,7 @@ from .core import (
     inverse_entropy,
     krawtchouk_exponent_value,
 )
-from .errors import DomainError, NoSolutionError
+from .errors import DomainError, NoSolutionError, check_list_size, check_rate
 from .lp import abl2_tau, lp1_tau, lp2_tau
 from .solve import brent_root, golden_max
 
@@ -32,7 +32,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BOUNDS",
-    "BoundCurve",
     "BoundSpec",
     "CrossoverResult",
     "CurvePoint",
@@ -71,8 +70,8 @@ _REFINE_TOL = 1e-10
 
 # xi0 grid points of the central bound scan over the feasible xi0
 # interval; the grid only brackets each j's maximizer for the refinement.
-# Every command uses this density, and only list_radius_bound takes another
-# (``grid=``).
+# list_radius_bound reads it on every call and keys _rate_geometry on it,
+# so a dense-grid audit can set it on the module.
 XI0_GRID = 16
 
 
@@ -114,12 +113,6 @@ class CurvePoint(NamedTuple):
     note: str | None = None
 
 
-class BoundCurve(NamedTuple):
-    bound: str
-    L: int
-    points: tuple[CurvePoint, ...]
-
-
 def _checked_beta(beta) -> float:
     beta = float(beta)
     if not 0.0 < beta < 0.5:
@@ -137,12 +130,9 @@ def _check_float_cap(L: int, cap: int):
 def blinovsky_bound(L: int, R: float) -> float:
     """Catalan-weighted sum bound on the list-L radius at rate R, with the
     sphere parameter lam solving R = 1 - h(lam)."""
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
+    check_list_size(L)
     _check_float_cap(L, MAX_CATALAN_L)
-    R = float(R)
-    if not 0.0 <= R <= 1.0:
-        raise DomainError(f"rate must lie in [0, 1], got {R}")
+    R = check_rate(R, closed=True)
     lam = inverse_entropy(1.0 - R)
     x = lam * (1.0 - lam)
     total = 0.0
@@ -154,8 +144,7 @@ def blinovsky_bound(L: int, R: float) -> float:
 def zero_rate_radius(L: int) -> Fraction:
     """Exact zero-rate list-L radius for odd L:
     1/2 - 2^-(L+1) * C(L, (L-1)/2)."""
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
+    check_list_size(L)
     if L % 2 == 0:
         raise DomainError(f"zero-rate radius formula requires odd L, got {L}")
     from fractions import Fraction
@@ -298,7 +287,6 @@ def list_radius_bound(
     L: int,
     R: float,
     beta: float | None = None,
-    grid: int = XI0_GRID,
     exponent: str = "parametric",
 ) -> tuple[float, RadiusWitness]:
     """Central upper bound on the list-L decoding radius at rate R.
@@ -306,9 +294,9 @@ def list_radius_bound(
     For every admissible shift count j and every sphere radius xi0 up to
     1/2 - sqrt(beta(1-beta)), the subcode rate R + h(beta) - 2E_beta(xi0)
     determines the intersection parameter xi1, and the split average-radius
-    value is maximized.  Search is a ``grid``-point scan of the feasible
-    xi0 interval followed by golden-section refinement around the best
-    cell, per j; the xi0 endpoint is a grid point.  xi1 depends on xi0
+    value is maximized.  Search is an ``XI0_GRID``-point scan of the
+    feasible xi0 interval followed by golden-section refinement around the
+    best cell, per j; the xi0 endpoint is a grid point.  xi1 depends on xi0
     only, and neither depends on L or j: the grid and the xi1 of every grid
     and refinement point are kept per (R, beta, grid, exponent) in
     :func:`_rate_geometry` and shared by every list size at that rate.
@@ -324,9 +312,8 @@ def list_radius_bound(
     _check_float_cap(L, MAX_POLY_L)
     if exponent not in EXPONENT_MODES:
         raise DomainError(f"unknown exponent mode {exponent!r}")
-    R = float(R)
-    if not 0.0 < R < 1.0:
-        raise DomainError(f"rate must lie in (0, 1), got {R}")
+    R = check_rate(R)
+    grid = XI0_GRID
     beta, hbeta, xi_max, xs, solved = _rate_geometry(
         R, None if beta is None else float(beta), grid, exponent
     )
@@ -379,9 +366,7 @@ def list3_parameters(R: float) -> tuple[float, float]:
     relation R = h(1/2 - sqrt(delta(1-delta))), xi1 from
     R = 1 - delta h(xi1/(2 delta)) - (1-delta) h(xi1/(2(1-delta))), which is
     the xi1 equation at xi0 = delta with r_prime = R - 1 + h(delta)."""
-    R = float(R)
-    if not 0.0 < R < 1.0:
-        raise DomainError(f"rate must lie in (0, 1), got {R}")
+    R = check_rate(R)
     delta = delta_lp1(R)
     return delta, solve_xi1(delta, R - 1.0 + binary_entropy(delta))
 
@@ -402,12 +387,9 @@ def slope_relaxation_bound(L: int, R: float) -> SlopeBound:
     Valid for every L; for odd L the j = 1 value is also reported since the
     maximum sits there for all small rates.
     """
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
+    check_list_size(L)
     _check_float_cap(L, MAX_POLY_L)
-    R = float(R)
-    if not 0.0 <= R <= 1.0:
-        raise DomainError(f"rate must lie in [0, 1], got {R}")
+    R = check_rate(R, closed=True)
     x = delta_lp1(R)
     values = {j: avg_radius_poly(L, j, x) for j in admissible_j(L)}
     j_star = max(values, key=values.get)
@@ -482,11 +464,8 @@ def best_upper_bound(L: int, R: float) -> tuple[float, str]:
     """Minimum over the bounds applicable at list size L, with the winner
     labeled: LP bounds for L = 1, the list-2 bound for L = 2, the central
     and Catalan-sum bounds for every L >= 2."""
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
-    R = float(R)
-    if not 0.0 < R < 1.0:
-        raise DomainError(f"rate must lie in (0, 1), got {R}")
+    check_list_size(L)
+    R = check_rate(R)
     if L == 1:
         tau1 = lp1_tau(R)
         tau2 = lp2_tau(R)
@@ -541,7 +520,9 @@ BOUNDS = {
 }
 
 
-def sample_curve(bound: str, L: int, rates, beta: float | None = None) -> BoundCurve:
+def sample_curve(
+    bound: str, L: int, rates, beta: float | None = None
+) -> tuple[CurvePoint, ...]:
     """Evaluate one bound over a rate grid; rows that fail their domain
     checks are recorded with a note instead of aborting the sweep.  A list
     size outside the bound's range, and an explicit beta, which applies to
@@ -567,4 +548,4 @@ def sample_curve(bound: str, L: int, rates, beta: float | None = None) -> BoundC
         except (DomainError, NoSolutionError) as exc:
             tau, witness, label, note = None, None, None, str(exc)
         points.append(CurvePoint(rate=R, tau=tau, witness=witness, label=label, note=note))
-    return BoundCurve(bound=bound, L=L, points=tuple(points))
+    return tuple(points)

@@ -92,7 +92,7 @@ def cmd_curve(args, out, err) -> int:
         return USAGE_EXIT
     columns = bounds.BOUNDS[args.bound].columns
     print(",".join(("rate", "tau") + columns), file=out)
-    for pt in curve.points:
+    for pt in curve:
         row = [_fmt(pt.rate)]
         if pt.tau is None:
             print(",".join(row + [""] * (1 + len(columns))), file=out)

@@ -12,7 +12,7 @@ import functools
 import math
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, check_list_size, check_rate
 from .solve import bisect
 
 __all__ = [
@@ -111,8 +111,7 @@ def krawtchouk_exponent_value(beta, xi):
 def admissible_j(L: int) -> tuple[int, ...]:
     """Shift-count set entering the outer maximization: {0} and the odd
     integers up to L for odd L, the even integers up to L for even L."""
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
+    check_list_size(L)
     if L % 2 == 1:
         return (0,) + tuple(range(1, L + 1, 2))
     return tuple(range(0, L + 1, 2))
@@ -132,8 +131,7 @@ def avg_radius_evaluator(L: int, j: int):
     whose arguments are already clipped to [0, 1].  The terms
     c * nu**w * (1 - nu)**(L - w) are summed in ascending w.
     """
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
+    check_list_size(L)
     if not isinstance(j, int) or not 0 <= j <= L:
         raise DomainError(f"shift count must be an integer in [0, {L}], got {j}")
     w0 = (L + j) // 2 + 1
@@ -170,18 +168,14 @@ def plotkin_radius(L: int, xi):
     Since min(W, L+1-W) = W - max(0, 2W - (L+1)), this is the average-radius
     polynomial avg_radius_poly(L+1, 0, xi).  Exact when xi is a Fraction.
     """
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
+    check_list_size(L)
     return avg_radius_poly(L + 1, 0, xi)
 
 
 def delta_lp1(R: float) -> float:
     """First linear-programming bound on relative distance at rate R (bits):
     1/2 - sqrt(beta(1-beta)) with h(beta) = R."""
-    R = float(R)
-    if not 0.0 <= R <= 1.0:
-        raise DomainError(f"rate must lie in [0, 1], got {R}")
-    beta = inverse_entropy(R)
+    beta = inverse_entropy(check_rate(R, closed=True))
     return 0.5 - math.sqrt(beta * (1.0 - beta))
 
 

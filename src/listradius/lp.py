@@ -11,7 +11,7 @@ import math
 from typing import NamedTuple
 
 from .core import binary_entropy, delta_lp1
-from .errors import DomainError, NoSolutionError
+from .errors import DomainError, NoSolutionError, check_rate
 from .solve import brent_root, golden_max
 
 __all__ = [
@@ -168,12 +168,14 @@ def _end_rates(f, hi: float) -> tuple[float, float]:
 
 def _invert_decreasing(f, target: float, hi: float) -> float:
     """Largest tau in [_TAU_LO, hi] with f(tau) >= target, f nonincreasing,
-    to within 1e-12; the returned tau always satisfies f(tau) >= target."""
+    to within 1e-12; the returned tau satisfies f(tau) >= target, except
+    for a target above f(_TAU_LO): every such tau lies below _TAU_LO, so
+    _TAU_LO is returned as the bound."""
     f_lo, f_hi = _end_rates(f, hi)
     if f_hi >= target:
         return hi
     if f_lo < target:
-        raise NoSolutionError("target rate out of range")
+        return _TAU_LO
     return brent_root(
         lambda t: f(t) - target,
         _TAU_LO,
@@ -192,15 +194,9 @@ def lp1_tau(R: float) -> float:
 def lp2_tau(R: float) -> float:
     """List-1 radius bound from the second LP bound: largest tau with
     r_lp2(2 tau) >= R."""
-    R = float(R)
-    if not 0.0 < R < 1.0:
-        raise DomainError(f"rate must lie in (0, 1), got {R}")
-    return _invert_decreasing(_lp2_rate, R, 0.25)
+    return _invert_decreasing(_lp2_rate, check_rate(R), 0.25)
 
 
 def abl2_tau(R: float) -> float:
     """List-2 radius bound: largest tau with abl_list2(tau) >= R."""
-    R = float(R)
-    if not 0.0 < R < 1.0:
-        raise DomainError(f"rate must lie in (0, 1), got {R}")
-    return _invert_decreasing(abl_list2, R, 0.25 - 1e-12)
+    return _invert_decreasing(abl_list2, check_rate(R), 0.25 - 1e-12)

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, SizeLimitError, check_list_size
 
 __all__ = [
     "BinaryCode",
@@ -139,8 +139,7 @@ def average_radius(words, n: int) -> Fraction:
 def tau_list(code: BinaryCode, L: int) -> Fraction:
     """Exact list-L decoding radius of an explicit code:
     (min radius over all (L+1)-subsets minus 1) / n."""
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
+    check_list_size(L)
     if len(code.words) < L + 1:
         raise DomainError(f"code needs at least {L + 1} words")
     if comb(len(code.words), L + 1) > 500_000:
@@ -204,8 +203,7 @@ def joint_type(words, n: int) -> JointType:
 
 
 def _check_avg_type_limits(code: BinaryCode, L: int):
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
+    check_list_size(L)
     if len(code.words) < L:
         raise DomainError(f"code needs at least {L} words")
     if len(code.words) > MAX_AVG_TYPE_SIZE or L > MAX_AVG_TYPE_L:
@@ -256,8 +254,7 @@ def bernoulli_mixture_type(code: BinaryCode, L: int) -> JointType:
     """Mixture over columns of product Bernoulli types at the column
     densities, exact.  Defined for any code size (unlike the average type,
     which enumerates L-subsets)."""
-    if not isinstance(L, int) or L < 1:
-        raise DomainError(f"list size must be a positive integer, got {L}")
+    check_list_size(L)
     if L > MAX_AVG_TYPE_L:
         raise SizeLimitError(f"mixture type capped at L <= {MAX_AVG_TYPE_L}")
     n, M = code.n, len(code.words)

@@ -299,11 +299,13 @@ class TestListRadiusBound:
             assert w.xi0 == pytest.approx(xi0, abs=1e-7)
 
     @pytest.mark.parametrize("L, R, exponent", DENSE_AUDIT)
-    def test_grid_agrees_with_dense_grid(self, L, R, exponent):
+    def test_grid_agrees_with_dense_grid(self, L, R, exponent, monkeypatch):
         # the XI0_GRID scan only brackets each j's maximum; a 512-point
-        # scan of the same interval must find the same j and tau
+        # scan of the same interval must find the same j and tau.  The grid
+        # is part of the _rate_geometry key, so no 16-point entry is read
         tau, w = list_radius_bound(L, R, exponent=exponent)
-        tau_dense, w_dense = list_radius_bound(L, R, grid=512, exponent=exponent)
+        monkeypatch.setattr(bounds, "XI0_GRID", 512)
+        tau_dense, w_dense = list_radius_bound(L, R, exponent=exponent)
         assert w.j == w_dense.j
         assert abs(tau - tau_dense) <= 1e-14
 
@@ -369,14 +371,12 @@ class TestListRadiusBound:
     def test_records_are_read_only(self):
         # crossover_rate and _rate_geometry are memoized and hand the same
         # object to every caller
-        curve = sample_curve("theorem1", 3, [0.2])
-        point = curve.points[0]
+        point = sample_curve("theorem1", 3, [0.2])[0]
         records = [
             (point.witness, "xi0"),
             (crossover_rate(3), "r_cross"),
             (slope_relaxation_bound(3, 0.2), "tau"),
             (point, "tau"),
-            (curve, "points"),
             (r_lp2(0.1)[1], "alpha"),
         ]
         for record, field in records:
@@ -666,14 +666,13 @@ class TestSampleCurve:
     def test_blinovsky_grid(self):
         rates = [0.01 * k for k in range(1, 100)]
         curve = sample_curve("blinovsky", 3, rates)
-        assert len(curve.points) == 99
-        assert curve.points[0].tau == pytest.approx(5 / 16, abs=6e-3)
+        assert len(curve) == 99
+        assert curve[0].tau == pytest.approx(5 / 16, abs=6e-3)
 
     def test_witness_attached_only_for_central(self):
         curve = sample_curve("theorem1", 3, [0.2, 0.4])
-        assert all(p.witness is not None for p in curve.points)
-        curve2 = sample_curve("blinovsky", 3, [0.2])
-        assert curve2.points[0].witness is None
+        assert all(p.witness is not None for p in curve)
+        assert sample_curve("blinovsky", 3, [0.2])[0].witness is None
 
     def test_bound_compat_errors(self):
         with pytest.raises(DomainError):
@@ -685,6 +684,6 @@ class TestSampleCurve:
         # explicit beta with h(beta) > rate fails per-row, not globally
         beta = inverse_entropy(0.5)
         curve = sample_curve("theorem1", 3, [0.3, 0.7], beta=beta)
-        assert curve.points[0].tau is None
-        assert curve.points[0].note
-        assert curve.points[1].tau is not None
+        assert curve[0].tau is None
+        assert curve[0].note
+        assert curve[1].tau is not None

@@ -1,3 +1,4 @@
+import importlib
 import io
 import os
 import re
@@ -137,17 +138,45 @@ class TestCurve:
         assert lines[2].split(",")[1] != ""
 
     def test_warning_rate_matches_row_precision(self):
-        # rates that need more than 6 significant digits must not round to 1
+        # rates that need more than 6 significant digits must not round to
+        # 0.123457 in the warnings
         code, out, err = run_cli(
-            ["curve", "--bound", "lp2", "--L", "1", "--rmin", "0.9999999",
-             "--rmax", "0.99999999", "--step", "0.00000001"]
+            ["curve", "--bound", "theorem1", "--L", "3", "--beta", "0.3",
+             "--rmin", "0.1234567", "--rmax", "0.1234569", "--step", "0.0000001"]
         )
         assert code == 0
-        assert "0.99999997,\n0.99999998,\n" in out
+        assert "0.1234567,,,,\n0.1234568,,,,\n0.1234569,,,,\n" in out
         assert err.splitlines() == [
-            f"listradius curve: warning: rate {r}: target rate out of range"
-            for r in ("0.99999997", "0.99999998")
+            f"listradius curve: warning: rate {r}: "
+            f"h(beta)=0.8812908992306927 exceeds rate {r}"
+            for r in ("0.1234567", "0.1234568", "0.1234569")
         ]
+
+    @pytest.mark.parametrize(
+        "bound, L, rows",
+        [("lp2", "1", ["0.99999997,1e-09", "0.99999998,1e-09"]),
+         ("abl2", "2", ["0.99999997,1e-09", "0.99999998,1e-09"]),
+         ("best", "1", ["0.99999997,1e-09,lp2", "0.99999998,1e-09,lp2"])],
+    )
+    def test_rate_past_inversion_bracket_gives_its_end(self, bound, L, rows):
+        # above the rate at tau = 1e-9, the bracket end of the LP2 and
+        # list-2 inversions, the radius lies below 1e-9, which is returned
+        code, out, err = run_cli(
+            ["curve", "--bound", bound, "--L", L, "--rmin", "0.9999999",
+             "--rmax", "0.99999999", "--step", "0.00000001"]
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == rows
+
+    def test_best_list2_past_inversion_bracket(self):
+        # the list-2 radius no longer raises there, so the Catalan sum,
+        # below 1e-9, wins the row
+        code, out, err = run_cli(
+            ["curve", "--bound", "best", "--L", "2", "--rmin", "0.99999996",
+             "--rmax", "0.99999998", "--step", "0.00000001"]
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "0.99999997,9.552274518e-10,blinovsky"
 
     @pytest.mark.parametrize(
         "bound, L, beta",
@@ -393,9 +422,6 @@ class TestStartup:
             print("listradius.checks" in sys.modules, "listradius.oracle" in sys.modules)
             import listradius
             print(listradius.oracle.chebyshev_radius.__module__, "oracle.py" in ran)
-            names = {}
-            exec("from listradius import *", names)
-            print(all(name in names for name in listradius.__all__))
             from listradius import checks
             print(callable(checks.run_suite), "checks.py" in ran)
             """
@@ -411,9 +437,16 @@ class TestStartup:
             "[]",
             "True True",
             "listradius.oracle True",
-            "True",
             "True True",
         ]
+
+    @pytest.mark.parametrize("module", ["core", "bounds", "lp", "solve", "oracle", "checks"])
+    def test_module_all_resolves(self, module):
+        # the package re-exports nothing: each public name lives in one
+        # module, and every name of that module's __all__ is defined there
+        mod = importlib.import_module(f"listradius.{module}")
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+        assert listradius.__all__ == ["__version__"]
 
     def test_numpy_imported_only_by_verify(self):
         # every curve, witness, table1 and usage errors run without numpy;
