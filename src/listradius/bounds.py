@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import DomainError, NoSolutionError, check_list_size, check_rate
 from .lp import abl2_tau, lp1_tau, lp2_tau
-from .solve import brent_root, golden_max
+from .solve import brent_max, brent_root
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -65,7 +65,7 @@ _XI1_TOL = 1e-12
 # the float spacing of the root.
 _NEWTON_MAX_ITER = 100
 
-# Width at which the golden-section refinement of the central bound stops.
+# Absolute tolerance in xi0 of the Brent refinement of the central bound.
 _REFINE_TOL = 1e-10
 
 # xi0 grid points of the central bound scan over the feasible xi0
@@ -247,12 +247,11 @@ def _subcode_rate(R, beta, hbeta, xi0, exponent):
 
 
 def _solve_at(R, beta, hbeta, x, exponent):
-    """(xi1, r_prime) at xi0 = x; xi1 is 0 where the subcode rate is
-    negative, and r_prime is reported under the chosen exponent."""
+    """(xi1, r_prime, *_split_args) at xi0 = x; xi1 is 0 where the subcode
+    rate is negative, and r_prime is reported under the chosen exponent."""
     rp = _subcode_rate(R, beta, hbeta, x, exponent)
-    if rp < -1e-12:
-        return 0.0, rp
-    return _solve_xi1(x, binary_entropy(x), max(rp, 0.0)), rp
+    xi1 = 0.0 if rp < -1e-12 else _solve_xi1(x, binary_entropy(x), max(rp, 0.0))
+    return (xi1, rp, *_split_args(x, xi1))
 
 
 # Keyed on beta as passed (None for the default), so a hit skips resolving
@@ -261,8 +260,8 @@ def _solve_at(R, beta, hbeta, x, exponent):
 def _rate_geometry(R, beta, grid, exponent):
     """The half of :func:`list_radius_bound` that depends on the rate, beta,
     grid and exponent but not on L or j: the resolved beta, h(beta) and
-    xi_max, the xi0 grid ``xs``, and ``solved``, the (xi1, r_prime) of the
-    grid and of every refinement point so far, filled by the calls that
+    xi_max, the xi0 grid ``xs``, and ``solved``, the :func:`_solve_at` of
+    the grid and of every refinement point so far, filled by the calls that
     share it.  Each value depends on its xi0 alone, so a call gets the
     numbers it would compute itself, whatever ran before it."""
     beta = _checked_beta(inverse_entropy(R) if beta is None else beta)
@@ -278,7 +277,7 @@ def _rate_geometry(R, beta, grid, exponent):
     step = (xi_max - start) / grid
     xs = tuple(xi_max - (grid - k) * step for k in range(1, grid + 1))
     solved = {x: _solve_at(R, beta, hbeta, x, exponent) for x in xs}
-    if not any(rp >= -1e-12 for _, rp in solved.values()):
+    if not any(rp >= -1e-12 for _, rp, _, _ in solved.values()):
         raise NoSolutionError("no admissible xi0: subcode rate negative everywhere")
     return beta, hbeta, xi_max, xs, solved
 
@@ -295,8 +294,8 @@ def list_radius_bound(
     1/2 - sqrt(beta(1-beta)), the subcode rate R + h(beta) - 2E_beta(xi0)
     determines the intersection parameter xi1, and the split average-radius
     value is maximized.  Search is an ``XI0_GRID``-point scan of the
-    feasible xi0 interval followed by golden-section refinement around the
-    best cell, per j; the xi0 endpoint is a grid point.  xi1 depends on xi0
+    feasible xi0 interval followed by Brent's maximizer around the best
+    cell, per j; the xi0 endpoint is a grid point.  xi1 depends on xi0
     only, and neither depends on L or j: the grid and the xi1 of every grid
     and refinement point are kept per (R, beta, grid, exponent) in
     :func:`_rate_geometry` and shared by every list size at that rate.
@@ -323,10 +322,9 @@ def list_radius_bound(
         poly the evaluator of j; -inf where the subcode rate is negative."""
         if x not in solved:
             solved[x] = _solve_at(R, beta, hbeta, x, exponent)
-        xi1_x, rp_x = solved[x]
+        _, rp_x, a1, a2 = solved[x]
         if rp_x < -1e-12:
             return -math.inf
-        a1, a2 = _split_args(x, xi1_x)
         return x * poly(a1) + (1.0 - x) * poly(a2)
 
     best: tuple[float, float, float, float, int] | None = None
@@ -334,20 +332,22 @@ def list_radius_bound(
         poly = avg_radius_evaluator(L, j)
         theta = [theta_at(x, poly) for x in xs]
         k = max(range(grid), key=theta.__getitem__)
-        lo, hi = xs[max(k - 1, 0)], xs[min(k + 1, grid - 1)]
+        k_lo, k_hi = max(k - 1, 0), min(k + 1, grid - 1)
+        lo, hi = xs[k_lo], xs[k_hi]
         # Grid maximum at the xi_max endpoint: if the objective does not
         # rise towards xi_max over the last _REFINE_TOL, a unimodal bracket
         # has its maximum within _REFINE_TOL of xi_max, which is all that
-        # golden section would establish.
+        # the refinement would establish.
         if k == grid - 1 and theta_at(max(xi_max - _REFINE_TOL, lo), poly) <= theta[k]:
             x_ref, t_ref = xi_max, theta[k]
         else:
-            x_ref, t_ref = golden_max(
-                lambda x, poly=poly: theta_at(x, poly), lo, hi, _REFINE_TOL
+            x_ref, t_ref = brent_max(
+                lambda x, poly=poly: theta_at(x, poly), lo, hi, _REFINE_TOL,
+                f_lo=theta[k_lo], f_hi=theta[k_hi],
             )
         t_bestj, x_bestj = max((t_ref, x_ref), (theta[k], xs[k]))
         if best is None or t_bestj > best[0]:
-            best = (t_bestj, x_bestj, *solved[x_bestj], j)
+            best = (t_bestj, x_bestj, *solved[x_bestj][:2], j)
 
     theta_star, xi0_star, xi1_star, rp_star, j_star = best
     witness = RadiusWitness(

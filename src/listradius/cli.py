@@ -3,14 +3,15 @@
 Subcommands: ``curve`` (CSV bound curves), ``witness`` (maximizer report
 for one rate), ``table1`` (crossover table against the published values),
 ``verify`` (the named check suites).  CSV goes to stdout, diagnostics to
-stderr.  Exit codes: 0 success, 1 usage error, 2 verification or
-acceptance failure.
+stderr.  Exit codes: 0 success, 1 usage error or stdout closed by its
+reader, 2 verification or acceptance failure.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import math
+import os
 import sys
 
 from . import bounds, checks, oracle
@@ -72,11 +73,15 @@ def _build_parser() -> _Parser:
 def _rate_grid(rmin, rmax, step):
     if not (0.0 < rmin < rmax < 1.0 and 0.0 < step < math.inf):
         raise DomainError("need 0 < rmin < rmax < 1 and a finite step > 0")
-    span = (rmax - rmin) / step + 1e-9
-    if span >= MAX_CURVE_ROWS:
+    span = (rmax - rmin) / step
+    if span + 1e-9 >= MAX_CURVE_ROWS:
         raise DomainError(f"step {step:g} gives more than {MAX_CURVE_ROWS} rows")
-    # the slack may put the last row past rmax; it is then evaluated at rmax
-    return [min(rmin + k * step, rmax) for k in range(math.floor(span) + 1)]
+    # a span a few ulps of rmax (per step) below an integer counts as that
+    # integer; a last row that then lies past rmax is evaluated at rmax
+    n = round(span)
+    if n - span > 1e-9 + 2.0 * math.ulp(rmax) / step:
+        n = math.floor(span)
+    return [min(rmin + k * step, rmax) for k in range(n + 1)]
 
 
 def _fmt(value):
@@ -197,7 +202,15 @@ def main(argv=None, out=None, err=None) -> int:
 
 
 def run():  # console entry point
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed by its reader (``| head``): point it at devnull, so
+        # that the flush at exit does not raise again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = USAGE_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

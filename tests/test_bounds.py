@@ -29,6 +29,7 @@ from listradius.bounds import (
     split_avg_radius,
     zero_rate_radius,
 )
+from listradius.cli import _rate_grid
 from listradius.core import (
     admissible_j,
     avg_radius_poly,
@@ -218,22 +219,22 @@ PINNED_TAU = [
 ]
 
 # Exact outputs (tau, xi0, xi1, j) of list_radius_bound: an interior
-# maximizer comes from golden section, an endpoint one (xi0 = 1/2 -
+# maximizer comes from the Brent refinement, an endpoint one (xi0 = 1/2 -
 # sqrt(beta(1-beta))) from the endpoint shortcut of the refinement.  The
 # endpoint rows were recorded before that shortcut, the interior rows with
 # the XI0_GRID = 16 scan of the feasible xi0 interval.  At the near-unit
 # rates xi_max is below the refinement tolerance bounds._REFINE_TOL.
 WITNESS_PINS = [
     # interior
-    (2, 0.1, "parametric", 0.21654143346580407, 0.386762675956019, 0.33443519315219744, 0),
-    (2, 0.6, "binomial", 0.07765209928298705, 0.12878355179017112, 0.09988112189772146, 0),
-    (4, 0.2, "parametric", 0.22102022300301472, 0.32614473976523545, 0.265208196925269, 0),
-    (4, 0.45, "binomial", 0.1318947332139182, 0.1817537509204667, 0.15567380573706077, 0),
-    (6, 0.35, "parametric", 0.17312644919852413, 0.25137980947060196, 0.18919261477496138, 0),
-    (9, 0.12, "parametric", 0.2851675798141722, 0.37306784655677233, 0.3186294830851896, 0),
-    (9, 0.14, "binomial", 0.27475341543755255, 0.3317332623082278, 0.317656854577967, 0),
-    (11, 0.08, "parametric", 0.3170914545250485, 0.40077223145901764, 0.35212859833032045, 0),
-    (11, 0.1, "binomial", 0.3048227021859221, 0.3593792811983092, 0.34845736573628566, 0),
+    (2, 0.1, "parametric", 0.21654143346580407, 0.38676267649407003, 0.33443519294685164, 0),
+    (2, 0.6, "binomial", 0.07765209928298708, 0.1287835517613452, 0.09988112190536279, 0),
+    (4, 0.2, "parametric", 0.22102022300301466, 0.3261447388300988, 0.26520819720513333, 0),
+    (4, 0.45, "binomial", 0.1318947332139182, 0.181753755159938, 0.1556738042054458, 0),
+    (6, 0.35, "parametric", 0.1731264491985242, 0.25137980928091314, 0.1891926148139132, 0),
+    (9, 0.12, "parametric", 0.28516757981417223, 0.3730678470088885, 0.3186294829382719, 0),
+    (9, 0.14, "binomial", 0.27475341543755255, 0.33173326644493406, 0.3176568520622586, 0),
+    (11, 0.08, "parametric", 0.3170914545250485, 0.4007722305673113, 0.35212859864575885, 0),
+    (11, 0.1, "binomial", 0.304822702185922, 0.3593792826766104, 0.34845736475835454, 0),
     # endpoint
     (3, 0.05, "parametric", 0.27304042193657657, 0.42532919113016965, 0.3830834790158536, 1),
     (3, 0.3, "binomial", 0.17341947492183613, 0.2754902110958689, 0.21204906340227334, 1),
@@ -500,6 +501,22 @@ class TestRateGeometryCache:
                 list_radius_bound(3, 0.2, beta=inverse_entropy(0.3))
         assert _rate_geometry.cache_info().currsize == 0
 
+    def test_xi1_solve_count_of_a_curve(self, monkeypatch):
+        # curve --bound theorem1 --L 3 --rmin 0.01 --rmax 0.99 --step 0.01
+        # solves xi1 4 003 times with the Brent refinement and 5 698 times
+        # with golden section
+        solve_at, calls = bounds._solve_at, []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_at(*args)
+
+        monkeypatch.setattr(bounds, "_solve_at", counted)
+        _rate_geometry.cache_clear()
+        sample_curve("theorem1", 3, _rate_grid(0.01, 0.99, 0.01))
+        _rate_geometry.cache_clear()
+        assert len(calls) < 4500
+
     def test_infeasible_grid_points(self):
         # beta near 1/2 with R just inside the 1e-9 slack of h(beta) <= R:
         # xi_max is about 1e-10, and the subcode rate is negative on the
@@ -509,7 +526,7 @@ class TestRateGeometryCache:
         _rate_geometry.cache_clear()
         tau, w = list_radius_bound(3, R, beta=beta)
         _, _, xi_max, _, solved = _rate_geometry(R, beta, XI0_GRID, "parametric")
-        infeasible = [xi1 for xi1, rp in solved.values() if rp < -1e-12]
+        infeasible = [xi1 for xi1, rp, *_ in solved.values() if rp < -1e-12]
         assert infeasible and set(infeasible) == {0.0}
         assert 0.0 < tau < 1e-9
         assert w.r_prime >= -1e-12

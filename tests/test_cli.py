@@ -90,6 +90,22 @@ class TestCurve:
         # one unit in the last (10th significant) printed digit
         assert abs(reparsed - exact) <= 10.0 ** (-9) * max(abs(exact), 1e-30)
 
+    @pytest.mark.parametrize(
+        "rmin, rmax, rows",
+        [("0.99999996", "0.99999998", 3), ("0.9999999", "0.99999999", 10)],
+    )
+    def test_rmax_row_kept_near_rate_one(self, rmin, rmax, rows):
+        # (rmax - rmin) / step falls about 1e-9 short of the integer here,
+        # from the rounding of rmin and rmax to floats near 1
+        code, out, err = run_cli(
+            ["curve", "--bound", "lp1", "--L", "1", "--rmin", rmin,
+             "--rmax", rmax, "--step", "0.00000001"]
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()[1:]
+        assert len(lines) == rows
+        assert lines[-1].split(",")[0] == rmax
+
     def test_last_row_within_rmax(self):
         # the grid's 1e-9 slack reaches a third row at rmin + 2 step > 1,
         # which is evaluated at rmax (printed as 1 at ten digits)
@@ -154,9 +170,10 @@ class TestCurve:
 
     @pytest.mark.parametrize(
         "bound, L, rows",
-        [("lp2", "1", ["0.99999997,1e-09", "0.99999998,1e-09"]),
-         ("abl2", "2", ["0.99999997,1e-09", "0.99999998,1e-09"]),
-         ("best", "1", ["0.99999997,1e-09,lp2", "0.99999998,1e-09,lp2"])],
+        [("lp2", "1", ["0.99999997,1e-09", "0.99999998,1e-09", "0.99999999,1e-09"]),
+         ("abl2", "2", ["0.99999997,1e-09", "0.99999998,1e-09", "0.99999999,1e-09"]),
+         ("best", "1", ["0.99999997,1e-09,lp2", "0.99999998,1e-09,lp2",
+                        "0.99999999,1.73286796e-09,lp1"])],
     )
     def test_rate_past_inversion_bracket_gives_its_end(self, bound, L, rows):
         # above the rate at tau = 1e-9, the bracket end of the LP2 and
@@ -166,7 +183,7 @@ class TestCurve:
              "--rmax", "0.99999999", "--step", "0.00000001"]
         )
         assert (code, err) == (0, "")
-        assert out.splitlines()[-2:] == rows
+        assert out.splitlines()[-3:] == rows
 
     def test_best_list2_past_inversion_bracket(self):
         # the list-2 radius no longer raises there, so the Catalan sum,
@@ -176,7 +193,10 @@ class TestCurve:
              "--rmax", "0.99999998", "--step", "0.00000001"]
         )
         assert (code, err) == (0, "")
-        assert out.splitlines()[-1] == "0.99999997,9.552274518e-10,blinovsky"
+        assert out.splitlines()[-2:] == [
+            "0.99999997,9.552274518e-10,blinovsky",
+            "0.99999998,6.246294589e-10,blinovsky",
+        ]
 
     @pytest.mark.parametrize(
         "bound, L, beta",
@@ -360,6 +380,32 @@ class TestUsage:
         assert err.startswith("usage: listradius ")
         errors = [line for line in err.splitlines() if "error:" in line]
         assert errors == ["listradius: error: unrecognized arguments: --bogus"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--bound", "lp1", "--L", "1",
+             "--rmin", "0.001", "--rmax", "0.99", "--step", "0.001"],
+            ["witness", "--L", "3", "--R", "0.2"],
+        ],
+        ids=["curve", "witness"],
+    )
+    def test_closed_stdout_exits_without_traceback(self, argv):
+        # the read end is closed before the child starts, so its first
+        # write to stdout, in the loop or in the final flush, fails
+        src = os.path.dirname(os.path.dirname(listradius.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from listradius.cli import run; run()", *argv],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
     def test_help_goes_to_out(self, capsys):
         code, out, err = run_cli(["table1", "--help"])

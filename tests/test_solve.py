@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from listradius.solve import bisect, brent_root, golden_max
+from listradius.solve import bisect, brent_max, brent_root, golden_max
 
 
 class TestBisect:
@@ -104,3 +104,39 @@ class TestGoldenMax:
         assert abs(x - 0.3) <= 1e-8
         assert v == -((x - 0.3) ** 2)
 
+
+
+class TestBrentMax:
+    def test_increasing_returns_upper_end(self):
+        assert brent_max(lambda x: x**3, 0.1, 0.7, 1e-10) == (0.7, 0.7**3)
+
+    def test_decreasing_returns_lower_end(self):
+        assert brent_max(lambda x: -x, 0.1, 0.7, 1e-10) == (0.1, -0.1)
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda t: -((t - 0.3) ** 2), lambda t: -((t - 0.3) ** 2) * (2.0 - t)],
+        ids=["quadratic", "cubic"],
+    )
+    def test_interior_maximum_within_tol(self, f):
+        # both peak at 0.3 with value 0, so no rounding flattens the top
+        x, v = brent_max(f, 0.0, 1.0, 1e-8)
+        assert abs(x - 0.3) <= 1e-8
+        assert v == f(x)
+
+    def test_passed_end_values_not_evaluated(self):
+        f, seen = _counted(lambda t: math.sin(3.0 * t) * math.exp(-t))
+        x, _ = brent_max(f, 0.0, 1.0, 1e-10, f_lo=0.0, f_hi=math.sin(3.0) * math.exp(-1.0))
+        assert all(0.0 < t < 1.0 for t in seen)
+        assert x in seen
+
+    def test_fewer_evaluations_than_golden_section(self):
+        def cubic(t):
+            return -((t - 0.3) ** 2) * (2.0 - t)
+
+        f_golden, seen_golden = _counted(cubic)
+        f_brent, seen_brent = _counted(cubic)
+        golden_max(f_golden, 0.2, 0.6, 1e-10)
+        x, _ = brent_max(f_brent, 0.2, 0.6, 1e-10, f_lo=cubic(0.2), f_hi=cubic(0.6))
+        assert abs(x - 0.3) <= 1e-10
+        assert 2 * len(seen_brent) <= len(seen_golden)
