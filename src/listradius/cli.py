@@ -73,15 +73,12 @@ def _build_parser() -> _Parser:
 def _rate_grid(rmin, rmax, step):
     if not (0.0 < rmin < rmax < 1.0 and 0.0 < step < math.inf):
         raise DomainError("need 0 < rmin < rmax < 1 and a finite step > 0")
-    span = (rmax - rmin) / step
-    if span + 1e-9 >= MAX_CURVE_ROWS:
+    # the slack also covers the rounding of rmax to a float near rate 1
+    span = (rmax - rmin) / step + 1e-9 + 2.0 * math.ulp(rmax) / step
+    if span >= MAX_CURVE_ROWS:
         raise DomainError(f"step {step:g} gives more than {MAX_CURVE_ROWS} rows")
-    # a span a few ulps of rmax (per step) below an integer counts as that
-    # integer; a last row that then lies past rmax is evaluated at rmax
-    n = round(span)
-    if n - span > 1e-9 + 2.0 * math.ulp(rmax) / step:
-        n = math.floor(span)
-    return [min(rmin + k * step, rmax) for k in range(n + 1)]
+    # the slack may put the last row past rmax; it is then evaluated at rmax
+    return [min(rmin + k * step, rmax) for k in range(math.floor(span) + 1)]
 
 
 def _fmt(value):

@@ -108,15 +108,15 @@ def golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
 
 def brent_max(
-    f, lo: float, hi: float, tol: float, f_lo: float | None = None, f_hi: float | None = None
+    f, lo: float, hi: float, tol: float, f_lo: float, f_hi: float
 ) -> tuple[float, float]:
     """Maximization of f on [lo, hi] by Brent's localmin on -f (Brent 1973,
     ch. 5), golden section plus parabolic steps; returns (x, f(x)).
 
     Stops within 2 (tol/3 + 2 ulp) of the maximizer: the book's relative
     term sqrt(eps) |x| stops short of the last digits of the maximum.
-    Compares against both ends like golden_max; end values passed as f_lo
-    / f_hi are not evaluated again.
+    Compares against both ends like golden_max, from their values f_lo and
+    f_hi passed in, which are not evaluated again.
     """
     a, b = lo, hi
     x = w = v = a + (1.0 - _PHI) * (b - a)
@@ -150,6 +150,5 @@ def brent_max(
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v == x or v == w:
                 v, fv = u, fu
-    ends = [(f(lo) if f_lo is None else f_lo, lo), (f(hi) if f_hi is None else f_hi, hi)]
-    fbest, xbest = max(ends + [(fx, x)], key=lambda t: t[0])
+    fbest, xbest = max([(f_lo, lo), (f_hi, hi), (fx, x)], key=lambda t: t[0])
     return xbest, fbest

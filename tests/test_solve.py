@@ -108,10 +108,10 @@ class TestGoldenMax:
 
 class TestBrentMax:
     def test_increasing_returns_upper_end(self):
-        assert brent_max(lambda x: x**3, 0.1, 0.7, 1e-10) == (0.7, 0.7**3)
+        assert brent_max(lambda x: x**3, 0.1, 0.7, 1e-10, 0.1**3, 0.7**3) == (0.7, 0.7**3)
 
     def test_decreasing_returns_lower_end(self):
-        assert brent_max(lambda x: -x, 0.1, 0.7, 1e-10) == (0.1, -0.1)
+        assert brent_max(lambda x: -x, 0.1, 0.7, 1e-10, -0.1, -0.7) == (0.1, -0.1)
 
     @pytest.mark.parametrize(
         "f",
@@ -120,7 +120,7 @@ class TestBrentMax:
     )
     def test_interior_maximum_within_tol(self, f):
         # both peak at 0.3 with value 0, so no rounding flattens the top
-        x, v = brent_max(f, 0.0, 1.0, 1e-8)
+        x, v = brent_max(f, 0.0, 1.0, 1e-8, f(0.0), f(1.0))
         assert abs(x - 0.3) <= 1e-8
         assert v == f(x)
 
