@@ -469,7 +469,8 @@ def best_upper_bound(L: int, R: float) -> tuple[float, str]:
     if L == 1:
         tau1 = lp1_tau(R)
         tau2 = lp2_tau(R)
-        if tau2 < tau1 - 1e-9:
+        # equal up to rounding below R ~ 0.305, so lp2 must win by a relative margin
+        if tau2 < tau1 * (1 - 1e-9):
             return tau2, "lp2"
         return tau1, "lp1"
     candidates = [

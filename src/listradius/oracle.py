@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -37,6 +37,17 @@ MAX_EXHAUSTIVE_N = 24
 MAX_AVG_TYPE_SIZE = 14
 MAX_AVG_TYPE_L = 5
 REGION_STEP = 1e-3
+
+
+def _over_common_denominator(t):
+    """Numerators of the fractions t over their least common denominator."""
+    den = lcm(*(f.denominator for f in t))
+    return [f.numerator * (den // f.denominator) for f in t], den
+
+
+def _column_masks(words, n):
+    """Per coordinate, the bitmask of the indices of the words holding a one."""
+    return [sum(((w >> p) & 1) << k for k, w in enumerate(words)) for p in range(n)]
 
 
 def _validate_words(words, n):
@@ -166,14 +177,16 @@ class JointType:
             raise DomainError("type must have 2^L entries")
         if any(v < 0 for v in self.t):
             raise DomainError("type entries must be nonnegative")
-        if sum(self.t) != 1:
+        nums, den = _over_common_denominator(self.t)
+        if sum(nums) != den:
             raise DomainError("type entries must sum to 1 exactly")
 
     def weight_marginal(self) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * (self.L + 1)
-        for v, tv in enumerate(self.t):
-            out[v.bit_count()] += tv
-        return tuple(out)
+        nums, den = _over_common_denominator(self.t)
+        out = [0] * (self.L + 1)
+        for v, c in enumerate(nums):
+            out[v.bit_count()] += c
+        return tuple(Fraction(c, den) for c in out)
 
     def sup_distance(self, other: "JointType") -> Fraction:
         if other.L != self.L:
@@ -219,16 +232,18 @@ def avg_joint_type(code: BinaryCode, L: int) -> JointType:
     The relabeling average of a type depends only on its weight marginal
     (each weight class is smeared uniformly over its orbit), so the subset
     enumeration accumulates column-weight counts; the result is symmetric
-    by construction.
+    by construction.  A column's weight in a subset is the popcount of its
+    word-index mask restricted to the subset.
     """
     _check_avg_type_limits(code, L)
-    n = code.n
+    n, M = code.n, len(code.words)
+    cols = _column_masks(code.words, n)
     total_w = [0] * (L + 1)
-    for sub in itertools.combinations(code.words, L):
-        for pos in range(n):
-            w = sum((word >> pos) & 1 for word in sub)
-            total_w[w] += 1
-    subsets = comb(len(code.words), L)
+    for sub in itertools.combinations([1 << k for k in range(M)], L):
+        mask = sum(sub)
+        for col in cols:
+            total_w[(col & mask).bit_count()] += 1
+    subsets = comb(M, L)
     t = [Fraction(0)] * (1 << L)
     for v in range(1 << L):
         w = v.bit_count()
@@ -242,12 +257,13 @@ def weight_marginal_exact(code: BinaryCode, L: int) -> tuple[Fraction, ...]:
     number of ones in column i."""
     _check_avg_type_limits(code, L)
     n, M = code.n, len(code.words)
-    out = [Fraction(0)] * (L + 1)
-    for pos in range(n):
-        mi = sum((w >> pos) & 1 for w in code.words)
+    out = [0] * (L + 1)
+    for col in _column_masks(code.words, n):
+        mi = col.bit_count()
         for w in range(L + 1):
-            out[w] += Fraction(comb(mi, w) * comb(M - mi, L - w), comb(M, L))
-    return tuple(v / n for v in out)
+            out[w] += comb(mi, w) * comb(M - mi, L - w)
+    den = n * comb(M, L)
+    return tuple(Fraction(c, den) for c in out)
 
 
 def bernoulli_mixture_type(code: BinaryCode, L: int) -> JointType:
@@ -258,13 +274,13 @@ def bernoulli_mixture_type(code: BinaryCode, L: int) -> JointType:
     if L > MAX_AVG_TYPE_L:
         raise SizeLimitError(f"mixture type capped at L <= {MAX_AVG_TYPE_L}")
     n, M = code.n, len(code.words)
-    t = [Fraction(0)] * (1 << L)
-    for pos in range(n):
-        lam = Fraction(sum((w >> pos) & 1 for w in code.words), M)
-        for v in range(1 << L):
-            w = v.bit_count()
-            t[v] += lam**w * (1 - lam) ** (L - w)
-    return JointType(L=L, t=tuple(v / n for v in t))
+    per_w = [0] * (L + 1)
+    for col in _column_masks(code.words, n):
+        ones = col.bit_count()
+        for w in range(L + 1):
+            per_w[w] += ones**w * (M - ones) ** (L - w)
+    t = tuple(Fraction(per_w[v.bit_count()], n * M**L) for v in range(1 << L))
+    return JointType(L=L, t=t)
 
 
 def avg_radius_of_type(T: JointType, j: int) -> Fraction:
@@ -272,10 +288,12 @@ def avg_radius_of_type(T: JointType, j: int) -> Fraction:
     (E[W] - E[max(0, 2W - L - j)]) / (L + j), W the pattern weight."""
     if not isinstance(j, int) or j < 0:
         raise DomainError(f"shift count must be a nonnegative integer, got {j}")
-    marginal = T.weight_marginal()
-    ew = sum(w * p for w, p in enumerate(marginal))
-    excess = sum(max(0, 2 * w - T.L - j) * p for w, p in enumerate(marginal))
-    return (ew - excess) / (T.L + j)
+    nums, den = _over_common_denominator(T.t)
+    total = 0
+    for v, c in enumerate(nums):
+        w = v.bit_count()
+        total += (w - max(0, 2 * w - T.L - j)) * c
+    return Fraction(total, den * (T.L + j))
 
 
 def verify_monotonicity_region():

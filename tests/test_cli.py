@@ -1,5 +1,6 @@
 import importlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -7,6 +8,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import listradius
 
@@ -172,7 +175,8 @@ class TestCurve:
         "bound, L, rows",
         [("lp2", "1", ["0.99999997,1e-09", "0.99999998,1e-09", "0.99999999,1e-09"]),
          ("abl2", "2", ["0.99999997,1e-09", "0.99999998,1e-09", "0.99999999,1e-09"]),
-         ("best", "1", ["0.99999997,1e-09,lp2", "0.99999998,1e-09,lp2"])],
+         ("best", "1", ["0.99999997,1e-09,lp2", "0.99999998,1e-09,lp2",
+                        "0.99999999,1e-09,lp2"])],
     )
     def test_rate_past_inversion_bracket_gives_its_end(self, bound, L, rows):
         # above the rate at tau = 1e-9, the bracket end of the LP2 and
@@ -184,11 +188,9 @@ class TestCurve:
         assert (code, err) == (0, "")
         lines = out.splitlines()
         assert len(lines) == 11
-        assert lines[-3:][: len(rows)] == rows
-        # best's candidate choice at rmax is not pinned here, only that its
-        # row is there and not below the bracket end
-        rate, tau = lines[-1].split(",")[:2]
-        assert rate == "0.99999999" and float(tau) >= 1e-9
+        # best keeps lp1 only where lp2 is not lower by a relative 1e-9, so
+        # at rmax, where lp1 is still 1.7e-9, lp2's bracket end wins
+        assert lines[-3:] == rows
 
     def test_best_list2_past_inversion_bracket(self):
         # the list-2 radius no longer raises there, so the Catalan sum,
@@ -454,6 +456,97 @@ class TestUsage:
                     if option not in ("-h", "--help"):
                         assert re.search(rf"{option}\b", section), (name, option)
         assert "--config" not in readme
+
+
+# Argument pools of the command line contract: edge floats and list sizes
+# at each cap, half of the time values in range instead, so that some
+# draws run.  A step of at least 0.4 keeps every curve at three rows or
+# fewer.
+_EDGE_FLOATS = ["0", "1", "-1", "nan", "inf", "-inf", "5e-324", "1e-300",
+                "0.9999999999999999", "1e+300"]
+_CAP_LIST_SIZES = ["-3", "0", "1", "2", "1025", "1026", "1040", "1041"]
+# a theorem1 row at L = 1025 takes seconds, so bounds that evaluate it
+# draw list sizes below that cap, or past it, where the call errors
+_CHEAP_LIST_SIZES = [L for L in _CAP_LIST_SIZES if L != "1025"]
+_GRIDS = [("0.1", "0.8", "0.4"), ("0.35", "0.8", "0.5"),
+          ("5e-324", "0.9999999999999999", "0.5"), ("1e-300", "0.1", "1e+300")]
+
+
+def _pool(edge, in_range):
+    return st.one_of(st.sampled_from(in_range), st.sampled_from(edge))
+
+
+_RATES = _pool(_EDGE_FLOATS, ["0.1", "0.35", "0.8"])
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["curve", "witness", "table1", "verify"]))
+    if command == "curve":
+        bound = draw(st.sampled_from(sorted(bounds.BOUNDS)))
+        spec = bounds.BOUNDS[bound]
+        caps = _CAP_LIST_SIZES if bound in ("blinovsky", "slope") else _CHEAP_LIST_SIZES
+        sizes = [str(L) for L in range(spec.min_L, min(spec.max_L, 4) + 1)]
+        grid = st.one_of(st.sampled_from(_GRIDS), st.tuples(_RATES, _RATES, _RATES))
+        rmin, rmax, step = draw(grid)
+        return ["curve", "--bound", bound, "--L", draw(_pool(caps, sizes)),
+                "--rmin", rmin, "--rmax", rmax, "--step", step,
+                *draw(_optional("--beta", _RATES))]
+    if command == "witness":
+        exponent = st.sampled_from(bounds.EXPONENT_MODES + ("bogus",))
+        return ["witness", "--L", draw(_pool(_CHEAP_LIST_SIZES, ["2", "3", "4"])),
+                "--R", draw(_RATES), *draw(_optional("--beta", _RATES)),
+                *draw(_optional("--exponent", exponent))]
+    if command == "table1":
+        return ["table1", *draw(st.sampled_from([[], ["--bogus"]]))]
+    suite = draw(st.sampled_from(["identities", "oracle", "bounds", "all", "bogus"]))
+    seed = draw(st.sampled_from(_EDGE_FLOATS))
+    code = draw(st.sampled_from([[], ["--code", "no-such-code-file"]]))
+    # of the suites that run to the end, only the cheapest one is drawn
+    assume(suite in ("oracle", "bogus") or code or seed not in ("0", "1", "-1"))
+    return ["verify", "--suite", suite, "--seed", seed, *code]
+
+
+class TestContract:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(_argv())
+    def test_exit_code_and_streams(self, argv):
+        code, out, err = run_cli(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            # one error line, after argparse's usage line for a usage error
+            assert out == ""
+            lines = err.splitlines()
+            assert [ln for ln in lines if "error:" in ln] == lines[-1:]
+            return
+        if code == 2:
+            assert argv[0] in ("table1", "verify")
+        lines = out.splitlines()
+        assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
+        if argv[0] != "curve":
+            assert err == ""
+            if argv[0] == "witness":
+                for line in lines:
+                    value = line.split(" = ")[1]
+                    assert value in ("yes", "no") or math.isfinite(float(value))
+            return
+        assert lines[0].startswith("rate,tau")
+        warnings = []
+        for row in lines[1:]:
+            rate, tau = row.split(",")[:2]
+            # ten digits print a rate of 1 - 1e-16 as 1
+            assert 0 < float(rate) <= 1
+            if tau:
+                assert 0 <= float(tau) <= 0.5
+            else:
+                warnings.append(f"listradius curve: warning: rate {rate}: ")
+        got = err.splitlines()
+        assert len(got) == len(warnings)
+        assert all(g.startswith(w) for g, w in zip(got, warnings))
 
 
 class TestStartup:

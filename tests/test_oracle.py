@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -260,6 +262,117 @@ class TestAvgRadiusOfType:
                 assert avg_radius_of_type(T, j) == avg_radius_poly(
                     L, j, Fraction(1, 2)
                 )
+
+
+# Term-by-term Fraction forms of the integer-numerator oracles, as they were
+# first written: the references the oracles must equal exactly.
+def _ref_weight_marginal(T):
+    out = [Fraction(0)] * (T.L + 1)
+    for v, tv in enumerate(T.t):
+        out[v.bit_count()] += tv
+    return tuple(out)
+
+
+def _ref_weight_marginal_exact(code, L):
+    n, M = code.n, len(code.words)
+    out = [Fraction(0)] * (L + 1)
+    for pos in range(n):
+        mi = sum((w >> pos) & 1 for w in code.words)
+        for w in range(L + 1):
+            out[w] += Fraction(comb(mi, w) * comb(M - mi, L - w), comb(M, L))
+    return tuple(v / n for v in out)
+
+
+def _ref_bernoulli_mixture(code, L):
+    n, M = code.n, len(code.words)
+    t = [Fraction(0)] * (1 << L)
+    for pos in range(n):
+        lam = Fraction(sum((w >> pos) & 1 for w in code.words), M)
+        for v in range(1 << L):
+            w = v.bit_count()
+            t[v] += lam**w * (1 - lam) ** (L - w)
+    return tuple(v / n for v in t)
+
+
+def _ref_avg_joint_type(code, L):
+    n = code.n
+    total_w = [0] * (L + 1)
+    for sub in itertools.combinations(code.words, L):
+        for pos in range(n):
+            total_w[sum((word >> pos) & 1 for word in sub)] += 1
+    subsets = comb(len(code.words), L)
+    return tuple(
+        Fraction(total_w[v.bit_count()], n * subsets * comb(L, v.bit_count()))
+        for v in range(1 << L)
+    )
+
+
+def _ref_avg_radius_of_type(T, j):
+    marginal = _ref_weight_marginal(T)
+    ew = sum(w * p for w, p in enumerate(marginal))
+    excess = sum(max(0, 2 * w - T.L - j) * p for w, p in enumerate(marginal))
+    return (ew - excess) / (T.L + j)
+
+
+def _assert_same_fractions(got, ref):
+    assert all(type(v) is Fraction for v in got)
+    assert got == ref
+
+
+class TestIntegerOraclesMatchReferences:
+    def test_random_codes(self):
+        rng = random.Random(22)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            size = rng.randint(1, min(MAX_AVG_TYPE_SIZE, 1 << n))
+            L = rng.randint(1, min(MAX_AVG_TYPE_L, size))
+            code = BinaryCode.random(rng, n, size)
+            T = avg_joint_type(code, L)
+            _assert_same_fractions(T.t, _ref_avg_joint_type(code, L))
+            _assert_same_fractions(T.weight_marginal(), _ref_weight_marginal(T))
+            _assert_same_fractions(
+                weight_marginal_exact(code, L), _ref_weight_marginal_exact(code, L)
+            )
+            B = bernoulli_mixture_type(code, L)
+            _assert_same_fractions(B.t, _ref_bernoulli_mixture(code, L))
+            for j in range(5):
+                for U in (T, B):
+                    got = avg_radius_of_type(U, j)
+                    _assert_same_fractions((got,), (_ref_avg_radius_of_type(U, j),))
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(0)),
+            (Fraction(1, 7), Fraction(2, 5), Fraction(0), Fraction(16, 35)),
+            (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
+            tuple(Fraction(1, 8) for _ in range(8)),
+            (Fraction(1, 4), Fraction(1, 4), Fraction(1, 12), Fraction(1, 9),
+             Fraction(1, 18), Fraction(1, 36), Fraction(1, 6), Fraction(1, 18)),
+        ],
+        ids=["halves-thirds-sixths", "sevenths-fifths", "point-mass", "uniform-L3",
+             "mixed-L3"],
+    )
+    def test_mixed_denominators(self, t):
+        T = JointType(L=len(t).bit_length() - 1, t=t)
+        _assert_same_fractions(T.weight_marginal(), _ref_weight_marginal(T))
+        for j in range(5):
+            _assert_same_fractions(
+                (avg_radius_of_type(T, j),), (_ref_avg_radius_of_type(T, j),)
+            )
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            ((Fraction(3, 2), Fraction(-1, 2)), "type entries must be nonnegative"),
+            ((Fraction(1, 2), Fraction(1, 3)), "type entries must sum to 1 exactly"),
+            ((Fraction(2, 3), Fraction(2, 3)), "type entries must sum to 1 exactly"),
+        ],
+        ids=["negative", "below-one", "above-one"],
+    )
+    def test_invalid_types_keep_their_messages(self, t, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            JointType(L=1, t=t)
 
 
 class TestBernoulliMixture:
