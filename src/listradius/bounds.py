@@ -70,9 +70,7 @@ _REFINE_TOL = 1e-10
 
 # xi0 grid points of the central bound scan over the feasible xi0
 # interval; the grid only brackets each j's maximizer for the refinement.
-# list_radius_bound reads it on every call and keys _rate_geometry on it,
-# so a dense-grid audit can set it on the module.
-XI0_GRID = 16
+_GRID_POINTS = 16
 
 
 class RadiusWitness(NamedTuple):
@@ -246,7 +244,7 @@ def _subcode_rate(R, beta, hbeta, xi0, exponent):
     return R + hbeta - 2.0 * krawtchouk_exponent_value(beta, xi0)
 
 
-def _solve_at(R, beta, hbeta, x, exponent):
+def _solve_at(R, beta, hbeta, exponent, x):
     """(xi1, r_prime, *_split_args) at xi0 = x; xi1 is 0 where the subcode
     rate is negative, and r_prime is reported under the chosen exponent."""
     rp = _subcode_rate(R, beta, hbeta, x, exponent)
@@ -254,32 +252,49 @@ def _solve_at(R, beta, hbeta, x, exponent):
     return (xi1, rp, *_split_args(x, xi1))
 
 
+def _xi0_grid(R, xi_max, exponent, n):
+    """n xi0 spread evenly over the feasible interval, from one step above
+    its start to exactly xi_max.  The subcode rate rises in xi0, so the
+    feasible xi0 form one interval up to xi_max: all of (0, xi_max] for the
+    exact exponent, from h^-1(1 - R) on for the binomial estimate."""
+    start = min(inverse_entropy(1.0 - R), xi_max) if exponent == "binomial" else 0.0
+    step = (xi_max - start) / n
+    return tuple(xi_max - (n - k) * step for k in range(1, n + 1))
+
+
 # Keyed on beta as passed (None for the default), so a hit skips resolving
 # it too.  Exceptions are not cached: a bad input raises on every call.
 @functools.lru_cache(maxsize=32)
-def _rate_geometry(R, beta, grid, exponent):
-    """The half of :func:`list_radius_bound` that depends on the rate, beta,
-    grid and exponent but not on L or j: the resolved beta, h(beta) and
-    xi_max, the xi0 grid ``xs``, and ``solved``, the :func:`_solve_at` of
-    the grid and of every refinement point so far, filled by the calls that
-    share it.  Each value depends on its xi0 alone, so a call gets the
-    numbers it would compute itself, whatever ran before it."""
+def _rate_geometry(R, beta, exponent):
+    """The half of :func:`list_radius_bound` that depends on the rate, beta
+    and exponent but not on L or j: the resolved beta, the xi0 grid ``xs``
+    and ``solve``, :func:`_solve_at` at this rate, memoized for the grid and
+    every refinement point so far by the calls that share it.  Each value
+    depends on its xi0 alone, so a call gets the numbers it would compute
+    itself, whatever ran before it."""
     beta = _checked_beta(inverse_entropy(R) if beta is None else beta)
     hbeta = binary_entropy(beta)
     if hbeta > R + 1e-9:
         raise DomainError(f"h(beta)={hbeta} exceeds rate {R}")
-    xi_max = 0.5 - math.sqrt(beta * (1.0 - beta))
-    # The subcode rate rises in xi0, so the feasible xi0 form one interval
-    # up to xi_max: all of (0, xi_max] for the exact exponent, from
-    # h^-1(1 - R) on for the binomial estimate.  The grid spans it, from
-    # one step above its start to exactly xi_max.
-    start = min(inverse_entropy(1.0 - R), xi_max) if exponent == "binomial" else 0.0
-    step = (xi_max - start) / grid
-    xs = tuple(xi_max - (grid - k) * step for k in range(1, grid + 1))
-    solved = {x: _solve_at(R, beta, hbeta, x, exponent) for x in xs}
-    if not any(rp >= -1e-12 for _, rp, _, _ in solved.values()):
+    xs = _xi0_grid(R, 0.5 - math.sqrt(beta * (1.0 - beta)), exponent, _GRID_POINTS)
+    solve = functools.cache(functools.partial(_solve_at, R, beta, hbeta, exponent))
+    if not any(solve(x)[1] >= -1e-12 for x in xs):
         raise NoSolutionError("no admissible xi0: subcode rate negative everywhere")
-    return beta, hbeta, xi_max, xs, solved
+    return beta, xs, solve
+
+
+def _objective(solve, poly):
+    """The central objective in xi0, split_avg_radius(L, j, xi0, xi1), for
+    poly the evaluator of (L, j) and solve a :func:`_rate_geometry`'s; -inf
+    where the subcode rate is negative."""
+
+    def theta(x):
+        _, rp, a1, a2 = solve(x)
+        if rp < -1e-12:
+            return -math.inf
+        return x * poly(a1) + (1.0 - x) * poly(a2)
+
+    return theta
 
 
 def list_radius_bound(
@@ -293,12 +308,11 @@ def list_radius_bound(
     For every admissible shift count j and every sphere radius xi0 up to
     1/2 - sqrt(beta(1-beta)), the subcode rate R + h(beta) - 2E_beta(xi0)
     determines the intersection parameter xi1, and the split average-radius
-    value is maximized.  Search is an ``XI0_GRID``-point scan of the
-    feasible xi0 interval followed by Brent's maximizer around the best
-    cell, per j; the xi0 endpoint is a grid point.  xi1 depends on xi0
-    only, and neither depends on L or j: the grid and the xi1 of every grid
-    and refinement point are kept per (R, beta, grid, exponent) in
-    :func:`_rate_geometry` and shared by every list size at that rate.
+    value is maximized.  Search is :func:`solve.brent_max` per j from a scan
+    of the feasible xi0 interval, whose endpoint is a grid point.  xi1
+    depends on xi0 only, and neither depends on L or j: the grid and the
+    xi1 of every grid and refinement point are kept per (R, beta, exponent)
+    in :func:`_rate_geometry` and shared by every list size at that rate.
 
     beta defaults to h(beta) = R.  xi0 with negative subcode rate are
     excluded; subcode rates above h(xi0) clamp xi1 to 0.  ``exponent``
@@ -312,44 +326,16 @@ def list_radius_bound(
     if exponent not in EXPONENT_MODES:
         raise DomainError(f"unknown exponent mode {exponent!r}")
     R = check_rate(R)
-    grid = XI0_GRID
-    beta, hbeta, xi_max, xs, solved = _rate_geometry(
-        R, None if beta is None else float(beta), grid, exponent
-    )
-
-    def theta_at(x, poly):
-        """Objective at one (xi0, j), split_avg_radius(L, j, x, xi1) with
-        poly the evaluator of j; -inf where the subcode rate is negative."""
-        if x not in solved:
-            solved[x] = _solve_at(R, beta, hbeta, x, exponent)
-        _, rp_x, a1, a2 = solved[x]
-        if rp_x < -1e-12:
-            return -math.inf
-        return x * poly(a1) + (1.0 - x) * poly(a2)
-
-    best: tuple[float, float, float, float, int] | None = None
+    beta, xs, solve = _rate_geometry(R, None if beta is None else float(beta), exponent)
+    best = None
     for j in admissible_j(L):
-        poly = avg_radius_evaluator(L, j)
-        theta = [theta_at(x, poly) for x in xs]
-        k = max(range(grid), key=theta.__getitem__)
-        k_lo, k_hi = max(k - 1, 0), min(k + 1, grid - 1)
-        lo, hi = xs[k_lo], xs[k_hi]
-        # Grid maximum at the xi_max endpoint: if the objective does not
-        # rise towards xi_max over the last _REFINE_TOL, a unimodal bracket
-        # has its maximum within _REFINE_TOL of xi_max, which is all that
-        # the refinement would establish.
-        if k == grid - 1 and theta_at(max(xi_max - _REFINE_TOL, lo), poly) <= theta[k]:
-            x_ref, t_ref = xi_max, theta[k]
-        else:
-            x_ref, t_ref = brent_max(
-                lambda x, poly=poly: theta_at(x, poly), lo, hi, _REFINE_TOL,
-                f_lo=theta[k_lo], f_hi=theta[k_hi],
-            )
-        t_bestj, x_bestj = max((t_ref, x_ref), (theta[k], xs[k]))
-        if best is None or t_bestj > best[0]:
-            best = (t_bestj, x_bestj, *solved[x_bestj][:2], j)
+        theta = _objective(solve, avg_radius_evaluator(L, j))
+        xi0, t = brent_max(theta, xs, [theta(x) for x in xs], _REFINE_TOL)
+        if best is None or t > best[0]:
+            best = (t, xi0, j)
 
-    theta_star, xi0_star, xi1_star, rp_star, j_star = best
+    theta_star, xi0_star, j_star = best
+    xi1_star, rp_star = solve(xi0_star)[:2]
     witness = RadiusWitness(
         xi0=xi0_star,
         xi1=xi1_star,

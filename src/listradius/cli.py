@@ -82,7 +82,9 @@ def _rate_grid(rmin, rmax, step):
 
 
 def _fmt(value):
-    return f"{value:.{OUTPUT_PRECISION}g}"
+    # a value below 1 that ten digits round to 1 is printed in full
+    text = f"{value:.{OUTPUT_PRECISION}g}"
+    return repr(value) if value < 1.0 <= float(text) else text
 
 
 def cmd_curve(args, out, err) -> int:

@@ -70,7 +70,8 @@ def _inverse_entropy(y: float) -> float:
     # 0 the tolerance is 0 and bisect runs on to adjacent floats
     if hi - lo > _INVERSE_ENTROPY_RTOL * lo:
         lo, hi = bisect(below, lo, hi, _INVERSE_ENTROPY_RTOL * lo)
-    return 0.5 * (lo + hi)
+    # the midpoint of (0, 5e-324) rounds to 0, which is no p with h(p) = y > 0
+    return 0.5 * (lo + hi) or hi
 
 
 def _omega_root(beta, xi):

@@ -1,6 +1,6 @@
 """One-dimensional solvers shared by the bounds: bisection on a one-sided
-predicate, Brent-Dekker root bracketing, and maximization by golden section
-and by Brent's minimizer."""
+predicate, Brent-Dekker root bracketing, maximization by golden section,
+and maximization over a grid refined by Brent's minimizer."""
 from __future__ import annotations
 
 import math
@@ -107,18 +107,26 @@ def golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return xbest, fbest
 
 
-def brent_max(
-    f, lo: float, hi: float, tol: float, f_lo: float, f_hi: float
-) -> tuple[float, float]:
-    """Maximization of f on [lo, hi] by Brent's localmin on -f (Brent 1973,
-    ch. 5), golden section plus parabolic steps; returns (x, f(x)).
+def brent_max(f, xs, values, tol: float) -> tuple[float, float]:
+    """Maximization of f from its values on the ascending grid xs; returns
+    (x, f(x)), the better of the best grid point and its refinement.
 
-    Stops within 2 (tol/3 + 2 ulp) of the maximizer: the book's relative
-    term sqrt(eps) |x| stops short of the last digits of the maximum.
-    Compares against both ends like golden_max, from their values f_lo and
-    f_hi passed in, which are not evaluated again.
+    The refinement is Brent's localmin on -f (Brent 1973, ch. 5) between
+    the best grid point's neighbours, and stops within 2 (tol/3 + 2 ulp) of
+    the maximizer: the book's relative term sqrt(eps) |x| stops short of
+    the last digits of the maximum.  It is skipped for a best point at
+    xs[-1] where f does not rise towards it over the last tol: a unimodal
+    bracket then has its maximum within tol of it, which is all that the
+    refinement would establish.  No grid value is evaluated again.
     """
-    a, b = lo, hi
+    n = len(xs)
+    k = max(range(n), key=values.__getitem__)
+    a, b = xs[max(k - 1, 0)], xs[min(k + 1, n - 1)]
+    if k == n - 1:
+        # a probe at or below a takes a's value (xs[-1]'s own when n == 1)
+        probe = xs[k] - tol
+        if (f(probe) if probe > a else values[k - 1]) <= values[k]:
+            return xs[k], values[k]
     x = w = v = a + (1.0 - _PHI) * (b - a)
     fx = fw = fv = f(x)
     d = e = 0.0
@@ -150,5 +158,5 @@ def brent_max(
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v == x or v == w:
                 v, fv = u, fu
-    fbest, xbest = max([(f_lo, lo), (f_hi, hi), (fx, x)], key=lambda t: t[0])
+    fbest, xbest = max((fx, x), (values[k], xs[k]))
     return xbest, fbest

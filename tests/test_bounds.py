@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -14,9 +15,11 @@ from listradius.bounds import (
     EXPONENT_MODES,
     MAX_CATALAN_L,
     MAX_POLY_L,
-    XI0_GRID,
     _CROSSOVER_SCAN,
+    _REFINE_TOL,
+    _objective,
     _rate_geometry,
+    _xi0_grid,
     best_upper_bound,
     blinovsky_bound,
     crossover_rate,
@@ -32,6 +35,7 @@ from listradius.bounds import (
 from listradius.cli import _rate_grid
 from listradius.core import (
     admissible_j,
+    avg_radius_evaluator,
     avg_radius_poly,
     binary_entropy,
     inverse_entropy,
@@ -39,6 +43,7 @@ from listradius.core import (
 )
 from listradius.errors import DomainError, NoSolutionError
 from listradius.lp import abl2_tau, lp1_tau, lp2_tau, r_lp2
+from listradius.solve import brent_max
 
 # Claims over random (L, R): L in 2..15 (1..15 for best) and R in
 # [0.005, 0.995], at the tolerances of the fixed-point tests.
@@ -222,7 +227,7 @@ PINNED_TAU = [
 # maximizer comes from the Brent refinement, an endpoint one (xi0 = 1/2 -
 # sqrt(beta(1-beta))) from the endpoint shortcut of the refinement.  The
 # endpoint rows were recorded before that shortcut, the interior rows with
-# the XI0_GRID = 16 scan of the feasible xi0 interval.  At the near-unit
+# the 16-point scan of the feasible xi0 interval.  At the near-unit
 # rates xi_max is below the refinement tolerance bounds._REFINE_TOL.
 WITNESS_PINS = [
     # interior
@@ -300,14 +305,21 @@ class TestListRadiusBound:
             assert w.xi0 == pytest.approx(xi0, abs=1e-7)
 
     @pytest.mark.parametrize("L, R, exponent", DENSE_AUDIT)
-    def test_grid_agrees_with_dense_grid(self, L, R, exponent, monkeypatch):
-        # the XI0_GRID scan only brackets each j's maximum; a 512-point
-        # scan of the same interval must find the same j and tau.  The grid
-        # is part of the _rate_geometry key, so no 16-point entry is read
+    def test_grid_agrees_with_dense_grid(self, L, R, exponent):
+        # the 16-point scan only brackets each j's maximum; the same search
+        # from a 512-point scan of the same interval must find the same j
+        # and tau.  It solves xi1 apart from the cached 16-point geometry
         tau, w = list_radius_bound(L, R, exponent=exponent)
-        monkeypatch.setattr(bounds, "XI0_GRID", 512)
-        tau_dense, w_dense = list_radius_bound(L, R, exponent=exponent)
-        assert w.j == w_dense.j
+        _, xs, solve = _rate_geometry(R, None, exponent)
+        solve = functools.cache(solve.__wrapped__)
+        dense = _xi0_grid(R, xs[-1], exponent, 512)
+        tau_dense, j_dense = -math.inf, None
+        for j in admissible_j(L):
+            theta = _objective(solve, avg_radius_evaluator(L, j))
+            t = brent_max(theta, dense, [theta(x) for x in dense], _REFINE_TOL)[1]
+            if t > tau_dense:
+                tau_dense, j_dense = t, j
+        assert w.j == j_dense
         assert abs(tau - tau_dense) <= 1e-14
 
     def test_grid_starts_at_feasible_end(self):
@@ -525,8 +537,9 @@ class TestRateGeometryCache:
         R = binary_entropy(beta) - 9e-10
         _rate_geometry.cache_clear()
         tau, w = list_radius_bound(3, R, beta=beta)
-        _, _, xi_max, _, solved = _rate_geometry(R, beta, XI0_GRID, "parametric")
-        infeasible = [xi1 for xi1, rp, *_ in solved.values() if rp < -1e-12]
+        _, xs, solve = _rate_geometry(R, beta, "parametric")
+        xi_max = xs[-1]
+        infeasible = [xi1 for xi1, rp, *_ in map(solve, xs) if rp < -1e-12]
         assert infeasible and set(infeasible) == {0.0}
         assert 0.0 < tau < 1e-9
         assert w.r_prime >= -1e-12

@@ -109,16 +109,37 @@ class TestCurve:
         assert len(lines) == rows
         assert lines[-1].split(",")[0] == rmax
 
+    def test_near_unit_rates_print_apart(self):
+        # ten digits print all but the first of these rates as 1
+        code, out, err = run_cli(
+            ["curve", "--bound", "abl2", "--L", "2", "--rmin", "0.99999999995",
+             "--rmax", "0.9999999999999999", "--step", "0.00000000001"]
+        )
+        assert (code, err) == (0, "")
+        rates = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert rates == [
+            "0.9999999999", "0.99999999996", "0.99999999997", "0.99999999998",
+            "0.99999999999", "0.9999999999999999",
+        ]
+
+    def test_subnormal_rate_row(self):
+        code, out, err = run_cli(
+            ["curve", "--bound", "best", "--L", "3", "--rmin", "5e-324",
+             "--rmax", "0.1", "--step", "0.5"]
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "4.940656458e-324,0.3125,theorem1"
+
     def test_last_row_within_rmax(self):
         # the grid's 1e-9 slack reaches a third row at rmin + 2 step > 1,
-        # which is evaluated at rmax (printed as 1 at ten digits)
+        # which is evaluated at rmax (printed in full: ten digits read 1)
         code, out, err = run_cli(
             ["curve", "--bound", "lp1", "--L", "1", "--rmin", "0.5",
              "--rmax", "0.99999999999", "--step", "0.2500000000025"]
         )
         assert (code, err) == (0, "")
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        assert [r[0] for r in rows] == ["0.5", "0.75", "1"]
+        assert [r[0] for r in rows] == ["0.5", "0.75", "0.99999999999"]
         assert all(r[1] for r in rows)
 
     def test_bound_compat_usage_error(self):
@@ -253,6 +274,18 @@ class TestWitness:
         assert code == 0
         tau = float(next(l for l in out.splitlines() if l.startswith("tau")).split("=")[1])
         assert 0.0 < tau < 0.05
+
+    @pytest.mark.parametrize("R", ["5e-324", "1e-323"])
+    def test_subnormal_rate(self, R):
+        # the midpoint of h^-1's last bracket (0, 5e-324) rounded to a beta of 0
+        code, out, err = run_cli(["witness", "--L", "3", "--R", R])
+        assert (code, err) == (0, "")
+        assert "tau = 0.3125\n" in out
+
+    def test_rate_below_one_prints_below_one(self):
+        code, out, err = run_cli(["witness", "--L", "3", "--R", "0.9999999999999999"])
+        assert (code, err) == (0, "")
+        assert "rate = 0.9999999999999999\n" in out
 
     def test_tiny_rate(self):
         # h^-1 of the rate must be relatively precise: with a beta whose
@@ -538,8 +571,7 @@ class TestContract:
         warnings = []
         for row in lines[1:]:
             rate, tau = row.split(",")[:2]
-            # ten digits print a rate of 1 - 1e-16 as 1
-            assert 0 < float(rate) <= 1
+            assert 0 < float(rate) < 1
             if tau:
                 assert 0 <= float(tau) <= 0.5
             else:

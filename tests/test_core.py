@@ -84,6 +84,11 @@ class TestInverseEntropy:
     def test_pinned_values(self, y, p):
         assert inverse_entropy(y) == p
 
+    @pytest.mark.parametrize("y", [5e-324, 1e-323])
+    def test_subnormal_values(self, y):
+        # the midpoint of the last bracket (0, 5e-324) rounds to 0
+        assert inverse_entropy(y) == 5e-324
+
 
 class TestKrawtchoukExponent:
     def test_left_endpoint_is_entropy(self):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from listradius import lp
 from listradius.core import binary_entropy, delta_lp1
-from listradius.errors import DomainError
+from listradius.errors import DomainError, NoSolutionError
 from listradius.lp import (
     _BRANCH_TAUS,
     abl2_tau,
@@ -40,7 +41,7 @@ PINNED_LP2 = [
     (0.41, 0.06837826534502116, 0.5, 0.008166694905682505),
     (0.5, 0.0, 0.5, 0.0),
 ]
-PINNED_BRANCH_POINT = 0.10930122631515923
+PINNED_BRANCH_POINT = 0.10930122586906958
 
 # r_lp2 at the same distances from the earlier search, a 401-point beta grid
 # refined by golden section around its best point; the search in s is not looser
@@ -132,6 +133,17 @@ class TestAbl:
         abl_branch_point()
         abl_list2(0.2)
         assert abl_branch_point.cache_info().misses == 1
+
+    def test_crossing_branches_raise(self, monkeypatch):
+        # a second branch 1e-3 lower makes every scanned gap positive
+        second = lp._abl_second_branch
+        monkeypatch.setattr(lp, "_abl_second_branch", lambda tau: second(tau) - 1e-3)
+        abl_branch_point.cache_clear()
+        try:
+            with pytest.raises(NoSolutionError, match="cross instead of touching"):
+                abl_branch_point()
+        finally:
+            abl_branch_point.cache_clear()
 
     def test_branch_continuity(self):
         tau0 = abl_branch_point()

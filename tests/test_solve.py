@@ -105,13 +105,20 @@ class TestGoldenMax:
         assert v == -((x - 0.3) ** 2)
 
 
+def _grid_values(f, xs):
+    return [f(x) for x in xs]
+
 
 class TestBrentMax:
     def test_increasing_returns_upper_end(self):
-        assert brent_max(lambda x: x**3, 0.1, 0.7, 1e-10, 0.1**3, 0.7**3) == (0.7, 0.7**3)
+        xs = (0.1, 0.4, 0.7)
+        f, seen = _counted(lambda x: x**3)
+        assert brent_max(f, xs, [x**3 for x in xs], 1e-10) == (0.7, 0.7**3)
+        assert seen == [0.7 - 1e-10]  # the shortcut's probe alone
 
     def test_decreasing_returns_lower_end(self):
-        assert brent_max(lambda x: -x, 0.1, 0.7, 1e-10, -0.1, -0.7) == (0.1, -0.1)
+        xs = (0.1, 0.4, 0.7)
+        assert brent_max(lambda x: -x, xs, [-x for x in xs], 1e-10) == (0.1, -0.1)
 
     @pytest.mark.parametrize(
         "f",
@@ -120,15 +127,43 @@ class TestBrentMax:
     )
     def test_interior_maximum_within_tol(self, f):
         # both peak at 0.3 with value 0, so no rounding flattens the top
-        x, v = brent_max(f, 0.0, 1.0, 1e-8, f(0.0), f(1.0))
+        xs = (0.0, 0.5, 1.0)
+        x, v = brent_max(f, xs, _grid_values(f, xs), 1e-8)
         assert abs(x - 0.3) <= 1e-8
         assert v == f(x)
 
     def test_passed_end_values_not_evaluated(self):
-        f, seen = _counted(lambda t: math.sin(3.0 * t) * math.exp(-t))
-        x, _ = brent_max(f, 0.0, 1.0, 1e-10, f_lo=0.0, f_hi=math.sin(3.0) * math.exp(-1.0))
+        # no grid value is evaluated again, the bracket ends included
+        def g(t):
+            return math.sin(3.0 * t) * math.exp(-t)
+
+        f, seen = _counted(g)
+        xs = (0.0, 0.5, 1.0)
+        x, _ = brent_max(f, xs, _grid_values(g, xs), 1e-10)
         assert all(0.0 < t < 1.0 for t in seen)
+        assert not set(seen) & set(xs)
         assert x in seen
+
+    def test_upper_end_shortcut_below_grid_spacing(self):
+        # the probe tol below xs[-1] lies beyond its neighbour: that
+        # neighbour's value decides, and nothing is evaluated
+        def f(x):
+            raise AssertionError("f evaluated")
+
+        xs = (0.0, 1e-11, 2e-11)
+        assert brent_max(f, xs, [0.0, 1.0, 2.0], 1e-10) == (2e-11, 2.0)
+
+    @pytest.mark.parametrize(
+        "g",
+        [lambda t: math.sin(40.0 * t), lambda t: -abs(t - 0.5), lambda t: 1.0 if t == 0.5 else 0.0],
+        ids=["multimodal", "kink", "spike"],
+    )
+    def test_never_below_grid_maximum(self, g):
+        xs = tuple(k / 8 for k in range(9))
+        values = _grid_values(g, xs)
+        x, v = brent_max(g, xs, values, 1e-10)
+        assert v >= max(values)
+        assert v == g(x)
 
     def test_fewer_evaluations_than_golden_section(self):
         def cubic(t):
@@ -137,6 +172,7 @@ class TestBrentMax:
         f_golden, seen_golden = _counted(cubic)
         f_brent, seen_brent = _counted(cubic)
         golden_max(f_golden, 0.2, 0.6, 1e-10)
-        x, _ = brent_max(f_brent, 0.2, 0.6, 1e-10, f_lo=cubic(0.2), f_hi=cubic(0.6))
+        xs = (0.2, 0.4, 0.6)
+        x, _ = brent_max(f_brent, xs, _grid_values(cubic, xs), 1e-10)
         assert abs(x - 0.3) <= 1e-10
         assert 2 * len(seen_brent) <= len(seen_golden)
