@@ -68,3 +68,31 @@ def test_full_verify_runtime_budget():
     failed = [r.name for r in results if not r.passed]
     assert not failed, f"failing checks: {failed}"
     assert elapsed < 300.0, f"verify-all took {elapsed:.0f}s"
+
+
+def test_full_verify_runs_every_check(monkeypatch):
+    # the test above gates each check only while the suites call it by its
+    # module-level name; every stub records its call and passes
+    called = []
+
+    def stub(name):
+        def run(*args):
+            called.append(name)
+            return checks.CheckResult(name, True, 0.0)
+        return run
+
+    names = {name for name in vars(checks) if name.startswith("check_")}
+    for name in names:
+        monkeypatch.setattr(checks, name, stub(name))
+    checks.run_suite("all", seed=7)
+    in_all = names - {"check_code_oracle"}
+    assert set(called) == in_all
+    called.clear()
+    checks.run_suite("all", seed=7, code=object())
+    assert called.count("check_code_oracle") == 1
+    for runs, _ in CRITERIA.values():
+        for run in runs:
+            # a lambda reaches its stub through the module
+            called.clear()
+            getattr(checks, run.__name__, run)()
+            assert len(called) == 1 and called[0] in in_all, run

@@ -319,12 +319,6 @@ class TestTable1:
 
 
 class TestVerify:
-    def test_identities_suite_passes(self):
-        code, out, _ = run_cli(["verify", "--suite", "identities"])
-        assert code == 0
-        assert "[PASS]" in out
-        assert "[FAIL]" not in out
-
     def test_failed_check_exits_2(self, monkeypatch):
         # a reference 0.0096 away from the computed L = 3 crossover
         monkeypatch.setitem(bounds._REFERENCE_CROSSOVERS, 3, 0.371)

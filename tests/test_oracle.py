@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from listradius.core import admissible_j, avg_radius_poly
+from listradius.core import avg_radius_poly
 from listradius.errors import DomainError, SizeLimitError
 from listradius.oracle import (
     MAX_AVG_TYPE_L,
@@ -124,7 +124,7 @@ class TestBinaryCode:
 
     def test_load_code(self, tmp_path):
         path = tmp_path / "code.txt"
-        path.write_text("0110\n0001\n# not a word\n".replace("# not a word\n", ""))
+        path.write_text("0110\n\n0001\n")
         code = load_code(path)
         assert code.words == (0b0001, 0b0110)
 
@@ -207,18 +207,6 @@ class TestAvgJointType:
 
 
 class TestAvgRadiusOfType:
-    def test_equivalence_with_pinned_average_radius(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            n = rng.randint(3, 16)
-            size = rng.randint(1, 4)
-            j = rng.randint(0, 4)
-            words = sorted(rng.sample(range(1 << n), size))
-            T = joint_type(words, n)
-            assert avg_radius_of_type(T, j) == Fraction(
-                average_radius([0] * j + words, n), n
-            )
-
     def test_zero_type(self):
         T = joint_type([0, 0, 0], 4)
         for j in range(4):
@@ -375,27 +363,9 @@ class TestIntegerOraclesMatchReferences:
             JointType(L=1, t=t)
 
 
-class TestBernoulliMixture:
-    def test_error_decays_with_code_size(self):
-        rng = random.Random(7)
-        n, L = 10, 3
-        words = rng.sample(range(1 << n), 14)
-        errs = {}
-        for m in (4, 8, 14):
-            code = BinaryCode(n=n, words=tuple(sorted(words[:m])))
-            errs[m] = float(
-                avg_joint_type(code, L).sup_distance(bernoulli_mixture_type(code, L))
-            )
-        assert errs[14] * 14 <= 4 * max(errs[4] * 4, 1e-9)
-
-
 class TestG1Dominance:
     def test_exact_sandwich_values_list3(self):
         # L = 3, W ~ Bino(3, 1/2): P[W > 2] = 1/8 < 5/16 < 1/2 = P[W >= 2]
         g1 = avg_radius_poly(3, 1, Fraction(1, 2))
         assert g1 == Fraction(5, 16)
         assert Fraction(1, 8) < g1 < Fraction(1, 2)
-
-    def test_even_control(self):
-        vals = {j: avg_radius_poly(4, j, 0.49) for j in admissible_j(4)}
-        assert max(vals, key=vals.get) == 0
