@@ -190,44 +190,68 @@ class TestSplitAvgRadius:
                     )
 
 
+# (L, R, exponent, tau, j) as computed with a plain bisection xi1 solver;
+# a change of root finder must reproduce them
+PINNED_TAU = [
+    (2, 0.1, "parametric", 0.21654143346589566, 0),
+    (2, 0.6, "binomial", 0.07765209928318546, 0),
+    (3, 0.05, "parametric", 0.27304042193653866, 1),
+    (3, 0.3, "binomial", 0.1734194749217764, 1),
+    (3, 0.8, "parametric", 0.04009676441146817, 1),
+    (4, 0.2, "parametric", 0.22102022300311874, 0),
+    (4, 0.45, "binomial", 0.13189473321398204, 0),
+    (5, 0.15, "binomial", 0.2490216619410412, 1),
+    (5, 0.5, "parametric", 0.12120286966192206, 1),
+    (6, 0.35, "parametric", 0.17312644919872855, 0),
+    (7, 0.1, "parametric", 0.28770129030794944, 1),
+    (7, 0.25, "binomial", 0.215306680812536, 1),
+    (8, 0.7, "binomial", 0.0684705493649582, 2),
+    (9, 0.12, "parametric", 0.2851675798143507, 0),
+    (9, 0.14, "binomial", 0.2747534154377186, 0),
+    (10, 0.9, "parametric", 0.02086328511109112, 4),
+    (11, 0.08, "parametric", 0.31709145452523047, 0),
+    (11, 0.1, "binomial", 0.30482270218608387, 0),
+    (13, 0.3, "parametric", 0.204528516869662, 1),
+    (15, 0.02, "binomial", 0.3762439211172396, 1),
+]
+
 # Exact outputs (tau, xi0, xi1, j) of list_radius_bound: an interior
 # maximizer comes from the Brent refinement, an endpoint one (xi0 = 1/2 -
 # sqrt(beta(1-beta))) from the endpoint shortcut of the refinement.  The
 # endpoint rows were recorded before that shortcut, the interior rows with
 # the 16-point scan of the feasible xi0 interval.  At the near-unit
 # rates xi_max is below the refinement tolerance bounds._REFINE_TOL.
-# bisection_tau is tau as computed with a plain bisection xi1 solver, which
-# a change of root finder must reproduce to 1e-12; dense_xi0 is the xi0 that
-# a 2000-point grid over (0, xi_max] bracketed, which a refinement from
-# another bracket must find to 1e-7.  None where a row has no such value.
+# dense_xi0 is the xi0 of an interior row as a 2000-point grid over
+# (0, xi_max] bracketed it, which a refinement from another bracket must
+# find to 1e-7; None on the endpoint rows.
 WITNESS_PINS = [
     # interior
-    (2, 0.1, "parametric", 0.21654143346580407, 0.38676267649407003, 0.33443519294685164, 0, 0.21654143346589566, 0.38676267584802193),
-    (2, 0.6, "binomial", 0.07765209928298708, 0.1287835517613452, 0.09988112190536279, 0, 0.07765209928318546, 0.12878355769809413),
-    (4, 0.2, "parametric", 0.22102022300301466, 0.3261447388300988, 0.26520819720513333, 0, 0.22102022300311874, 0.326144737942275),
-    (4, 0.45, "binomial", 0.1318947332139182, 0.181753755159938, 0.1556738042054458, 0, 0.13189473321398204, 0.181753753117018),
-    (6, 0.35, "parametric", 0.1731264491985242, 0.25137980928091314, 0.1891926148139132, 0, 0.17312644919872855, 0.25137981010553484),
-    (9, 0.12, "parametric", 0.28516757981417223, 0.3730678470088885, 0.3186294829382719, 0, 0.2851675798143507, 0.3730678481900424),
-    (9, 0.14, "binomial", 0.27475341543755255, 0.33173326644493406, 0.3176568520622586, 0, 0.2747534154377186, 0.3317332594269466),
-    (11, 0.08, "parametric", 0.3170914545250485, 0.4007722305673113, 0.35212859864575885, 0, 0.31709145452523047, 0.40077223079600083),
-    (11, 0.1, "binomial", 0.304822702185922, 0.3593792826766104, 0.34845736475835454, 0, 0.30482270218608387, 0.3593792907159594),
+    (2, 0.1, "parametric", 0.21654143346580407, 0.38676267649407003, 0.33443519294685164, 0, 0.38676267584802193),
+    (2, 0.6, "binomial", 0.07765209928298708, 0.1287835517613452, 0.09988112190536279, 0, 0.12878355769809413),
+    (4, 0.2, "parametric", 0.22102022300301466, 0.3261447388300988, 0.26520819720513333, 0, 0.326144737942275),
+    (4, 0.45, "binomial", 0.1318947332139182, 0.181753755159938, 0.1556738042054458, 0, 0.181753753117018),
+    (6, 0.35, "parametric", 0.1731264491985242, 0.25137980928091314, 0.1891926148139132, 0, 0.25137981010553484),
+    (9, 0.12, "parametric", 0.28516757981417223, 0.3730678470088885, 0.3186294829382719, 0, 0.3730678481900424),
+    (9, 0.14, "binomial", 0.27475341543755255, 0.33173326644493406, 0.3176568520622586, 0, 0.3317332594269466),
+    (11, 0.08, "parametric", 0.3170914545250485, 0.4007722305673113, 0.35212859864575885, 0, 0.40077223079600083),
+    (11, 0.1, "binomial", 0.304822702185922, 0.3593792826766104, 0.34845736475835454, 0, 0.3593792907159594),
     # endpoint
-    (3, 0.05, "parametric", 0.27304042193657657, 0.42532919113016965, 0.3830834790158536, 1, 0.27304042193653866, None),
-    (3, 0.3, "binomial", 0.17341947492183613, 0.2754902110958689, 0.21204906340227334, 1, 0.1734194749217764, None),
-    (3, 0.8, "parametric", 0.0400967644114716, 0.07110259869867164, 0.039930435914885994, 1, 0.04009676441146817, None),
-    (5, 0.15, "binomial", 0.2490216619411717, 0.3548253597013539, 0.2968721618532065, 1, 0.2490216619410412, None),
-    (5, 0.5, "parametric", 0.12120286966189067, 0.18707551472342626, 0.1294895105695933, 1, 0.12120286966192206, None),
-    (7, 0.1, "parametric", 0.2877012903079902, 0.38678249486237315, 0.3344275389084732, 1, 0.28770129030794944, None),
-    (7, 0.25, "binomial", 0.21530668081270907, 0.3001140078652475, 0.23721657968157686, 1, 0.215306680812536, None),
-    (8, 0.7, "binomial", 0.06847054936501526, 0.10825507774555115, 0.066100719082477, 2, 0.0684705493649582, None),
-    (10, 0.9, "parametric", 0.02086328511120881, 0.035079448644558586, 0.017413390341570894, 4, 0.02086328511109112, None),
-    (13, 0.3, "parametric", 0.20452851686980783, 0.2754902110958689, 0.21204906340227328, 1, 0.204528516869662, None),
-    (15, 0.02, "binomial", 0.3762439211170906, 0.45634381802989116, 0.42592776209622596, 1, 0.3762439211172396, None),
+    (3, 0.05, "parametric", 0.27304042193657657, 0.42532919113016965, 0.3830834790158536, 1, None),
+    (3, 0.3, "binomial", 0.17341947492183613, 0.2754902110958689, 0.21204906340227334, 1, None),
+    (3, 0.8, "parametric", 0.0400967644114716, 0.07110259869867164, 0.039930435914885994, 1, None),
+    (5, 0.15, "binomial", 0.2490216619411717, 0.3548253597013539, 0.2968721618532065, 1, None),
+    (5, 0.5, "parametric", 0.12120286966189067, 0.18707551472342626, 0.1294895105695933, 1, None),
+    (7, 0.1, "parametric", 0.2877012903079902, 0.38678249486237315, 0.3344275389084732, 1, None),
+    (7, 0.25, "binomial", 0.21530668081270907, 0.3001140078652475, 0.23721657968157686, 1, None),
+    (8, 0.7, "binomial", 0.06847054936501526, 0.10825507774555115, 0.066100719082477, 2, None),
+    (10, 0.9, "parametric", 0.02086328511120881, 0.035079448644558586, 0.017413390341570894, 4, None),
+    (13, 0.3, "parametric", 0.20452851686980783, 0.2754902110958689, 0.21204906340227328, 1, None),
+    (15, 0.02, "binomial", 0.3762439211170906, 0.45634381802989116, 0.42592776209622596, 1, None),
     # endpoint, xi_max < bounds._REFINE_TOL
-    (3, 0.9999999999, "parametric", 1.7328721790832443e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 3, None, None),
-    (3, 0.999999999999, "parametric", 1.7330581414398694e-13, 3.4661162828797387e-13, 1.9029761324820036e-14, 3, None, None),
-    (9, 0.999999999999, "binomial", 1.7330581414398696e-13, 3.4661162828797387e-13, 1.9029761324820036e-14, 9, None, None),
-    (12, 0.9999999999, "binomial", 1.7467438671233486e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 10, None, None),
+    (3, 0.9999999999, "parametric", 1.7328721790832443e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 3, None),
+    (3, 0.999999999999, "parametric", 1.7330581414398694e-13, 3.4661162828797387e-13, 1.9029761324820036e-14, 3, None),
+    (9, 0.999999999999, "binomial", 1.7330581414398696e-13, 3.4661162828797387e-13, 1.9029761324820036e-14, 9, None),
+    (12, 0.9999999999, "binomial", 1.7467438671233486e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 10, None),
 ]
 
 # Seeded cases of the dense-grid audit, L <= 31 and R in [0.005, 0.995]
@@ -243,17 +267,21 @@ DENSE_AUDIT = [
 
 
 class TestListRadiusBound:
+    @pytest.mark.parametrize("L, R, exponent, tau, j", PINNED_TAU)
+    def test_pinned_values(self, L, R, exponent, tau, j):
+        got, w = list_radius_bound(L, R, exponent=exponent)
+        assert got == pytest.approx(tau, abs=1e-12)
+        assert w.j == j
+
     @pytest.mark.parametrize(
-        "L, R, exponent, tau, xi0, xi1, j, bisection_tau, dense_xi0", WITNESS_PINS,
+        "L, R, exponent, tau, xi0, xi1, j, dense_xi0", WITNESS_PINS,
         ids=[f"L{L}-R{R}-{exponent}" for L, R, exponent, *_ in WITNESS_PINS],
     )
-    def test_exact_witness_pins(self, L, R, exponent, tau, xi0, xi1, j, bisection_tau, dense_xi0):
+    def test_exact_witness_pins(self, L, R, exponent, tau, xi0, xi1, j, dense_xi0):
         got, w = list_radius_bound(L, R, exponent=exponent)
         assert (got, w.xi0, w.xi1, w.j) == (tau, xi0, xi1, j)
         xi_max = 0.5 - math.sqrt(w.beta * (1.0 - w.beta))
         assert w.xi0 <= xi_max
-        if bisection_tau is not None:
-            assert got == pytest.approx(bisection_tau, abs=1e-12)
         if dense_xi0 is not None:
             assert w.xi0 == pytest.approx(dense_xi0, abs=1e-7)
 

@@ -27,34 +27,40 @@ def _entropy_array(p):
 
 
 # r_lp2(delta) -> (rate, witness alpha, witness beta), and the list-2 branch
-# point; a faster evaluation must reproduce them exactly.  The last column is
-# the rate of the earlier search, a 401-point beta grid refined by golden
-# section around its best point: the search in s is not looser
+# point; a faster evaluation must reproduce them exactly
 PINNED_LP2 = [
-    (0.0001, 0.9992134135884256, 5.001000214675514e-05, 2.5005732428945644e-09, 0.9992134135884256),
-    (0.001, 0.9937908096602037, 0.0005010028324110368, 2.509147670128605e-07, 0.9937908096602037),
-    (0.01, 0.9542335550955466, 0.005102808225367971, 2.5889337033333685e-05, 0.9542335550955467),
-    (0.05, 0.8251368080398246, 0.027877463732537616, 0.0007406338423994582, 0.8251368080398247),
-    (0.1, 0.692740743078879, 0.0634601737229312, 0.0035215634352874295, 0.6927407430788792),
-    (0.15, 0.5734500437036661, 0.11143125749290694, 0.009531057192154566, 0.5734500437036663),
-    (0.2, 0.46135960376351776, 0.18191350578947246, 0.020745273833342286, 0.4613596037635178),
-    (0.27, 0.31150716890845137, 0.4289927016830185, 0.052496718199072145, 0.3115071689084515),
-    (0.33, 0.19332396429252935, 0.49999999999999994, 0.029787282179650095, 0.19332396429257465),
-    (0.41, 0.06837826534502116, 0.5, 0.008166694905682505, 0.06837826534529964),
-    (0.5, 0.0, 0.5, 0.0, 0.0),
+    (0.0001, 0.9992134135884256, 5.001000214675514e-05, 2.5005732428945644e-09),
+    (0.001, 0.9937908096602037, 0.0005010028324110368, 2.509147670128605e-07),
+    (0.01, 0.9542335550955466, 0.005102808225367971, 2.5889337033333685e-05),
+    (0.05, 0.8251368080398246, 0.027877463732537616, 0.0007406338423994582),
+    (0.1, 0.692740743078879, 0.0634601737229312, 0.0035215634352874295),
+    (0.15, 0.5734500437036661, 0.11143125749290694, 0.009531057192154566),
+    (0.2, 0.46135960376351776, 0.18191350578947246, 0.020745273833342286),
+    (0.27, 0.31150716890845137, 0.4289927016830185, 0.052496718199072145),
+    (0.33, 0.19332396429252935, 0.49999999999999994, 0.029787282179650095),
+    (0.41, 0.06837826534502116, 0.5, 0.008166694905682505),
+    (0.5, 0.0, 0.5, 0.0),
 ]
 PINNED_BRANCH_POINT = 0.10930122586906958
 
+# r_lp2 at the same distances from the earlier search, a 401-point beta grid
+# refined by golden section around its best point; the search in s is not looser
+GRID_SEARCH_RATES = [
+    0.9992134135884256, 0.9937908096602037, 0.9542335550955467, 0.8251368080398247,
+    0.6927407430788792, 0.5734500437036663, 0.4613596037635178, 0.3115071689084515,
+    0.19332396429257465, 0.06837826534529964, 0.0,
+]
+
 
 class TestRLp2:
-    @pytest.mark.parametrize(
-        "delta, rate, alpha, beta, grid_rate", PINNED_LP2,
-        ids=[f"delta{row[0]}" for row in PINNED_LP2],
-    )
-    def test_pinned_values(self, delta, rate, alpha, beta, grid_rate):
+    @pytest.mark.parametrize("delta, rate, alpha, beta", PINNED_LP2)
+    def test_pinned_values(self, delta, rate, alpha, beta):
         got, w = r_lp2(delta)
         assert (got, w.alpha, w.beta) == (rate, alpha, beta)
-        assert got <= grid_rate
+
+    def test_at_most_grid_search(self):
+        for (delta, *_), ceiling in zip(PINNED_LP2, GRID_SEARCH_RATES, strict=True):
+            assert r_lp2(delta)[0] <= ceiling, delta
 
     def test_at_most_brute_force_scan(self):
         # the boundary objective at 2001 values of s = sqrt(beta(1-beta))
