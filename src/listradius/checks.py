@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -41,45 +42,40 @@ def _result(name, passed, residual, detail=""):
 def check_excess_derivative():
     """d/dp E[max(W - k, 0)] = L P[V >= k] with V one trial shorter,
     against central finite differences."""
-    step, tol = 1e-6, 1e-5
+    step, p = 1e-6, np.arange(0.05, 0.951, 0.05)
     worst = 0.0
     for L in range(2, 9):
         for k in range(0, L + 1):
-            for p in np.arange(0.05, 0.951, 0.05):
-                fd = (
-                    core.expected_excess(L, p + step, k)
-                    - core.expected_excess(L, p - step, k)
-                ) / (2 * step)
-                exact = L * core.binomial_tail(L - 1, p, k)
-                worst = max(worst, abs(fd - exact))
+            fd = (
+                core.expected_excess(L, p + step, k) - core.expected_excess(L, p - step, k)
+            ) / (2 * step)
+            exact = L * core.binomial_tail(L - 1, p, k)
+            worst = max(worst, np.max(np.abs(fd - exact)))
     return _result("excess-expectation derivative identity", worst <= 1e-5, worst)
 
 
 def check_tail_derivative():
     """d/dp P[W >= k] = L P[V = k-1] with V one trial shorter, against
     central finite differences."""
-    step = 1e-6
+    step, p = 1e-6, np.arange(0.05, 0.951, 0.05)
     worst = 0.0
     for L in range(2, 9):
         for k in range(0, L + 1):
-            for p in np.arange(0.05, 0.951, 0.05):
-                fd = (
-                    core.binomial_tail(L, p + step, k)
-                    - core.binomial_tail(L, p - step, k)
-                ) / (2 * step)
-                exact = L * core.binomial_pmf(L - 1, p, k - 1)
-                worst = max(worst, abs(fd - exact))
+            fd = (
+                core.binomial_tail(L, p + step, k) - core.binomial_tail(L, p - step, k)
+            ) / (2 * step)
+            exact = L * core.binomial_pmf(L - 1, p, k - 1)
+            worst = max(worst, np.max(np.abs(fd - exact)))
     return _result("binomial tail derivative identity", worst <= 1e-5, worst)
 
 
 def check_sum_identity_all():
     """Weighted partial binomial sums collapse to n C(n-1, ell), exactly:
-    sum_{u <= ell} (n - 2u) C(n, u) = n C(n-1, ell)."""
-    ok = all(
-        sum((n - 2 * u) * comb(n, u) for u in range(ell + 1)) == n * comb(n - 1, ell)
-        for n in range(1, 65)
-        for ell in range(0, n + 1)
-    )
+    sum_{u <= ell} (n - 2u) C(n, u) = n C(n-1, ell), one running sum per n."""
+    ok = True
+    for n in range(1, 65):
+        sums = accumulate((n - 2 * u) * comb(n, u) for u in range(n + 1))
+        ok &= all(total == n * comb(n - 1, ell) for ell, total in enumerate(sums))
     return _result("weighted binomial sum identity (n <= 64)", ok, 0.0)
 
 
@@ -200,12 +196,11 @@ def check_g1_dominance():
     j = 0."""
     ok = True
     for L in (3, 5, 7, 9, 11, 13, 15):
-        lo = 0.45 if L <= 9 else 0.47
-        for x in np.arange(lo, 0.50001, 0.001).tolist():
-            g1 = core.avg_radius_poly(L, 1, x)
-            ok &= all(
-                core.avg_radius_poly(L, j, x) <= g1 + 1e-12 for j in core.admissible_j(L)
-            )
+        xs = np.arange(0.45 if L <= 9 else 0.47, 0.50001, 0.001)
+        g1 = core.avg_radius_evaluator(L, 1)(xs) + 1e-12
+        ok &= all(
+            (core.avg_radius_evaluator(L, j)(xs) <= g1).all() for j in core.admissible_j(L)
+        )
         a = (L - 1) // 2
         g1_half = core.avg_radius_poly(L, 1, Fraction(1, 2))
         tail_ge = Fraction(sum(comb(L, w) for w in range(a + 1, L + 1)), 2**L)
@@ -219,21 +214,11 @@ def check_g1_dominance():
 def check_plotkin_parity():
     """Even-L Plotkin radius equals the preceding odd one; odd L strictly
     exceeds the preceding even one on (0, 1/2]."""
-    worst = 0.0
-    strict = math.inf
     xs = np.arange(0.01, 0.5001, 0.01)
-    for L in (2, 4, 6, 8):
-        for x in xs:
-            worst = max(
-                worst,
-                abs(core.plotkin_radius(L, float(x)) - core.plotkin_radius(L - 1, float(x))),
-            )
-    for L in (3, 5, 7, 9):
-        for x in xs:
-            strict = min(
-                strict,
-                core.plotkin_radius(L, float(x)) - core.plotkin_radius(L - 1, float(x)),
-            )
+    # plotkin_radius(L, xs) is the (L + 1, 0) average-radius polynomial
+    radius = {L: core.avg_radius_evaluator(L + 1, 0)(xs) for L in range(1, 10)}
+    worst = max(np.abs(radius[L] - radius[L - 1]).max() for L in (2, 4, 6, 8))
+    strict = min((radius[L] - radius[L - 1]).min() for L in (3, 5, 7, 9))
     return _result(
         "Plotkin radius parity relations",
         worst <= 1e-12 and strict > 0.0,
@@ -299,9 +284,9 @@ def check_majority_optimal(seed):
         n = rng.randint(1, 10)
         m = rng.randint(1, 5)
         words = [rng.randrange(1 << n) for _ in range(m)]
-        best = min(
-            sum((y ^ w).bit_count() for w in words) for y in range(1 << n)
-        )
+        centers = np.arange(1 << n, dtype=np.uint32)
+        # uint8 sums of at most 5 words of 10 bits; an axis sum's cast raises peak RSS
+        best = int(sum(np.bitwise_count(centers ^ np.uint32(w)) for w in words).min())
         if oracle.average_radius(words, n) != Fraction(best, m):
             return _result("majority vote attains the average radius", False, 1.0,
                            detail=f"n={n} words={words}")

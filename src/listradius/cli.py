@@ -97,10 +97,12 @@ def cmd_curve(args, out, err) -> int:
     columns = bounds.BOUNDS[args.bound].columns
     print(",".join(("rate", "tau") + columns), file=out)
     for pt in curve:
-        row = [_fmt(pt.rate)]
+        # ten digits that read half a step or more away name another row
+        rate = _fmt(pt.rate)
+        row = [repr(pt.rate) if abs(float(rate) - pt.rate) >= args.step / 2 else rate]
         if pt.tau is None:
             print(",".join(row + [""] * (1 + len(columns))), file=out)
-            print(f"listradius curve: warning: rate {_fmt(pt.rate)}: {pt.note}", file=err)
+            print(f"listradius curve: warning: rate {row[0]}: {pt.note}", file=err)
             continue
         row.append(_fmt(pt.tau))
         for col in columns:

@@ -37,6 +37,9 @@ MAX_EXHAUSTIVE_N = 24
 MAX_AVG_TYPE_SIZE = 14
 MAX_AVG_TYPE_L = 5
 REGION_STEP = 1e-3
+# a1 rows per array of the region scan: one array over all 167 130 points
+# raises the peak RSS of ``verify`` by 7.6 to 10.6 MB, 64 rows by 1.4 MB
+REGION_BLOCK_ROWS = 16
 
 
 def _over_common_denominator(t):
@@ -47,7 +50,8 @@ def _over_common_denominator(t):
 
 def _column_masks(words, n):
     """Per coordinate, the bitmask of the indices of the words holding a one."""
-    return [sum(((w >> p) & 1) << k for k, w in enumerate(words)) for p in range(n)]
+    rows = (format(w, f"0{n}b") for w in reversed(words))  # bit k is word k
+    return [int("".join(col), 2) for col in zip(*rows)][::-1]
 
 
 def _validate_words(words, n):
@@ -140,11 +144,8 @@ def average_radius(words, n: int) -> Fraction:
         raise DomainError("need at least one word")
     _validate_words(words, n)
     m = len(words)
-    total = 0
-    for pos in range(n):
-        ones = sum((w >> pos) & 1 for w in words)
-        total += min(ones, m - ones)
-    return Fraction(total, m)
+    ones = [col.bit_count() for col in _column_masks(words, n)]
+    return Fraction(sum(min(c, m - c) for c in ones), m)
 
 
 def tau_list(code: BinaryCode, L: int) -> Fraction:
@@ -296,6 +297,23 @@ def avg_radius_of_type(T: JointType, j: int) -> Fraction:
     return Fraction(total, den * (T.L + j))
 
 
+def _region_blocks(step=REGION_STEP, rows=REGION_BLOCK_ROWS):
+    """The region scan's interior points as flat (a1, a2) arrays, ``rows``
+    values of a1 at a time.  Row a1 is np.arange(step, top, step) and then
+    top = a1(1 - a1); arange fills start + i * step whatever its stop, so
+    each row is a prefix of the longest, of length ceil((top - step) / step)."""
+    a1s = np.arange(step, 1.0 - 1e-6, step)
+    tops = a1s * (1.0 - a1s)
+    counts = np.maximum(np.ceil((tops - step) / step), 0.0)
+    grid = np.append(np.arange(step, tops.max(), step), tops.max())
+    for lo in range(0, len(a1s), rows):
+        k = counts[lo:lo + rows, None]
+        cols = np.arange(k.max() + 1)  # float like k: int compares raise peak RSS
+        a2 = np.where(cols < k, grid[:len(cols)], tops[lo:lo + rows, None])
+        keep = cols <= k
+        yield np.broadcast_to(a1s[lo:lo + rows, None], a2.shape)[keep], a2[keep]
+
+
 def verify_monotonicity_region():
     """Scan the region {0 <= a1 <= 1, 0 <= a2 <= a1(1-a1)} for violations of
     the two-variable log inequality that makes the list-3 maximizer
@@ -312,21 +330,15 @@ def verify_monotonicity_region():
     (expected empty).
     """
     violations: list[tuple[float, float]] = []
-
-    a1s = np.arange(REGION_STEP, 1.0 - 1e-6, REGION_STEP)
-    for a1 in a1s:
-        top = a1 * (1.0 - a1)
-        a2s = np.arange(REGION_STEP, top, REGION_STEP)
-        a2s = np.append(a2s, top)  # include the upper boundary slice
-        lhs = -2.0 * np.log2((1.0 - a2s) / a1) * (a1 * a1 - a2s * a2s)
-        bracket = 2.0 * a1 * a1 - (4.0 / 3.0) * (a1**3 - a2s**3) - 1.0
-        rhs = bracket * np.log2((1.0 - a2s) / a2s * a1 / (1.0 - a1))
+    for a1, a2 in _region_blocks():
+        lhs = -2.0 * np.log2((1.0 - a2) / a1) * (a1 * a1 - a2 * a2)
+        bracket = 2.0 * a1 * a1 - (4.0 / 3.0) * (a1**3 - a2**3) - 1.0
+        rhs = bracket * np.log2((1.0 - a2) / a2 * a1 / (1.0 - a1))
         bad = lhs < rhs - 1e-12
-        for a2 in a2s[bad]:
-            violations.append((float(a1), float(a2)))
+        violations += zip(a1[bad].tolist(), a2[bad].tolist())
 
     # a2 = 0 slice, reduced form
-    for a1 in a1s:
-        if 2.0 * a1 * a1 - (4.0 / 3.0) * a1**3 - 1.0 > 1e-12:
-            violations.append((float(a1), 0.0))
+    a1s = np.arange(REGION_STEP, 1.0 - 1e-6, REGION_STEP)
+    bad = 2.0 * a1s * a1s - (4.0 / 3.0) * a1s**3 - 1.0 > 1e-12
+    violations += ((a1, 0.0) for a1 in a1s[bad].tolist())
     return violations

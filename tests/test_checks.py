@@ -1,0 +1,77 @@
+"""Planted faults that the array and integer passes of the checks must flag.
+
+Each test breaks one input of a check with ``monkeypatch`` and asserts that
+the check fails; ``verify --suite all`` (tests/test_acceptance.py) asserts
+that every check passes on the unbroken code.
+"""
+from fractions import Fraction
+from math import comb
+
+import numpy as np
+import pytest
+
+from listradius import checks, core, oracle
+
+
+def _plant_evaluator(monkeypatch, L, j, poly):
+    """Make avg_radius_evaluator(L, j) return ``poly``."""
+    real = core.avg_radius_evaluator
+    monkeypatch.setattr(
+        core, "avg_radius_evaluator", lambda L_, j_: poly if (L_, j_) == (L, j) else real(L_, j_)
+    )
+
+
+def test_g1_dominance_flags_j_above_g1(monkeypatch):
+    # every other j keeps at least 8.7e-4 below g1 on the grids, so the
+    # plant puts j = 0 at L = 15 1e-9 above g1 itself
+    g1 = core.avg_radius_evaluator(15, 1)
+    _plant_evaluator(monkeypatch, 15, 0, lambda x: g1(x) + 1e-9)
+    assert not checks.check_g1_dominance().passed
+
+
+def test_plotkin_parity_flags_offset(monkeypatch):
+    # plotkin_radius(4, x) is the (5, 0) polynomial, which must equal (4, 0)
+    g = core.avg_radius_evaluator(5, 0)
+    _plant_evaluator(monkeypatch, 5, 0, lambda x: g(x) + 1e-9)
+    result = checks.check_plotkin_parity()
+    assert not result.passed
+    assert result.residual == pytest.approx(1e-9, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "check", [checks.check_excess_derivative, checks.check_tail_derivative]
+)
+def test_derivative_checks_flag_tail_offset(monkeypatch, check):
+    # 1e-4 p at k = 2: a constant offset would cancel in the tail check's
+    # difference quotient
+    real = core.binomial_tail
+    monkeypatch.setattr(
+        core, "binomial_tail", lambda L, p, k: real(L, p, k) + (1e-4 * p if k == 2 else 0.0)
+    )
+    assert not check().passed
+
+
+def test_sum_identity_flags_wrong_binomial(monkeypatch):
+    monkeypatch.setattr(checks, "comb", lambda n, k: comb(n, k) + ((n, k) == (40, 17)))
+    assert not checks.check_sum_identity_all().passed
+
+
+def test_majority_check_flags_average_radius_offset(monkeypatch):
+    real = oracle.average_radius
+    monkeypatch.setattr(
+        oracle, "average_radius", lambda words, n: real(words, n) + Fraction(1, len(words))
+    )
+    assert not checks.check_majority_optimal(7).passed
+
+
+def test_region_scan_reports_a_violating_point(monkeypatch):
+    # (0.2, 0.5) lies above a2 = a1(1 - a1), where the inequality fails
+    real = oracle._region_blocks
+
+    def blocks():
+        yield from real()
+        yield np.array([0.2]), np.array([0.5])
+
+    monkeypatch.setattr(oracle, "_region_blocks", blocks)
+    assert oracle.verify_monotonicity_region() == [(0.2, 0.5)]
+    assert not checks.check_region_inequality().passed

@@ -17,6 +17,9 @@ from listradius import bounds
 from listradius.cli import _build_parser, main
 
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, out=out, err=err)
@@ -110,7 +113,8 @@ class TestCurve:
         assert lines[-1].split(",")[0] == rmax
 
     def test_near_unit_rates_print_apart(self):
-        # ten digits print all but the first of these rates as 1
+        # ten digits print all but the first of these rates as 1, and the
+        # first as 0.9999999999, five steps below it
         code, out, err = run_cli(
             ["curve", "--bound", "abl2", "--L", "2", "--rmin", "0.99999999995",
              "--rmax", "0.9999999999999999", "--step", "0.00000000001"]
@@ -118,7 +122,7 @@ class TestCurve:
         assert (code, err) == (0, "")
         rates = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert rates == [
-            "0.9999999999", "0.99999999996", "0.99999999997", "0.99999999998",
+            "0.99999999995", "0.99999999996", "0.99999999997", "0.99999999998",
             "0.99999999999", "0.9999999999999999",
         ]
 
@@ -190,6 +194,23 @@ class TestCurve:
             f"listradius curve: warning: rate {r}: "
             f"h(beta)=0.8812908992306927 exceeds rate {r}"
             for r in ("0.1234567", "0.1234568", "0.1234569")
+        ]
+
+    def test_fine_step_rates_name_their_rows(self):
+        # ten digits read all three rates as 0.1234567891; each row and its
+        # warning print the rate in full
+        code, out, err = run_cli(
+            ["curve", "--bound", "theorem1", "--L", "3", "--beta", "0.3",
+             "--rmin", "0.12345678905", "--rmax", "0.12345678907",
+             "--step", "0.00000000001"]
+        )
+        rates = ("0.12345678905", "0.12345678906", "0.12345678907")
+        assert code == 0
+        assert out.splitlines()[1:] == [f"{r},,,," for r in rates]
+        assert err.splitlines() == [
+            f"listradius curve: warning: rate {r}: "
+            f"h(beta)=0.8812908992306927 exceeds rate {r}"
+            for r in rates
         ]
 
     @pytest.mark.parametrize(
@@ -330,6 +351,21 @@ class TestVerify:
         )
         assert lines[-1] == "10/11 checks passed"
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv, pinned",
+        [(["verify", "--suite", "all", "--seed", "7"], "verify-all-seed7.txt"),
+         (["verify", "--suite", "oracle", "--seed", "3", "--code",
+           os.path.join(DATA, "code-n7.txt")], "verify-oracle-seed3-code-n7.txt")],
+        ids=["all-seed7", "oracle-seed3-code"],
+    )
+    def test_stdout_pinned(self, argv, pinned):
+        # every check's printed result, byte for byte; a change that moves a
+        # printed digit re-pins the file and names the digit
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        with open(os.path.join(DATA, pinned), encoding="ascii") as fh:
+            assert out == fh.read()
 
     def test_seeded_determinism(self):
         _, out1, _ = run_cli(["verify", "--suite", "oracle", "--seed", "3"])

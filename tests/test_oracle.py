@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from listradius.core import avg_radius_poly
@@ -10,6 +11,8 @@ from listradius.errors import DomainError, SizeLimitError
 from listradius.oracle import (
     MAX_AVG_TYPE_L,
     MAX_AVG_TYPE_SIZE,
+    REGION_BLOCK_ROWS,
+    REGION_STEP,
     BinaryCode,
     JointType,
     avg_joint_type,
@@ -22,6 +25,7 @@ from listradius.oracle import (
     tau_list,
     weight_marginal_exact,
 )
+from listradius.oracle import _region_blocks
 
 
 class TestChebyshevRadius:
@@ -369,3 +373,20 @@ class TestG1Dominance:
         g1 = avg_radius_poly(3, 1, Fraction(1, 2))
         assert g1 == Fraction(5, 16)
         assert Fraction(1, 8) < g1 < Fraction(1, 2)
+
+
+class TestRegionBlocks:
+    @pytest.mark.parametrize("rows", [REGION_BLOCK_ROWS, 64])
+    def test_blocks_are_the_per_row_grids(self, rows):
+        # row a1 of the scan is np.append(np.arange(step, top, step), top)
+        step = REGION_STEP
+        a1s = np.arange(step, 1.0 - 1e-6, step)
+        assert len(a1s) % rows != 0  # a short last block
+        ref = [np.append(np.arange(step, a1 * (1.0 - a1), step), a1 * (1.0 - a1)) for a1 in a1s]
+        blocks = list(_region_blocks(step, rows))
+        assert len(blocks) == -(-len(a1s) // rows)
+        a1 = np.concatenate([b[0] for b in blocks])
+        a2 = np.concatenate([b[1] for b in blocks])
+        assert np.array_equal(a1, np.repeat(a1s, [len(r) for r in ref]))
+        assert np.array_equal(a2, np.concatenate(ref))
+        assert len(a2) == 167_130
