@@ -396,12 +396,12 @@ def reference_crossovers() -> dict[int, float]:
     return dict(_REFERENCE_CROSSOVERS)
 
 
-# Rates of the top-down crossover scan, 0.02, then 0.1 to 0.9 at steps of
-# 0.1 as np.arange(0.1, 0.95, 0.1) forms them, then 0.99; and the width at
-# which the root finder after it stops.
+# Rates of the top-down crossover scan: 0.02 and its 12 halvings (to 4.9e-6;
+# odd L >= 33 cross below 0.02), 0.1 to 0.9 as np.arange(0.1, 0.95, 0.1)
+# forms them, and 0.99; and the width at which the root finder after it stops.
 _CROSSOVER_SCAN = (
-    0.02, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.6, 0.7000000000000001, 0.8, 0.9,
-    0.99,
+    *(0.02 * 2.0**-k for k in range(12, -1, -1)),
+    0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.6, 0.7000000000000001, 0.8, 0.9, 0.99,
 )
 _CROSSOVER_R_TOL = 1e-5
 
@@ -415,10 +415,10 @@ def crossover_rate(L: int) -> CrossoverResult:
     and verification asks for each L more than once.  Exceptions are not
     cached: a bad L raises on every call.
 
-    The central bound is evaluated with the binomial exponent estimate:
-    the published crossover table was computed that way, and for small L
-    the two treatments agree at the crossover because the maximizer sits
-    at the xi0 endpoint where the estimate is exact.
+    The central bound is evaluated with the binomial exponent estimate, as
+    the published crossover table was.  The two treatments agree at the
+    crossover only for L = 3, 5 and 7, where the maximizer sits at the xi0
+    endpoint; from L = 9 on the exact exponent's is higher (7.9e-3 at L = 9).
     """
     if not isinstance(L, int) or L < 3 or L % 2 == 0:
         raise DomainError(f"crossover rates are computed for odd L >= 3, got {L}")

@@ -2,7 +2,8 @@
 
 The second LP bound on the rate of binary codes with a given relative
 distance, and the list-size-2 bound obtained from it by an
-Elias-Bassalygo style reduction with a sphere-constrained distance bound.
+Elias-Bassalygo style reduction with a sphere-constrained branch that
+touches the LP branch at the root of a closed-form slope.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import NamedTuple
 
 from .core import binary_entropy, delta_lp1
 from .errors import DomainError, NoSolutionError, check_rate
-from .solve import brent_max, brent_root, golden_max
+from .solve import brent_root, golden_max
 
 __all__ = [
     "Lp2Witness",
@@ -25,12 +26,6 @@ __all__ = [
     "lp2_tau",
     "r_lp2",
 ]
-
-# Taus of the list-2 branch point scan, formed as np.linspace(0.02, 0.24, 45)
-# forms them (i * step + start), and the tolerance of the refinement after it.
-_BRANCH_TAUS = tuple(i * (0.22 / 44) + 0.02 for i in range(45))
-_BRANCH_TOL = 1e-9
-
 
 class Lp2Witness(NamedTuple):
     """Minimizing point of the second LP bound objective."""
@@ -118,28 +113,32 @@ def _abl_second_branch(tau: float) -> float:
 def abl_branch_point() -> float:
     """Contact point of the two branches of the list-2 bound.
 
-    With the LP branch evaluated accurately the two expressions osculate
-    instead of crossing, so the switch point is the maximizer of their
-    difference: brent_max from 45 scanned points.  The difference peaks at
-    -1.58e-6 on the scan (tau = 0.11) and at +1.1e-16, a rounding error,
-    once refined.  A positive scanned difference (a transversal crossing)
-    or a refined peak below -1e-6 raises NoSolutionError.  Memoized.
+    At delta = 2 tau the LP2 constraint boundary alpha(1-alpha) =
+    s^2 + delta (1/2 + s) has alpha = delta at s = sqrt(tau - 3 tau^2) - tau,
+    where beta(s) is abl_sphere_param(tau).  So the second branch is the LP2
+    objective F = 1 - h(alpha(s)) + h(beta(s)) at a feasible point, and
+    r_lp2(2 tau) - second = min F - F(s) <= 0: the branches touch exactly
+    where dF/ds = h'(beta) 2s/(1 - 2 beta) - h'(alpha)(2s + delta)/(1 - 2 alpha)
+    vanishes, h'(x) = log2((1-x)/x); it falls from +0.114 at tau = 0.02 to
+    -1.06 at 0.24, and brent_root finds its root to 1e-15.  One r_lp2 solve
+    checks the contact: a gap above 1e-6 raises NoSolutionError.  Memoized.
     """
-    def gap(tau):
-        return _lp2_rate(tau) - _abl_second_branch(tau)
+    def slope(tau):
+        s, alpha, beta = math.sqrt(tau - 3.0 * tau * tau) - tau, 2.0 * tau, abl_sphere_param(tau)
+        return (
+            math.log2((1.0 - beta) / beta) * 2.0 * s / (1.0 - 2.0 * beta)
+            - math.log2((1.0 - alpha) / alpha) * (2.0 * s + alpha) / (1.0 - 2.0 * alpha)
+        )
 
-    gaps = [gap(t) for t in _BRANCH_TAUS]
-    if max(gaps) > 0.0:
-        raise NoSolutionError("list-2 bound branches cross instead of touching")
-    tau0, peak = brent_max(gap, _BRANCH_TAUS, gaps, _BRANCH_TOL)
-    if peak < -1e-6:
+    tau0 = brent_root(slope, 0.02, 0.24, 1e-15)[0]
+    if abs(_lp2_rate(tau0) - _abl_second_branch(tau0)) > 1e-6:
         raise NoSolutionError("list-2 bound branches do not touch within 1e-6")
     return tau0
 
 
 def abl_list2(tau: float) -> float:
-    """List-size-2 rate bound: the second LP bound below the branch point,
-    the sphere-constrained branch above it."""
+    """List-size-2 rate bound: the second LP bound up to the branch point,
+    where the sphere-constrained branch touches it, and that branch above."""
     tau = float(tau)
     if not 0.0 < tau < 0.25:
         raise DomainError(f"tau must lie in (0, 1/4), got {tau}")

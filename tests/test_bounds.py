@@ -595,12 +595,15 @@ class TestCrossover:
             central = list_radius_bound(L, R, exponent="binomial")[0]
             assert central > blinovsky_bound(L, R), R
 
-    @pytest.mark.parametrize("L, r_cross", [(13, 0.078037), (15, 0.062783)])
+    @pytest.mark.parametrize(
+        "L, r_cross", [(13, 0.078037), (15, 0.062783), (33, 0.018910), (51, 0.009766)]
+    )
     def test_large_list_sizes_resolve(self, L, r_cross):
         assert crossover_rate(L).r_cross == pytest.approx(r_cross, abs=2e-5)
 
     def test_scan_rates_match_arange(self):
-        assert _CROSSOVER_SCAN == (0.02, *np.arange(0.1, 0.95, 0.1).tolist(), 0.99)
+        halvings = [0.02 / 2**k for k in range(12, 0, -1)]
+        assert _CROSSOVER_SCAN == (*halvings, 0.02, *np.arange(0.1, 0.95, 0.1).tolist(), 0.99)
 
 
 class TestBestUpperBound:

@@ -356,12 +356,16 @@ class TestVerify:
         "argv, pinned",
         [(["verify", "--suite", "all", "--seed", "7"], "verify-all-seed7.txt"),
          (["verify", "--suite", "oracle", "--seed", "3", "--code",
-           os.path.join(DATA, "code-n7.txt")], "verify-oracle-seed3-code-n7.txt")],
-        ids=["all-seed7", "oracle-seed3-code"],
+           os.path.join(DATA, "code-n7.txt")], "verify-oracle-seed3-code-n7.txt"),
+         (["table1"], "table1.txt"),
+         # 81 rows straddling the rate of the list-2 branch point, R ~ 0.42089
+         (["curve", "--bound", "abl2", "--L", "2", "--rmin", "0.4205", "--rmax", "0.4213",
+           "--step", "0.00001"], "curve-abl2-L2-branch.txt")],
+        ids=["all-seed7", "oracle-seed3-code", "table1", "abl2-branch"],
     )
     def test_stdout_pinned(self, argv, pinned):
-        # every check's printed result, byte for byte; a change that moves a
-        # printed digit re-pins the file and names the digit
+        # every printed digit, byte for byte; a change that moves one
+        # re-pins the file and names the digit
         code, out, err = run_cli(argv)
         assert (code, err) == (0, "")
         with open(os.path.join(DATA, pinned), encoding="ascii") as fh:
@@ -397,8 +401,9 @@ class TestVerify:
             "".join(format(w, "05b") + "\n" for w in range(15)).encode(),
             "0101\n10\xe91\n".encode("latin-1"),
             ("0" * 25 + "\n" + "1" * 25 + "\n").encode(),
+            b"",
         ],
-        ids=["15-words", "non-ascii", "blocklength-25"],
+        ids=["15-words", "non-ascii", "blocklength-25", "empty"],
     )
     def test_bad_code_file_rejected_before_suites(self, tmp_path, content):
         path = tmp_path / "code.txt"

@@ -7,7 +7,6 @@ from listradius import lp
 from listradius.core import binary_entropy, delta_lp1
 from listradius.errors import DomainError, NoSolutionError
 from listradius.lp import (
-    _BRANCH_TAUS,
     abl2_tau,
     abl_branch_point,
     abl_list2,
@@ -41,7 +40,7 @@ PINNED_LP2 = [
     (0.41, 0.06837826534502116, 0.5, 0.008166694905682505),
     (0.5, 0.0, 0.5, 0.0),
 ]
-PINNED_BRANCH_POINT = 0.10930122586906958
+PINNED_BRANCH_POINT = 0.10930122630034016
 
 # r_lp2 at the same distances from the earlier search, a 401-point beta grid
 # refined by golden section around its best point; the search in s is not looser
@@ -124,23 +123,38 @@ class TestAbl:
     def test_branch_point_value(self):
         assert abl_branch_point() == PINNED_BRANCH_POINT
 
-    def test_scan_taus_match_linspace(self):
-        assert list(_BRANCH_TAUS) == np.linspace(0.02, 0.24, 45).tolist()
+    def test_branches_touch_at_lp2_witness(self):
+        # the second branch is the LP2 objective at alpha = 2 tau0, beta =
+        # abl_sphere_param(tau0); at the branch point that is r_lp2's minimizer
+        tau0 = abl_branch_point()
+        w = r_lp2(2 * tau0)[1]
+        assert abs(w.alpha - 2 * tau0) <= 1e-6
+        assert abs(w.beta - abl_sphere_param(tau0)) <= 1e-6
 
-    def test_branch_point_solved_once(self):
-        abl_branch_point.cache_clear()
-        abl_branch_point()
-        abl_list2(0.2)
-        assert abl_branch_point.cache_info().misses == 1
-
-    def test_crossing_branches_raise(self, monkeypatch):
-        # a second branch 1e-3 lower makes every scanned gap positive
-        second = lp._abl_second_branch
-        monkeypatch.setattr(lp, "_abl_second_branch", lambda tau: second(tau) - 1e-3)
+    def test_branch_point_solved_once(self, monkeypatch):
+        # a cold solve makes one r_lp2 solve, the contact check, and
+        # abl_list2 reuses it
+        calls = []
+        solve = lp.r_lp2
+        monkeypatch.setattr(lp, "r_lp2", lambda delta: calls.append(delta) or solve(delta))
         abl_branch_point.cache_clear()
         try:
-            with pytest.raises(NoSolutionError, match="cross instead of touching"):
-                abl_branch_point()
+            assert abl_branch_point() == PINNED_BRANCH_POINT
+            abl_list2(0.2)
+            assert abl_branch_point.cache_info().misses == 1
+            assert len(calls) == 1
+        finally:
+            abl_branch_point.cache_clear()
+
+    def test_crossing_branches_raise(self, monkeypatch):
+        # a second branch 1e-3 off on either side no longer touches the LP branch
+        second = lp._abl_second_branch
+        try:
+            for offset in (1e-3, -1e-3):
+                monkeypatch.setattr(lp, "_abl_second_branch", lambda tau: second(tau) + offset)
+                abl_branch_point.cache_clear()
+                with pytest.raises(NoSolutionError, match="do not touch"):
+                    abl_branch_point()
         finally:
             abl_branch_point.cache_clear()
 
