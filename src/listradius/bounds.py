@@ -72,6 +72,11 @@ _REFINE_TOL = 1e-10
 # interval; the grid only brackets each j's maximizer for the refinement.
 _GRID_POINTS = 16
 
+# Slack of the concavity cap (see list_radius_bound): a shift count or a
+# grid point is skipped only when its cap falls short of the best value so
+# far by more than this, far above the rounding of one evaluation.
+_CAP_SLACK = 1e-12
+
 
 class RadiusWitness(NamedTuple):
     """Maximizing parameters of the central bound at one rate."""
@@ -278,7 +283,8 @@ def _rate_geometry(R, beta, exponent):
         raise DomainError(f"h(beta)={hbeta} exceeds rate {R}")
     xs = _xi0_grid(R, 0.5 - math.sqrt(beta * (1.0 - beta)), exponent, _GRID_POINTS)
     solve = functools.cache(functools.partial(_solve_at, R, beta, hbeta, exponent))
-    if not any(solve(x)[1] >= -1e-12 for x in xs):
+    # the subcode rate rises in xi0, so the top of the grid decides at once
+    if not any(_subcode_rate(R, beta, hbeta, x, exponent) >= -1e-12 for x in reversed(xs)):
         raise NoSolutionError("no admissible xi0: subcode rate negative everywhere")
     return beta, xs, solve
 
@@ -297,6 +303,21 @@ def _objective(solve, poly):
     return theta
 
 
+def _grid_values(theta, poly, xs):
+    """theta on the ascending grid xs, scanned from xs[-1] down to the
+    first point x whose cap poly(x) is more than ``_CAP_SLACK`` below the
+    best value so far; that point and all below it get -inf, since poly
+    rises on [0, 1/2] and caps theta (see :func:`list_radius_bound`)."""
+    values = [-math.inf] * len(xs)
+    best = values[-1] = theta(xs[-1])
+    for i in range(len(xs) - 2, -1, -1):
+        if poly(xs[i]) < best - _CAP_SLACK:
+            break
+        values[i] = theta(xs[i])
+        best = max(best, values[i])
+    return values
+
+
 def list_radius_bound(
     L: int,
     R: float,
@@ -306,13 +327,35 @@ def list_radius_bound(
     """Central upper bound on the list-L decoding radius at rate R.
 
     For every admissible shift count j and every sphere radius xi0 up to
-    1/2 - sqrt(beta(1-beta)), the subcode rate R + h(beta) - 2E_beta(xi0)
-    determines the intersection parameter xi1, and the split average-radius
-    value is maximized.  Search is :func:`solve.brent_max` per j from a scan
-    of the feasible xi0 interval, whose endpoint is a grid point.  xi1
-    depends on xi0 only, and neither depends on L or j: the grid and the
-    xi1 of every grid and refinement point are kept per (R, beta, exponent)
-    in :func:`_rate_geometry` and shared by every list size at that rate.
+    xi_max = 1/2 - sqrt(beta(1-beta)), the subcode rate
+    R + h(beta) - 2E_beta(xi0) determines the intersection parameter xi1,
+    and the split average-radius value
+    theta_j(xi0) = xi0 P(a1) + (1-xi0) P(a2), P = avg_radius_poly(L, j, .),
+    is maximized.  Search is :func:`solve.brent_max` per j from a scan of
+    the feasible xi0 interval, whose endpoint is a grid point.  xi1 depends
+    on xi0 only, and neither depends on L or j: the grid and the xi1 of
+    every grid and refinement point are kept per (R, beta, exponent) in
+    :func:`_rate_geometry` and shared by every list size at that rate.
+
+    The concavity cap prunes the search.  The split arguments average back
+    to xi0, xi0 a1 + (1-xi0) a2 = xi0, so theta_j(xi0) <= P(xi0) <= P(xi_max)
+    as P is concave on [0, 1] and nondecreasing on [0, 1/2].  Both follow
+    from the excess-derivative identity d/dnu E[max(W - k, 0)] = L P[V >= k]
+    (check c07), W ~ Bino(L, nu) and V ~ Bino(L - 1, nu), whose tail
+    P[V >= k] rises in nu:
+
+    - L + j even, k = (L + j)/2: max(0, 2W - L - j) = 2 max(W - k, 0), so
+      (L + j) P' = L (1 - 2 P[V >= k]), which falls in nu and at nu = 1/2
+      is >= 0, as k >= L/2 lies above (L - 1)/2, the centre of V;
+    - j = 0 at odd L, k = (L - 1)/2: max(0, 2W - L) = max(W - k, 0) +
+      max(W - k - 1, 0), so L P' = L (1 - P[V >= k] - P[V >= k + 1]), which
+      falls in nu and is 0 at nu = 1/2, V being symmetric about k.
+
+    So the j are searched in descending order of their cap P(xi_max), and
+    the search stops at the first cap more than ``_CAP_SLACK`` below the
+    best value found; within one j, :func:`_grid_values` skips the grid
+    points that cannot be its grid maximum.  Neither changes the result,
+    whose ties still go to the smallest j.
 
     beta defaults to h(beta) = R.  xi0 with negative subcode rate are
     excluded; subcode rates above h(xi0) clamp xi1 to 0.  ``exponent``
@@ -327,14 +370,17 @@ def list_radius_bound(
         raise DomainError(f"unknown exponent mode {exponent!r}")
     R = check_rate(R)
     beta, xs, solve = _rate_geometry(R, None if beta is None else float(beta), exponent)
-    best = None
-    for j in admissible_j(L):
-        theta = _objective(solve, avg_radius_evaluator(L, j))
-        xi0, t = brent_max(theta, xs, [theta(x) for x in xs], _REFINE_TOL)
-        if best is None or t > best[0]:
-            best = (t, xi0, j)
+    polys = {j: avg_radius_evaluator(L, j) for j in admissible_j(L)}
+    caps = {j: poly(xs[-1]) for j, poly in polys.items()}
+    theta_star, xi0_star, j_star = -math.inf, None, None
+    for j in sorted(caps, key=caps.__getitem__, reverse=True):
+        if caps[j] < theta_star - _CAP_SLACK:
+            break
+        theta = _objective(solve, polys[j])
+        xi0, t = brent_max(theta, xs, _grid_values(theta, polys[j], xs), _REFINE_TOL)
+        if j_star is None or t > theta_star or (t == theta_star and j < j_star):
+            theta_star, xi0_star, j_star = t, xi0, j
 
-    theta_star, xi0_star, j_star = best
     xi1_star, rp_star = solve(xi0_star)[:2]
     witness = RadiusWitness(
         xi0=xi0_star,

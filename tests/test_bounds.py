@@ -17,6 +17,7 @@ from listradius.bounds import (
     MAX_POLY_L,
     _CROSSOVER_SCAN,
     _REFINE_TOL,
+    RadiusWitness,
     _objective,
     _rate_geometry,
     _xi0_grid,
@@ -254,6 +255,19 @@ WITNESS_PINS = [
     (12, 0.9999999999, "binomial", 1.7467438671233486e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 10, None),
 ]
 
+
+def _full_search(L, solve, xs):
+    """(tau, xi0, j) of the search without the concavity cap: every
+    admissible j on all of the grid xs, ties going to the smallest j."""
+    best = None
+    for j in admissible_j(L):
+        theta = _objective(solve, avg_radius_evaluator(L, j))
+        xi0, t = brent_max(theta, xs, [theta(x) for x in xs], _REFINE_TOL)
+        if best is None or t > best[0]:
+            best = (t, xi0, j)
+    return best
+
+
 # Seeded cases of the dense-grid audit, L <= 31 and R in [0.005, 0.995]
 _audit_rng = random.Random(29)
 DENSE_AUDIT = [
@@ -267,7 +281,10 @@ DENSE_AUDIT = [
 
 
 class TestListRadiusBound:
-    @pytest.mark.parametrize("L, R, exponent, tau, j", PINNED_TAU)
+    @pytest.mark.parametrize(
+        "L, R, exponent, tau, j", PINNED_TAU,
+        ids=[f"L{L}-R{R}-{exponent}" for L, R, exponent, *_ in PINNED_TAU],
+    )
     def test_pinned_values(self, L, R, exponent, tau, j):
         got, w = list_radius_bound(L, R, exponent=exponent)
         assert got == pytest.approx(tau, abs=1e-12)
@@ -293,13 +310,7 @@ class TestListRadiusBound:
         tau, w = list_radius_bound(L, R, exponent=exponent)
         _, xs, solve = _rate_geometry(R, None, exponent)
         solve = functools.cache(solve.__wrapped__)
-        dense = _xi0_grid(R, xs[-1], exponent, 512)
-        tau_dense, j_dense = -math.inf, None
-        for j in admissible_j(L):
-            theta = _objective(solve, avg_radius_evaluator(L, j))
-            t = brent_max(theta, dense, [theta(x) for x in dense], _REFINE_TOL)[1]
-            if t > tau_dense:
-                tau_dense, j_dense = t, j
+        tau_dense, _, j_dense = _full_search(L, solve, _xi0_grid(R, xs[-1], exponent, 512))
         assert w.j == j_dense
         assert abs(tau - tau_dense) <= 1e-14
 
@@ -416,6 +427,50 @@ class TestListRadiusBound:
             avg_radius_poly(MAX_POLY_L + 1, 0, 0.3)
 
 
+def _unpruned_bound(L, R, exponent):
+    """list_radius_bound's (tau, witness) by the search without the
+    concavity cap."""
+    beta, xs, solve = _rate_geometry(R, None, exponent)
+    tau, xi0, j = _full_search(L, solve, xs)
+    xi1, r_prime = solve(xi0)[:2]
+    return tau, RadiusWitness(xi0=xi0, xi1=xi1, j=j, theta=tau, beta=beta, r_prime=r_prime)
+
+
+def _differs_from_unpruned(L, R, exponent):
+    return repr(list_radius_bound(L, R, exponent=exponent)) != repr(_unpruned_bound(L, R, exponent))
+
+
+class TestConcavityCap:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+    @given(st.integers(2, 301), _rates, st.sampled_from(EXPONENT_MODES))
+    @example(101, 0.05, "parametric")
+    @example(101, 0.3, "binomial")
+    @example(301, 0.01, "binomial")
+    @example(301, 0.4, "parametric")
+    def test_equals_unpruned_search(self, L, R, exponent):
+        assert not _differs_from_unpruned(L, R, exponent)
+
+    @pytest.mark.parametrize("L, R", [(3, 0.2), (12, 0.05), (51, 0.5), (101, 0.3), (301, 0.01)])
+    @pytest.mark.parametrize("exponent", EXPONENT_MODES)
+    def test_cap_bounds_each_searched_max(self, L, R, exponent):
+        # theta_j(xi0) <= P_j(xi0) <= P_j(xi_max) for every admissible j
+        _, xs, solve = _rate_geometry(R, None, exponent)
+        for j in admissible_j(L):
+            poly = avg_radius_evaluator(L, j)
+            theta = _objective(solve, poly)
+            t = brent_max(theta, xs, [theta(x) for x in xs], _REFINE_TOL)[1]
+            assert poly(xs[-1]) >= t - 1e-12, j
+
+    def test_planted_low_cap_is_caught(self, monkeypatch):
+        # a negative slack prunes as if every cap were that much too low.
+        # At 1e-3 only the near-unit rows change, whose values all lie
+        # below it; at 1e-2 an interior row changes too
+        monkeypatch.setattr(bounds, "_CAP_SLACK", -1e-3)
+        assert any(_differs_from_unpruned(L, R, e) for L, R, e, *_ in PINNED_TAU + WITNESS_PINS)
+        monkeypatch.setattr(bounds, "_CAP_SLACK", -1e-2)
+        assert _differs_from_unpruned(10, 0.9, "parametric")
+
+
 # 25 seeded rates, each at four list sizes under both exponents; the
 # list sizes at one rate share one _rate_geometry entry
 _rng = random.Random(11)
@@ -480,8 +535,8 @@ class TestRateGeometryCache:
 
     def test_xi1_solve_count_of_a_curve(self, monkeypatch):
         # curve --bound theorem1 --L 3 --rmin 0.01 --rmax 0.99 --step 0.01
-        # solves xi1 4 003 times with the Brent refinement and 5 698 times
-        # with golden section
+        # solves xi1 2 654 times with the concavity cap, 4 003 times without
+        # it and 5 698 times with golden section in place of Brent
         solve_at, calls = bounds._solve_at, []
 
         def counted(*args):
@@ -492,7 +547,7 @@ class TestRateGeometryCache:
         _rate_geometry.cache_clear()
         sample_curve("theorem1", 3, _rate_grid(0.01, 0.99, 0.01))
         _rate_geometry.cache_clear()
-        assert len(calls) < 4500
+        assert len(calls) < 2700
 
     def test_infeasible_grid_points(self):
         # beta near 1/2 with R just inside the 1e-9 slack of h(beta) <= R:

@@ -52,7 +52,9 @@ GRID_SEARCH_RATES = [
 
 
 class TestRLp2:
-    @pytest.mark.parametrize("delta, rate, alpha, beta", PINNED_LP2)
+    @pytest.mark.parametrize(
+        "delta, rate, alpha, beta", PINNED_LP2, ids=[f"delta{delta}" for delta, *_ in PINNED_LP2]
+    )
     def test_pinned_values(self, delta, rate, alpha, beta):
         got, w = r_lp2(delta)
         assert (got, w.alpha, w.beta) == (rate, alpha, beta)
