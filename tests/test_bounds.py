@@ -281,10 +281,7 @@ DENSE_AUDIT = [
 
 
 class TestListRadiusBound:
-    @pytest.mark.parametrize(
-        "L, R, exponent, tau, j", PINNED_TAU,
-        ids=[f"L{L}-R{R}-{exponent}" for L, R, exponent, *_ in PINNED_TAU],
-    )
+    @pytest.mark.parametrize("L, R, exponent, tau, j", PINNED_TAU)
     def test_pinned_values(self, L, R, exponent, tau, j):
         got, w = list_radius_bound(L, R, exponent=exponent)
         assert got == pytest.approx(tau, abs=1e-12)
