@@ -15,9 +15,11 @@ from math import comb, log2
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
+    _omega_root,
     admissible_j,
     avg_radius_evaluator,
     avg_radius_poly,
+    avg_radius_slope_evaluator,
     binary_entropy,
     delta_lp1,
     inverse_entropy,
@@ -25,7 +27,7 @@ from .core import (
 )
 from .errors import DomainError, NoSolutionError, check_list_size, check_rate
 from .lp import abl2_tau, lp1_tau, lp2_tau
-from .solve import brent_max, brent_root
+from .solve import brent_root
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -65,7 +67,7 @@ _XI1_TOL = 1e-12
 # the float spacing of the root.
 _NEWTON_MAX_ITER = 100
 
-# Absolute tolerance in xi0 of the Brent refinement of the central bound.
+# Width in xi0 of the bracket of theta_j' = 0 refining the central bound.
 _REFINE_TOL = 1e-10
 
 # xi0 grid points of the central bound scan over the feasible xi0
@@ -74,7 +76,7 @@ _GRID_POINTS = 16
 
 # Slack of the concavity cap (see list_radius_bound): a shift count or a
 # grid point is skipped only when its cap falls short of the best value so
-# far by more than this, far above the rounding of one evaluation.
+# far by more than this fraction of it, far above one evaluation's rounding.
 _CAP_SLACK = 1e-12
 
 
@@ -289,10 +291,19 @@ def _rate_geometry(R, beta, exponent):
     return beta, xs, solve
 
 
-def _objective(solve, poly):
-    """The central objective in xi0, split_avg_radius(L, j, xi0, xi1), for
-    poly the evaluator of (L, j) and solve a :func:`_rate_geometry`'s; -inf
-    where the subcode rate is negative."""
+def _objective(solve, beta, exponent, L, j):
+    """(theta, theta') in xi0 of theta_j(xi0) = split_avg_radius(L, j, xi0,
+    xi1), for solve a :func:`_rate_geometry`'s; theta is -inf, and theta'
+    +inf, where the subcode rate is negative.  With p = xi1/(2 xi0) and
+    q = a2 = xi1/(2(1-xi0)), theta' = P(a1) - P(a2) + p P'(a1) + q P'(a2) +
+    xi1' (P'(a2) - P'(a1))/2, and xi1' = -F0/F1 from the xi1 equation: F1
+    is :func:`_solve_xi1`'s slope, F0 = h'(xi0) + log2(1-p) - log2(1-q)
+    less the subcode rate's slope, h'(xi0) under the binomial estimate and
+    -2 log2((1-w)/(1+w)), w = _omega_root(beta, xi0), under the exact
+    exponent, whose stationarity in w is _omega_root's quadratic.  xi1 = 0
+    gives theta' = j/(L+j), and xi1 = 2 xi0 (1-xi0) gives P'(xi0).
+    """
+    poly, poly_slope = avg_radius_evaluator(L, j), avg_radius_slope_evaluator(L, j)
 
     def theta(x):
         _, rp, a1, a2 = solve(x)
@@ -300,22 +311,59 @@ def _objective(solve, poly):
             return -math.inf
         return x * poly(a1) + (1.0 - x) * poly(a2)
 
-    return theta
+    def slope(x):
+        xi1, rp, a1, a2 = solve(x)
+        if rp < -1e-12:
+            return math.inf
+        # a p or q below the float resolution of 1 - p is the xi1 = 0 branch
+        if a2 == 0.0 or a1 == 1.0:
+            return j / (L + j)
+        if xi1 >= 2.0 * x * (1.0 - x):
+            return poly_slope(x)[1]
+        p, q = xi1 / (2.0 * x), a2
+        lp1, lq1 = log2(1.0 - p), log2(1.0 - q)
+        f0 = lp1 - lq1
+        if exponent != "binomial":
+            w = _omega_root(beta, x)
+            f0 += log2((1.0 - x) / x) + 2.0 * log2((1.0 - w) / (1.0 + w))
+        dxi1 = -2.0 * f0 / (log2(p) + log2(q) - lp1 - lq1)
+        (v1, d1), (v2, d2) = poly_slope(a1), poly_slope(a2)
+        return v1 - v2 + p * d1 + q * d2 + 0.5 * dxi1 * (d2 - d1)
+
+    return theta, slope
 
 
 def _grid_values(theta, poly, xs):
     """theta on the ascending grid xs, scanned from xs[-1] down to the
-    first point x whose cap poly(x) is more than ``_CAP_SLACK`` below the
-    best value so far; that point and all below it get -inf, since poly
+    first point x whose cap poly(x) is more than ``_CAP_SLACK`` of the best
+    value so far below it; that point and all below it get -inf, since poly
     rises on [0, 1/2] and caps theta (see :func:`list_radius_bound`)."""
     values = [-math.inf] * len(xs)
     best = values[-1] = theta(xs[-1])
     for i in range(len(xs) - 2, -1, -1):
-        if poly(xs[i]) < best - _CAP_SLACK:
+        if poly(xs[i]) < best - _CAP_SLACK * abs(best):
             break
         values[i] = theta(xs[i])
         best = max(best, values[i])
     return values
+
+
+def _refine(theta, slope, xs, values):
+    """(xi0, theta(xi0)) maximizing theta from its values on the grid xs:
+    the better of the best grid point and the slope's root, bracketed to
+    ``_REFINE_TOL`` in the half-cell the slope there points into, if the
+    slope changes sign across it (at xs[-1] a slope >= 0 gives xi_max)."""
+    k = max(range(len(xs)), key=values.__getitem__)
+    s = slope(xs[k])
+    far = k + 1 if s > 0.0 else k - 1
+    if s != 0.0 and 0 <= far < len(xs):
+        # the end where the slope is >= 0 first, as brent_root takes them
+        (s_lo, lo), (s_hi, hi) = sorted([(s, xs[k]), (slope(xs[far]), xs[far])], reverse=True)
+        if s_lo >= 0.0 > s_hi:
+            a, b = brent_root(slope, lo, hi, _REFINE_TOL, s_lo, s_hi)
+            t, x = max((values[k], xs[k]), (theta(a), a), (theta(b), b))
+            return x, t
+    return xs[k], values[k]
 
 
 def list_radius_bound(
@@ -329,39 +377,31 @@ def list_radius_bound(
     For every admissible shift count j and every sphere radius xi0 up to
     xi_max = 1/2 - sqrt(beta(1-beta)), the subcode rate
     R + h(beta) - 2E_beta(xi0) determines the intersection parameter xi1,
-    and the split average-radius value
-    theta_j(xi0) = xi0 P(a1) + (1-xi0) P(a2), P = avg_radius_poly(L, j, .),
-    is maximized.  Search is :func:`solve.brent_max` per j from a scan of
-    the feasible xi0 interval, whose endpoint is a grid point.  xi1 depends
-    on xi0 only, and neither depends on L or j: the grid and the xi1 of
-    every grid and refinement point are kept per (R, beta, exponent) in
-    :func:`_rate_geometry` and shared by every list size at that rate.
+    and theta_j(xi0) = xi0 P(a1) + (1-xi0) P(a2), P = avg_radius_poly(L, j,
+    .), is maximized by :func:`_refine` from a grid over the feasible xi0
+    interval that ends at xi_max.  xi1 depends on xi0 alone, so the grid and
+    every xi1 solved are kept per (R, beta, exponent) by _rate_geometry.
 
-    The concavity cap prunes the search.  The split arguments average back
-    to xi0, xi0 a1 + (1-xi0) a2 = xi0, so theta_j(xi0) <= P(xi0) <= P(xi_max)
-    as P is concave on [0, 1] and nondecreasing on [0, 1/2].  Both follow
-    from the excess-derivative identity d/dnu E[max(W - k, 0)] = L P[V >= k]
-    (check c07), W ~ Bino(L, nu) and V ~ Bino(L - 1, nu), whose tail
-    P[V >= k] rises in nu:
+    The concavity cap prunes the search.  As xi0 a1 + (1-xi0) a2 = xi0,
+    theta_j(xi0) <= P(xi0) <= P(xi_max) for P concave on [0, 1] and
+    nondecreasing on [0, 1/2], which the excess-derivative identity
+    d/dnu E[max(W - k, 0)] = L P[V >= k] (check c07) shows, W ~ Bino(L, nu)
+    and V ~ Bino(L - 1, nu), whose tail P[V >= k] rises in nu:
 
-    - L + j even, k = (L + j)/2: max(0, 2W - L - j) = 2 max(W - k, 0), so
-      (L + j) P' = L (1 - 2 P[V >= k]), which falls in nu and at nu = 1/2
-      is >= 0, as k >= L/2 lies above (L - 1)/2, the centre of V;
-    - j = 0 at odd L, k = (L - 1)/2: max(0, 2W - L) = max(W - k, 0) +
-      max(W - k - 1, 0), so L P' = L (1 - P[V >= k] - P[V >= k + 1]), which
-      falls in nu and is 0 at nu = 1/2, V being symmetric about k.
+    - L + j even, k = (L + j)/2: (L + j) P' = L (1 - 2 P[V >= k]), which
+      falls in nu and is >= 0 at nu = 1/2, as k lies above V's centre;
+    - j = 0 at odd L, k = (L - 1)/2: L P' = L (1 - P[V >= k] - P[V >= k+1]),
+      which falls in nu and is 0 at nu = 1/2, V being symmetric about k.
 
-    So the j are searched in descending order of their cap P(xi_max), and
-    the search stops at the first cap more than ``_CAP_SLACK`` below the
-    best value found; within one j, :func:`_grid_values` skips the grid
-    points that cannot be its grid maximum.  Neither changes the result,
-    whose ties still go to the smallest j.
+    So the j are searched by descending cap P(xi_max) down to the first cap
+    more than ``_CAP_SLACK`` of the best value found below it, and
+    :func:`_grid_values` skips the grid points that cannot be a j's grid
+    maximum.  Neither changes the result; ties go to the smallest j.
 
     beta defaults to h(beta) = R.  xi0 with negative subcode rate are
     excluded; subcode rates above h(xi0) clamp xi1 to 0.  ``exponent``
-    selects the treatment of the Krawtchouk exponent (see
-    :func:`_subcode_rate`); the witness r_prime is reported under the
-    selected treatment.
+    selects the Krawtchouk exponent's treatment (:func:`_subcode_rate`),
+    under which the witness r_prime is reported.
     """
     if not isinstance(L, int) or L < 2:
         raise DomainError(f"list size must be an integer >= 2, got {L}")
@@ -374,21 +414,16 @@ def list_radius_bound(
     caps = {j: poly(xs[-1]) for j, poly in polys.items()}
     theta_star, xi0_star, j_star = -math.inf, None, None
     for j in sorted(caps, key=caps.__getitem__, reverse=True):
-        if caps[j] < theta_star - _CAP_SLACK:
+        if caps[j] < theta_star - _CAP_SLACK * abs(theta_star):
             break
-        theta = _objective(solve, polys[j])
-        xi0, t = brent_max(theta, xs, _grid_values(theta, polys[j], xs), _REFINE_TOL)
+        theta, slope = _objective(solve, beta, exponent, L, j)
+        xi0, t = _refine(theta, slope, xs, _grid_values(theta, polys[j], xs))
         if j_star is None or t > theta_star or (t == theta_star and j < j_star):
             theta_star, xi0_star, j_star = t, xi0, j
 
     xi1_star, rp_star = solve(xi0_star)[:2]
     witness = RadiusWitness(
-        xi0=xi0_star,
-        xi1=xi1_star,
-        j=j_star,
-        theta=theta_star,
-        beta=beta,
-        r_prime=rp_star,
+        xi0=xi0_star, xi1=xi1_star, j=j_star, theta=theta_star, beta=beta, r_prime=rp_star
     )
     return theta_star, witness
 

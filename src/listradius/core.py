@@ -19,6 +19,7 @@ __all__ = [
     "admissible_j",
     "avg_radius_evaluator",
     "avg_radius_poly",
+    "avg_radius_slope_evaluator",
     "binary_entropy",
     "binomial_pmf",
     "binomial_tail",
@@ -118,11 +119,14 @@ def admissible_j(L: int) -> tuple[int, ...]:
     return tuple(range(0, L + 1, 2))
 
 
-@functools.lru_cache(maxsize=1024)
-def _excess_coeffs(L: int, j: int) -> tuple[int, ...]:
-    """Integer coefficients comb(L, w) * (2w - L - j) of the excess terms,
-    for w from (L + j) // 2 + 1 up to L."""
-    return tuple(comb(L, w) * (2 * w - L - j) for w in range((L + j) // 2 + 1, L + 1))
+# typed, so that a float j is validated rather than answered from an int entry
+@functools.lru_cache(maxsize=1024, typed=True)
+def _excess_terms(L: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """(c, w, L - w) of the excess terms, c = comb(L, w) (2w - L - j), w > (L + j)/2."""
+    check_list_size(L)
+    if not isinstance(j, int) or not 0 <= j <= L:
+        raise DomainError(f"shift count must be an integer in [0, {L}], got {j}")
+    return tuple((comb(L, w) * (2 * w - L - j), w, L - w) for w in range((L + j) // 2 + 1, L + 1))
 
 
 def avg_radius_evaluator(L: int, j: int):
@@ -132,12 +136,7 @@ def avg_radius_evaluator(L: int, j: int):
     whose arguments are already clipped to [0, 1].  The terms
     c * nu**w * (1 - nu)**(L - w) are summed in ascending w.
     """
-    check_list_size(L)
-    if not isinstance(j, int) or not 0 <= j <= L:
-        raise DomainError(f"shift count must be an integer in [0, {L}], got {j}")
-    w0 = (L + j) // 2 + 1
-    terms = tuple(zip(_excess_coeffs(L, j), range(w0, L + 1), range(L - w0, -1, -1)))
-    norm = L + j
+    terms, norm = _excess_terms(L, j), L + j
 
     def poly(nu):
         q = 1 - nu
@@ -147,6 +146,26 @@ def avg_radius_evaluator(L: int, j: int):
         return (L * nu - excess) / norm
 
     return poly
+
+
+def avg_radius_slope_evaluator(L: int, j: int):
+    """The function nu -> (avg_radius_poly(L, j, nu), its derivative in nu)
+    for nu strictly inside (0, 1), the value bit for bit that of
+    :func:`avg_radius_evaluator`: each of its terms t = c nu**w (1-nu)**v
+    also adds t (w/nu - v/(1-nu)) to the excess's derivative."""
+    terms, norm = _excess_terms(L, j), L + j
+
+    def poly_slope(nu):
+        q = 1 - nu
+        rn, rq = 1 / nu, 1 / q
+        excess = dexcess = 0
+        for c, w, v in terms:
+            t = c * nu**w * q**v
+            excess = excess + t
+            dexcess = dexcess + t * (w * rn - v * rq)
+        return (L * nu - excess) / norm, (L - dexcess) / norm
+
+    return poly_slope
 
 
 def avg_radius_poly(L: int, j: int, nu):

@@ -1,11 +1,11 @@
 """One-dimensional solvers shared by the bounds: bisection on a one-sided
-predicate, Brent-Dekker root bracketing, maximization by golden section,
-and maximization over a grid refined by Brent's minimizer."""
+predicate, Brent-Dekker root bracketing and maximization by golden
+section."""
 from __future__ import annotations
 
 import math
 
-__all__ = ["bisect", "brent_max", "brent_root", "golden_max"]
+__all__ = ["bisect", "brent_root", "golden_max"]
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -106,57 +106,3 @@ def golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     fbest, xbest = max(candidates, key=lambda t: t[0])
     return xbest, fbest
 
-
-def brent_max(f, xs, values, tol: float) -> tuple[float, float]:
-    """Maximization of f from its values on the ascending grid xs; returns
-    (x, f(x)), the better of the best grid point and its refinement.
-
-    The refinement is Brent's localmin on -f (Brent 1973, ch. 5) between
-    the best grid point's neighbours, and stops within 2 (tol/3 + 2 ulp) of
-    the maximizer: the book's relative term sqrt(eps) |x| stops short of
-    the last digits of the maximum.  It is skipped for a best point at
-    xs[-1] where f does not rise towards it over the last tol: a unimodal
-    bracket then has its maximum within tol of it, which is all that the
-    refinement would establish.  No grid value is evaluated again.
-    """
-    n = len(xs)
-    k = max(range(n), key=values.__getitem__)
-    a, b = xs[max(k - 1, 0)], xs[min(k + 1, n - 1)]
-    if k == n - 1:
-        # a probe at or below a takes a's value (xs[-1]'s own when n == 1)
-        probe = xs[k] - tol
-        if (f(probe) if probe > a else values[k - 1]) <= values[k]:
-            return xs[k], values[k]
-    x = w = v = a + (1.0 - _PHI) * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    while True:
-        xm, tol1 = 0.5 * (a + b), tol / 3.0 + 2.0 * math.ulp(x)
-        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
-            break
-        # vertex x + p/q of the parabola through x, w, v; nan fails every
-        # comparison, so infinite values take the golden step
-        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-        p, q = (x - v) * q - (x - w) * r, 2.0 * (r - q)
-        p, q = (p, q) if q >= 0.0 else (-p, -q)
-        e_prev, e = e, d
-        if abs(e_prev) > tol1 and abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if min(x + d - a, b - x - d) < 2.0 * tol1:
-                d = math.copysign(tol1, xm - x)
-        else:
-            e = (a if x >= xm else b) - x
-            d = (1.0 - _PHI) * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
-        if fu >= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
-    fbest, xbest = max((fx, x), (values[k], xs[k]))
-    return xbest, fbest

@@ -20,6 +20,8 @@ from listradius.bounds import (
     RadiusWitness,
     _objective,
     _rate_geometry,
+    _refine,
+    _split_args,
     _xi0_grid,
     best_upper_bound,
     blinovsky_bound,
@@ -36,7 +38,6 @@ from listradius.bounds import (
 from listradius.cli import _rate_grid
 from listradius.core import (
     admissible_j,
-    avg_radius_evaluator,
     avg_radius_poly,
     binary_entropy,
     inverse_entropy,
@@ -44,7 +45,7 @@ from listradius.core import (
 )
 from listradius.errors import DomainError, NoSolutionError
 from listradius.lp import abl2_tau, lp1_tau, lp2_tau, r_lp2
-from listradius.solve import brent_max
+from listradius.solve import golden_max
 
 # Claims over random (L, R): L in 2..15 (1..15 for best) and R in
 # [0.005, 0.995], at the tolerances of the fixed-point tests.
@@ -217,52 +218,71 @@ PINNED_TAU = [
 ]
 
 # Exact outputs (tau, xi0, xi1, j) of list_radius_bound: an interior
-# maximizer comes from the Brent refinement, an endpoint one (xi0 = 1/2 -
-# sqrt(beta(1-beta))) from the endpoint shortcut of the refinement.  The
-# endpoint rows were recorded before that shortcut, the interior rows with
-# the 16-point scan of the feasible xi0 interval.  At the near-unit
+# maximizer comes from the root of the objective's slope, an endpoint one
+# (xi0 = 1/2 - sqrt(beta(1-beta))) from the slope's sign at the top of the
+# grid.  The endpoint rows were recorded before either, the interior rows
+# with the 16-point scan of the feasible xi0 interval.  At the near-unit
 # rates xi_max is below the refinement tolerance bounds._REFINE_TOL.
 # dense_xi0 is the xi0 of an interior row as a 2000-point grid over
 # (0, xi_max] bracketed it, which a refinement from another bracket must
-# find to 1e-7; None on the endpoint rows.
+# find to 1e-7; None on the endpoint rows.  ref_xi0 is the row's true
+# maximizer to 40 digits, for the float beta and rate of the row: mpmath
+# at 60 digits, xi1 by a bracketed root of its equation, the polynomial
+# summed exactly, and the maximizer as the root of mpmath's numerical
+# derivative of theta_j near the witness xi0, independent of the closed-
+# form slope; the refinement must find it to 2e-10.
 WITNESS_PINS = [
     # interior
-    (2, 0.1, "parametric", 0.21654143346580407, 0.38676267649407003, 0.33443519294685164, 0, 0.38676267584802193),
-    (2, 0.6, "binomial", 0.07765209928298708, 0.1287835517613452, 0.09988112190536279, 0, 0.12878355769809413),
-    (4, 0.2, "parametric", 0.22102022300301466, 0.3261447388300988, 0.26520819720513333, 0, 0.326144737942275),
-    (4, 0.45, "binomial", 0.1318947332139182, 0.181753755159938, 0.1556738042054458, 0, 0.181753753117018),
-    (6, 0.35, "parametric", 0.1731264491985242, 0.25137980928091314, 0.1891926148139132, 0, 0.25137981010553484),
-    (9, 0.12, "parametric", 0.28516757981417223, 0.3730678470088885, 0.3186294829382719, 0, 0.3730678481900424),
-    (9, 0.14, "binomial", 0.27475341543755255, 0.33173326644493406, 0.3176568520622586, 0, 0.3317332594269466),
-    (11, 0.08, "parametric", 0.3170914545250485, 0.4007722305673113, 0.35212859864575885, 0, 0.40077223079600083),
-    (11, 0.1, "binomial", 0.304822702185922, 0.3593792826766104, 0.34845736475835454, 0, 0.3593792907159594),
+    (2, 0.1, "parametric", 0.21654143346580415, 0.38676267652592755, 0.33443519293469354, 0,
+     0.38676267584802193, "0.3867626765262884551455971353037764959663"),
+    (2, 0.6, "binomial", 0.07765209928298708, 0.12878355635794234, 0.09988112068687748, 0,
+     0.12878355769809413, "0.1287835564079402733718179789497480068777"),
+    (4, 0.2, "parametric", 0.2210202230030146, 0.32614473951137746, 0.26520819700124254, 0,
+     0.326144737942275, "0.3261447395113800821208907568887294852661"),
+    (4, 0.45, "binomial", 0.1318947332139182, 0.18175375296831078, 0.15567380499722586, 0,
+     0.181753753117018, "0.181753752968309602737678366904404731412"),
+    (6, 0.35, "parametric", 0.1731264491985241, 0.25137980939960497, 0.18919261478954025, 0,
+     0.25137981010553484, "0.2513798093496596259001150954585729048431"),
+    (9, 0.12, "parametric", 0.28516757981417207, 0.3730678480598076, 0.318629482596769, 0,
+     0.3730678481900424, "0.3730678480598308439721417209224095009771"),
+    (9, 0.14, "binomial", 0.2747534154375525, 0.33173326582291734, 0.3176568524405335, 0,
+     0.3317332594269466, "0.3317332658227942858020390500028016290599"),
+    (11, 0.08, "parametric", 0.3170914545250483, 0.400772231117911, 0.35212859845098543, 0,
+     0.40077223079600083, "0.4007722310679291490244007383449951230841"),
+    (11, 0.1, "binomial", 0.3048227021859219, 0.3593792835840317, 0.3484573641580738, 0,
+     0.3593792907159594, "0.3593792835840314340044454346490274144542"),
     # endpoint
-    (3, 0.05, "parametric", 0.27304042193657657, 0.42532919113016965, 0.3830834790158536, 1, None),
-    (3, 0.3, "binomial", 0.17341947492183613, 0.2754902110958689, 0.21204906340227334, 1, None),
-    (3, 0.8, "parametric", 0.0400967644114716, 0.07110259869867164, 0.039930435914885994, 1, None),
-    (5, 0.15, "binomial", 0.2490216619411717, 0.3548253597013539, 0.2968721618532065, 1, None),
-    (5, 0.5, "parametric", 0.12120286966189067, 0.18707551472342626, 0.1294895105695933, 1, None),
-    (7, 0.1, "parametric", 0.2877012903079902, 0.38678249486237315, 0.3344275389084732, 1, None),
-    (7, 0.25, "binomial", 0.21530668081270907, 0.3001140078652475, 0.23721657968157686, 1, None),
-    (8, 0.7, "binomial", 0.06847054936501526, 0.10825507774555115, 0.066100719082477, 2, None),
-    (10, 0.9, "parametric", 0.02086328511120881, 0.035079448644558586, 0.017413390341570894, 4, None),
-    (13, 0.3, "parametric", 0.20452851686980783, 0.2754902110958689, 0.21204906340227328, 1, None),
-    (15, 0.02, "binomial", 0.3762439211170906, 0.45634381802989116, 0.42592776209622596, 1, None),
+    (3, 0.05, "parametric", 0.27304042193657657, 0.42532919113016965, 0.3830834790158536, 1, None, None),
+    (3, 0.3, "binomial", 0.17341947492183613, 0.2754902110958689, 0.21204906340227334, 1, None, None),
+    (3, 0.8, "parametric", 0.0400967644114716, 0.07110259869867164, 0.039930435914885994, 1, None, None),
+    (5, 0.15, "binomial", 0.2490216619411717, 0.3548253597013539, 0.2968721618532065, 1, None, None),
+    (5, 0.5, "parametric", 0.12120286966189067, 0.18707551472342626, 0.1294895105695933, 1, None, None),
+    (7, 0.1, "parametric", 0.2877012903079902, 0.38678249486237315, 0.3344275389084732, 1, None, None),
+    (7, 0.25, "binomial", 0.21530668081270907, 0.3001140078652475, 0.23721657968157686, 1, None, None),
+    (8, 0.7, "binomial", 0.06847054936501526, 0.10825507774555115, 0.066100719082477, 2, None, None),
+    (10, 0.9, "parametric", 0.02086328511120881, 0.035079448644558586, 0.017413390341570894, 4, None, None),
+    (13, 0.3, "parametric", 0.20452851686980783, 0.2754902110958689, 0.21204906340227328, 1, None, None),
+    (15, 0.02, "binomial", 0.3762439211170906, 0.45634381802989116, 0.42592776209622596, 1, None, None),
     # endpoint, xi_max < bounds._REFINE_TOL
-    (3, 0.9999999999, "parametric", 1.7328721790832443e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 3, None),
-    (3, 0.999999999999, "parametric", 1.7330581414398694e-13, 3.4661162828797387e-13, 1.9029761324820036e-14, 3, None),
-    (9, 0.999999999999, "binomial", 1.7330581414398696e-13, 3.4661162828797387e-13, 1.9029761324820036e-14, 9, None),
-    (12, 0.9999999999, "binomial", 1.7467438671233486e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 10, None),
+    (3, 0.9999999999, "parametric", 1.7328721790832443e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 3, None, None),
+    (3, 0.999999999999, "parametric", 1.7330581414398694e-13, 3.4661162828797387e-13, 1.9029761324820036e-14, 3, None, None),
+    (9, 0.999999999999, "binomial", 1.7330581414398696e-13, 3.4661162828797387e-13, 1.9029761324820036e-14, 9, None, None),
+    (12, 0.9999999999, "binomial", 1.7467438671233486e-11, 3.465744358166489e-11, 4.3909677742729245e-12, 10, None, None),
 ]
 
 
-def _full_search(L, solve, xs):
+def _search_j(L, j, beta, exponent, solve, xs):
+    """(xi0, theta) of one j's refinement from all of the grid xs."""
+    theta, slope = _objective(solve, beta, exponent, L, j)
+    return _refine(theta, slope, xs, [theta(x) for x in xs])
+
+
+def _full_search(L, beta, exponent, solve, xs):
     """(tau, xi0, j) of the search without the concavity cap: every
     admissible j on all of the grid xs, ties going to the smallest j."""
     best = None
     for j in admissible_j(L):
-        theta = _objective(solve, avg_radius_evaluator(L, j))
-        xi0, t = brent_max(theta, xs, [theta(x) for x in xs], _REFINE_TOL)
+        xi0, t = _search_j(L, j, beta, exponent, solve, xs)
         if best is None or t > best[0]:
             best = (t, xi0, j)
     return best
@@ -288,16 +308,17 @@ class TestListRadiusBound:
         assert w.j == j
 
     @pytest.mark.parametrize(
-        "L, R, exponent, tau, xi0, xi1, j, dense_xi0", WITNESS_PINS,
+        "L, R, exponent, tau, xi0, xi1, j, dense_xi0, ref_xi0", WITNESS_PINS,
         ids=[f"L{L}-R{R}-{exponent}" for L, R, exponent, *_ in WITNESS_PINS],
     )
-    def test_exact_witness_pins(self, L, R, exponent, tau, xi0, xi1, j, dense_xi0):
+    def test_exact_witness_pins(self, L, R, exponent, tau, xi0, xi1, j, dense_xi0, ref_xi0):
         got, w = list_radius_bound(L, R, exponent=exponent)
+        if ref_xi0 is not None:
+            assert abs(w.xi0 - float(ref_xi0)) <= 2e-10
+            assert w.xi0 == pytest.approx(dense_xi0, abs=1e-7)
         assert (got, w.xi0, w.xi1, w.j) == (tau, xi0, xi1, j)
         xi_max = 0.5 - math.sqrt(w.beta * (1.0 - w.beta))
         assert w.xi0 <= xi_max
-        if dense_xi0 is not None:
-            assert w.xi0 == pytest.approx(dense_xi0, abs=1e-7)
 
     @pytest.mark.parametrize("L, R, exponent", DENSE_AUDIT)
     def test_grid_agrees_with_dense_grid(self, L, R, exponent):
@@ -305,9 +326,10 @@ class TestListRadiusBound:
         # from a 512-point scan of the same interval must find the same j
         # and tau.  It solves xi1 apart from the cached 16-point geometry
         tau, w = list_radius_bound(L, R, exponent=exponent)
-        _, xs, solve = _rate_geometry(R, None, exponent)
+        beta, xs, solve = _rate_geometry(R, None, exponent)
         solve = functools.cache(solve.__wrapped__)
-        tau_dense, _, j_dense = _full_search(L, solve, _xi0_grid(R, xs[-1], exponent, 512))
+        dense = _xi0_grid(R, xs[-1], exponent, 512)
+        tau_dense, _, j_dense = _full_search(L, beta, exponent, solve, dense)
         assert w.j == j_dense
         assert abs(tau - tau_dense) <= 1e-14
 
@@ -428,7 +450,7 @@ def _unpruned_bound(L, R, exponent):
     """list_radius_bound's (tau, witness) by the search without the
     concavity cap."""
     beta, xs, solve = _rate_geometry(R, None, exponent)
-    tau, xi0, j = _full_search(L, solve, xs)
+    tau, xi0, j = _full_search(L, beta, exponent, solve, xs)
     xi1, r_prime = solve(xi0)[:2]
     return tau, RadiusWitness(xi0=xi0, xi1=xi1, j=j, theta=tau, beta=beta, r_prime=r_prime)
 
@@ -444,6 +466,9 @@ class TestConcavityCap:
     @example(101, 0.3, "binomial")
     @example(301, 0.01, "binomial")
     @example(301, 0.4, "parametric")
+    @example(101, 0.9999999999, "parametric")
+    @example(12, 0.9999999999, "binomial")
+    @example(301, 0.999999999999, "binomial")
     def test_equals_unpruned_search(self, L, R, exponent):
         assert not _differs_from_unpruned(L, R, exponent)
 
@@ -451,21 +476,171 @@ class TestConcavityCap:
     @pytest.mark.parametrize("exponent", EXPONENT_MODES)
     def test_cap_bounds_each_searched_max(self, L, R, exponent):
         # theta_j(xi0) <= P_j(xi0) <= P_j(xi_max) for every admissible j
-        _, xs, solve = _rate_geometry(R, None, exponent)
+        beta, xs, solve = _rate_geometry(R, None, exponent)
         for j in admissible_j(L):
-            poly = avg_radius_evaluator(L, j)
-            theta = _objective(solve, poly)
-            t = brent_max(theta, xs, [theta(x) for x in xs], _REFINE_TOL)[1]
-            assert poly(xs[-1]) >= t - 1e-12, j
+            t = _search_j(L, j, beta, exponent, solve, xs)[1]
+            assert avg_radius_poly(L, j, xs[-1]) >= t - 1e-12, j
 
     def test_planted_low_cap_is_caught(self, monkeypatch):
-        # a negative slack prunes as if every cap were that much too low.
-        # At 1e-3 only the near-unit rows change, whose values all lie
-        # below it; at 1e-2 an interior row changes too
-        monkeypatch.setattr(bounds, "_CAP_SLACK", -1e-3)
+        # a negative slack prunes as if every cap were that fraction too
+        # low.  At 4% the comparison catches it at an ordinary rate, at
+        # 10% at a near-unit rate too
+        monkeypatch.setattr(bounds, "_CAP_SLACK", -0.04)
         assert any(_differs_from_unpruned(L, R, e) for L, R, e, *_ in PINNED_TAU + WITNESS_PINS)
-        monkeypatch.setattr(bounds, "_CAP_SLACK", -1e-2)
-        assert _differs_from_unpruned(10, 0.9, "parametric")
+        monkeypatch.setattr(bounds, "_CAP_SLACK", -0.1)
+        assert _differs_from_unpruned(9, 0.999999999999, "binomial")
+
+    @pytest.mark.parametrize(
+        "L, R, exponent, searched",
+        [(101, 0.9999999999, "parametric", 47), (12, 0.9999999999, "binomial", 6)],
+    )
+    def test_prunes_at_near_unit_rates(self, monkeypatch, L, R, exponent, searched):
+        # every value and cap there lies below 1e-10, so the slack is
+        # relative to the best value; an absolute one pruned no shift count
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _objective(*args)
+
+        monkeypatch.setattr(bounds, "_objective", counted)
+        list_radius_bound(L, R, exponent=exponent)
+        assert len(calls) == searched < len(admissible_j(L))
+
+
+# Seeded interior points of the slope test: L, R, j and the fraction u of
+# the way up the feasible grid interval
+_slope_rng = random.Random(3)
+SLOPE_CASES = [
+    (L, round(_slope_rng.uniform(0.02, 0.98), 4), _slope_rng.choice(admissible_j(L)), _slope_rng.random())
+    for L in (_slope_rng.randint(2, 15) for _ in range(20))
+]
+
+
+def _central_difference(f, x, h):
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+class TestObjectiveSlope:
+    @pytest.mark.parametrize("exponent", EXPONENT_MODES)
+    def test_matches_central_differences(self, exponent):
+        # a step of 1e-6 xi_max leaves the difference quotient about
+        # 1e-16/h off, at most 5e-9 on these cases
+        for L, R, j, u in SLOPE_CASES:
+            beta, xs, solve = _rate_geometry(R, None, exponent)
+            x = xs[0] + u * (xs[-1] - xs[0])
+            assert 0.0 < solve(x)[0] < 2.0 * x * (1.0 - x)
+            theta, slope = _objective(solve, beta, exponent, L, j)
+            fd = _central_difference(theta, x, 1e-6 * xs[-1])
+            assert slope(x) == pytest.approx(fd, abs=1e-7), (L, R, j, x)
+
+    def test_clamp_branches(self):
+        # xi1 = 0 where the subcode rate exceeds h(xi0), here from a beta
+        # with h(beta) = 0.2 < R: theta = xi0 j/(L+j)
+        beta, _, solve = _rate_geometry(0.5, inverse_entropy(0.2), "parametric")
+        for L, j in ((5, 3), (4, 0), (9, 1)):
+            theta, slope = _objective(solve, beta, "parametric", L, j)
+            for x in (0.015, 0.03, 0.04):
+                assert solve(x)[0] == 0.0
+                assert slope(x) == j / (L + j) == pytest.approx(_central_difference(theta, x, 1e-6))
+
+        # xi1 = 2 xi0 (1 - xi0) at a zero subcode rate: theta = P(xi0)
+        def top(x):
+            xi1 = 2.0 * x * (1.0 - x)
+            return (xi1, 0.0, *_split_args(x, xi1))
+
+        for L, j in ((5, 3), (4, 0), (9, 1)):
+            theta, slope = _objective(top, beta, "parametric", L, j)
+            for x in (0.05, 0.2, 0.35):
+                assert slope(x) == pytest.approx(_central_difference(theta, x, 1e-6), abs=1e-8)
+
+    def test_infeasible_point_rises(self):
+        def infeasible(x):
+            return (0.0, -1.0, 1.0, 0.0)
+
+        theta, slope = _objective(infeasible, 0.1, "parametric", 3, 1)
+        assert (theta(0.2), slope(0.2)) == (-math.inf, math.inf)
+
+
+def _counted(g):
+    seen = []
+
+    def wrapped(x):
+        seen.append(x)
+        return g(x)
+
+    return wrapped, seen
+
+
+def _quadratic(t):
+    return -((t - 0.3) ** 2), -2.0 * (t - 0.3)
+
+
+def _cubic(t):
+    return -((t - 0.3) ** 2) * (2.0 - t), (t - 0.3) * (3.0 * t - 4.3)
+
+
+class TestRefine:
+    # _refine on functions given as (value, slope) pairs, apart from the
+    # central objective
+    @staticmethod
+    def _run(f, xs):
+        theta, seen_theta = _counted(lambda t: f(t)[0])
+        slope, seen_slope = _counted(lambda t: f(t)[1])
+        return _refine(theta, slope, xs, [f(x)[0] for x in xs]), seen_theta, seen_slope
+
+    def test_increasing_returns_upper_end(self):
+        # the slope's sign at xs[-1] alone decides
+        got, seen_theta, seen_slope = self._run(lambda t: (t**3, 3.0 * t * t), (0.1, 0.4, 0.7))
+        assert got == (0.7, 0.7**3)
+        assert (seen_theta, seen_slope) == ([], [0.7])
+
+    def test_decreasing_returns_lower_end(self):
+        got, seen_theta, seen_slope = self._run(lambda t: (-t, -1.0), (0.1, 0.4, 0.7))
+        assert got == (0.1, -0.1)
+        assert (seen_theta, seen_slope) == ([], [0.1])
+
+    @pytest.mark.parametrize("f", [_quadratic, _cubic], ids=["quadratic", "cubic"])
+    def test_interior_maximum_within_tol(self, f):
+        # both peak at 0.3 with value 0, so no rounding flattens the top
+        (x, v), _, _ = self._run(f, (0.0, 0.5, 1.0))
+        assert abs(x - 0.3) <= _REFINE_TOL
+        assert v == f(x)[0]
+
+    def test_passed_end_values_not_evaluated(self):
+        # the objective is evaluated at the final bracket only, and the
+        # slope once at each grid point it needs
+        def f(t):
+            s, c, e = math.sin(3.0 * t), math.cos(3.0 * t), math.exp(-t)
+            return s * e, (3.0 * c - s) * e
+
+        xs = (0.0, 0.5, 1.0)
+        (x, _), seen_theta, seen_slope = self._run(f, xs)
+        assert len(seen_theta) == 2 and not set(seen_theta) & set(xs)
+        assert x in seen_theta
+        assert [t for t in seen_slope if t in xs] == [0.5, 0.0]
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda t: (math.sin(40.0 * t), 40.0 * math.cos(40.0 * t)),
+            lambda t: (-abs(t - 0.5), -1.0 if t > 0.5 else 1.0),
+            lambda t: (1.0 if t == 0.5 else 0.0, 0.0),
+        ],
+        ids=["multimodal", "kink", "spike"],
+    )
+    def test_never_below_grid_maximum(self, f):
+        xs = tuple(k / 8 for k in range(9))
+        (x, v), _, _ = self._run(f, xs)
+        assert v >= max(f(t)[0] for t in xs)
+        assert v == f(x)[0]
+
+    def test_fewer_evaluations_than_golden_section(self):
+        golden, seen_golden = _counted(lambda t: _cubic(t)[0])
+        golden_max(golden, 0.2, 0.6, _REFINE_TOL)
+        (x, _), seen_theta, seen_slope = self._run(_cubic, (0.2, 0.4, 0.6))
+        assert abs(x - 0.3) <= _REFINE_TOL
+        assert 3 * (len(seen_theta) + len(seen_slope)) <= len(seen_golden)
 
 
 # 25 seeded rates, each at four list sizes under both exponents; the
@@ -532,8 +707,9 @@ class TestRateGeometryCache:
 
     def test_xi1_solve_count_of_a_curve(self, monkeypatch):
         # curve --bound theorem1 --L 3 --rmin 0.01 --rmax 0.99 --step 0.01
-        # solves xi1 2 654 times with the concavity cap, 4 003 times without
-        # it and 5 698 times with golden section in place of Brent
+        # solves xi1 1 203 times with the root of the slope, 2 654 times
+        # with Brent's minimizer in its place, 4 003 times with that and
+        # without the concavity cap, and 5 698 with golden section
         solve_at, calls = bounds._solve_at, []
 
         def counted(*args):
@@ -544,7 +720,7 @@ class TestRateGeometryCache:
         _rate_geometry.cache_clear()
         sample_curve("theorem1", 3, _rate_grid(0.01, 0.99, 0.01))
         _rate_geometry.cache_clear()
-        assert len(calls) < 2700
+        assert len(calls) < 1300
 
     def test_infeasible_grid_points(self):
         # beta near 1/2 with R just inside the 1e-9 slack of h(beta) <= R:

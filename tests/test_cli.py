@@ -360,8 +360,11 @@ class TestVerify:
          (["table1"], "table1.txt"),
          # 81 rows straddling the rate of the list-2 branch point, R ~ 0.42089
          (["curve", "--bound", "abl2", "--L", "2", "--rmin", "0.4205", "--rmax", "0.4213",
-           "--step", "0.00001"], "curve-abl2-L2-branch.txt")],
-        ids=["all-seed7", "oracle-seed3-code", "table1", "abl2-branch"],
+           "--step", "0.00001"], "curve-abl2-L2-branch.txt"),
+         # the central bound's witnesses, 14 of them interior maxima
+         (["curve", "--bound", "theorem1", "--L", "11", "--rmin", "0.01", "--rmax", "0.99",
+           "--step", "0.01"], "curve-theorem1-L11.txt")],
+        ids=["all-seed7", "oracle-seed3-code", "table1", "abl2-branch", "theorem1-L11"],
     )
     def test_stdout_pinned(self, argv, pinned):
         # every printed digit, byte for byte; a change that moves one

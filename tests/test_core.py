@@ -10,6 +10,7 @@ from listradius.core import (
     admissible_j,
     avg_radius_evaluator,
     avg_radius_poly,
+    avg_radius_slope_evaluator,
     binary_entropy,
     binomial_pmf,
     binomial_tail,
@@ -231,6 +232,34 @@ def _plotkin_sum(L, xi):
     for w in range(L + 2):
         acc = acc + comb(L + 1, w) * min(w, L + 1 - w) * xi**w * (1 - xi) ** (L + 1 - w)
     return acc / (L + 1)
+
+
+def _exact_tail(n, nu, k):
+    """P[V >= k] for V ~ Bino(n, nu), exact for a Fraction nu."""
+    return sum(comb(n, v) * nu**v * (1 - nu) ** (n - v) for v in range(max(k, 0), n + 1))
+
+
+class TestAvgRadiusSlope:
+    NUS = [1e-9, 0.1, 0.3, 0.5, 0.77, 0.95, 1.0 - 1e-9]
+
+    @pytest.mark.parametrize("L", range(2, 26))
+    def test_matches_tail_form(self, L):
+        # the excess-derivative identity (check c07) with V ~ Bino(L - 1, nu):
+        # (L + j) P' = L (1 - 2 P[V >= k]) for L + j even, k = (L + j)/2,
+        # and P' = 1 - P[V >= k] - P[V >= k + 1] for j = 0 at odd L,
+        # k = (L - 1)/2; the value is the evaluator's to the last bit
+        for j in admissible_j(L):
+            poly, poly_slope = avg_radius_evaluator(L, j), avg_radius_slope_evaluator(L, j)
+            for nu in self.NUS:
+                x = Fraction(nu)
+                if (L + j) % 2 == 0:
+                    want = L * (1 - 2 * _exact_tail(L - 1, x, (L + j) // 2)) / (L + j)
+                else:
+                    k = (L - 1) // 2
+                    want = 1 - _exact_tail(L - 1, x, k) - _exact_tail(L - 1, x, k + 1)
+                value, slope = poly_slope(nu)
+                assert _bits(value) == _bits(poly(nu))
+                assert abs(slope - want) <= 1e-12, (j, nu)
 
 
 class TestPlotkinRadius:
