@@ -28,8 +28,8 @@ def _lazy_submodule(name):
 
 
 # Only ``verify`` runs the checks and the exact oracles; the other commands
-# do not pay for compiling and executing them, nor for the numpy import that
-# both make at module level.
+# do not pay for compiling and executing them, nor for the dataclasses and
+# fractions imports that both make at module level.
 oracle = _lazy_submodule("oracle")
 checks = _lazy_submodule("checks")
 

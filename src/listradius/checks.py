@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-import numpy as np
-
 from . import bounds, core, lp, oracle
 from .solve import brent_root
 
@@ -42,6 +40,8 @@ def _result(name, passed, residual, detail=""):
 def check_excess_derivative():
     """d/dp E[max(W - k, 0)] = L P[V >= k] with V one trial shorter,
     against central finite differences."""
+    import numpy as np
+
     step, p = 1e-6, np.arange(0.05, 0.951, 0.05)
     worst = 0.0
     for L in range(2, 9):
@@ -57,6 +57,8 @@ def check_excess_derivative():
 def check_tail_derivative():
     """d/dp P[W >= k] = L P[V = k-1] with V one trial shorter, against
     central finite differences."""
+    import numpy as np
+
     step, p = 1e-6, np.arange(0.05, 0.951, 0.05)
     worst = 0.0
     for L in range(2, 9):
@@ -105,6 +107,8 @@ def check_region_inequality():
 def check_poly_concavity():
     """Second differences of the average-radius polynomials stay below
     1e-12 on a 1e-3 grid for all L <= 12."""
+    import numpy as np
+
     worst = -math.inf
     xs = np.arange(1e-3, 1.0 - 1e-3, 1e-3)
     h = 1e-3
@@ -118,6 +122,8 @@ def check_poly_concavity():
 
 def check_poly_monotone():
     """The average-radius polynomials are nondecreasing on [0, 1/2]."""
+    import numpy as np
+
     worst = -math.inf
     xs = np.arange(0.0, 0.5, 1e-3)
     for L in range(1, 13):
@@ -140,6 +146,8 @@ def check_poly_at_one():
 def check_exponent_endpoints():
     """Exponent endpoint identities: value h(beta) at 0 and
     (1 - h(d) + h(beta))/2 at the right endpoint d."""
+    import numpy as np
+
     worst = 0.0
     for beta in np.arange(0.02, 0.5, 0.02):
         d = 0.5 - math.sqrt(beta * (1 - beta))
@@ -156,6 +164,8 @@ def check_exponent_endpoints():
 
 def check_exponent_decreasing():
     """The exponent strictly decreases in xi on its domain."""
+    import numpy as np
+
     worst = -math.inf
     for beta in np.arange(0.05, 0.5, 0.05):
         d = 0.5 - math.sqrt(beta * (1 - beta))
@@ -166,6 +176,8 @@ def check_exponent_decreasing():
 
 def check_lp1_involution():
     """Applying the LP1 distance map twice returns the starting distance."""
+    import numpy as np
+
     worst = 0.0
     for d in np.arange(0.01, 0.5001, 0.01):
         d = min(float(d), 0.5)
@@ -194,6 +206,8 @@ def check_g1_dominance():
     with L), plus the exact strict sandwich P[W > a+1] < g1(1/2) < P[W >= a+1]
     with W ~ Bino(L, 1/2), L = 2a + 1; even-L control has its maximum at
     j = 0."""
+    import numpy as np
+
     ok = True
     for L in (3, 5, 7, 9, 11, 13, 15):
         xs = np.arange(0.45 if L <= 9 else 0.47, 0.50001, 0.001)
@@ -214,6 +228,8 @@ def check_g1_dominance():
 def check_plotkin_parity():
     """Even-L Plotkin radius equals the preceding odd one; odd L strictly
     exceeds the preceding even one on (0, 1/2]."""
+    import numpy as np
+
     xs = np.arange(0.01, 0.5001, 0.01)
     # plotkin_radius(L, xs) is the (L + 1, 0) average-radius polynomial
     radius = {L: core.avg_radius_evaluator(L + 1, 0)(xs) for L in range(1, 10)}
@@ -284,9 +300,10 @@ def check_majority_optimal(seed):
         n = rng.randint(1, 10)
         m = rng.randint(1, 5)
         words = [rng.randrange(1 << n) for _ in range(m)]
-        centers = np.arange(1 << n, dtype=np.uint32)
-        # uint8 sums of at most 5 words of 10 bits; an axis sum's cast raises peak RSS
-        best = int(sum(np.bitwise_count(centers ^ np.uint32(w)) for w in words).min())
+        totals = [0] * (1 << n)  # per center, the summed distance to the words
+        for w in words:
+            totals = [t + (c ^ w).bit_count() for c, t in enumerate(totals)]
+        best = min(totals)
         if oracle.average_radius(words, n) != Fraction(best, m):
             return _result("majority vote attains the average radius", False, 1.0,
                            detail=f"n={n} words={words}")
@@ -402,6 +419,8 @@ def check_crossover_table():
 
 def check_central_vs_closed_form():
     """Central bound agrees with the explicit list-3 form to 1e-6."""
+    import numpy as np
+
     worst = 0.0
     for R in np.arange(0.05, 0.501, 0.05):
         worst = max(
@@ -438,6 +457,8 @@ def check_blinovsky_zero_exact():
 def check_lp_agreement_regime():
     """Second LP bound equals the LP1 rate below the divergence onset;
     the onset sits near 0.305."""
+    import numpy as np
+
     worst = 0.0
     for R in np.arange(0.05, 0.2801, 0.01):
         worst = max(worst, abs(lp.r_lp2(core.delta_lp1(float(R)))[0] - float(R)))
@@ -467,6 +488,8 @@ def check_abl_branch():
 def check_ordering_below_crossover():
     """Central bound strictly below the Catalan sum under the crossover,
     and never below it by more than solver noise above."""
+    import numpy as np
+
     worst_low = -math.inf
     worst_high = -math.inf
     for L in (3, 5, 7, 9, 11):
@@ -489,6 +512,8 @@ def check_ordering_below_crossover():
 def check_central_monotone_and_relaxed():
     """Central bound nonincreasing in rate and dominated by the concavity
     relaxation."""
+    import numpy as np
+
     worst_mono = -math.inf
     worst_rel = -math.inf
     for L in (3, 4, 5):
@@ -547,6 +572,8 @@ def check_slope_behavior():
 def check_lp2_properties():
     """Witness feasibility, monotonicity and LP1 dominance of the second
     LP bound."""
+    import numpy as np
+
     worst_feas = -math.inf
     worst_mono = -math.inf
     worst_dom = -math.inf

@@ -3,9 +3,11 @@
 Exact integer or rational computations: Chebyshev and average radii of
 explicit word sets, joint types and their weight marginals, and the
 average-radius functional on types.  The one float routine is the region
-scan behind the list-3 maximizer monotonicity.  Codewords are stored as
-integers whose most significant bit is the first coordinate, so integer
-order coincides with lexicographic order of the 0/1 strings.
+scan behind the list-3 maximizer monotonicity, and the only one that
+imports numpy.  Codewords are stored as integers whose most significant
+bit is the first coordinate, so integer order coincides with lexicographic
+order of the 0/1 strings.  The radius searches run over all 2^n centers at
+once, as 2^n-bit integers whose bit c stands for center c.
 """
 from __future__ import annotations
 
@@ -13,8 +15,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-
-import numpy as np
 
 from .errors import DomainError, SizeLimitError, check_list_size
 
@@ -55,11 +55,60 @@ def _column_masks(words, n):
 
 
 def _validate_words(words, n):
-    if not 1 <= n:
-        raise DomainError(f"blocklength must be positive, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"blocklength must be a positive integer, got {n}")
     for w in words:
+        if not isinstance(w, int):
+            raise DomainError(f"word {w!r} is not an integer")
         if not 0 <= w < (1 << n):
             raise DomainError(f"word {w} does not fit in {n} coordinates")
+
+
+def _ball_mask(n, r, w):
+    """The 2^n-bit mask of the centers within distance r of the word w.
+
+    Built by doubling: over the low m + 1 bits, the ball of radius t is the
+    ball over m bits of radius t on the half where bit m of the center
+    agrees with w, and of radius t - 1 on the other half."""
+    balls = [int(t >= 0) for t in range(r - n, r + 1)]  # over 0 bits, radii r - n .. r
+    for m in range(n):
+        s = 1 << m
+        if w >> m & 1:
+            balls = [near | far << s for near, far in zip(balls, balls[1:])]
+        else:
+            balls = [far | near << s for near, far in zip(balls, balls[1:])]
+    return balls[0]
+
+
+def _covers(words, n, r, k):
+    """Whether some center lies within distance r of at least k of the words.
+
+    ``at_least[j]`` is the mask of the centers within r of at least j of the
+    words seen so far; once fewer words remain than a level lacks to reach
+    k, that level is dropped.  An empty lowest live level ends the scan, and
+    after the last word that level is k itself.
+    """
+    m = len(words)
+    at_least = [(1 << (1 << n)) - 1] + [0] * k
+    for i, w in enumerate(words):
+        ball = _ball_mask(n, r, w)
+        dead = k - m + i  # the highest level that can no longer reach k
+        for j in range(min(k, i + 1), max(dead, 0), -1):
+            at_least[j] |= at_least[j - 1] & ball
+        if dead >= 0:
+            at_least[dead] = 0
+            if not at_least[dead + 1]:
+                return False
+    return True
+
+
+def _cover_radius(words, n, k, r):
+    """Smallest radius, tested upwards from the lower bound r, at which some
+    center lies within distance r of at least k of the words.  Every center
+    lies within n of all of them, so radius n is not tested."""
+    while r < n and not _covers(words, n, r, k):
+        r += 1
+    return r
 
 
 @dataclass(frozen=True)
@@ -117,7 +166,8 @@ def load_code(path) -> BinaryCode:
 
 def chebyshev_radius(words, n: int) -> int:
     """Radius of the smallest Hamming ball containing all words, by
-    exhaustive search over the 2^n centers (n <= 24)."""
+    exhaustive search over the 2^n centers (n <= 24): the radii from half
+    the diameter up are tested until the words' balls intersect."""
     words = list(words)
     if not words:
         raise DomainError("need at least one word")
@@ -126,11 +176,9 @@ def chebyshev_radius(words, n: int) -> int:
         raise SizeLimitError(
             f"exhaustive center search capped at n = {MAX_EXHAUSTIVE_N}, got {n}"
         )
-    centers = np.arange(1 << n, dtype=np.uint32)
-    worst = np.zeros(1 << n, dtype=np.uint8)
-    for w in words:
-        np.maximum(worst, np.bitwise_count(centers ^ np.uint32(w)), out=worst)
-    return int(worst.min())
+    words = sorted(set(words))
+    diam = max(((a ^ b).bit_count() for a, b in itertools.combinations(words, 2)), default=0)
+    return _cover_radius(words, n, len(words), (diam + 1) // 2)
 
 
 def average_radius(words, n: int) -> Fraction:
@@ -150,18 +198,21 @@ def average_radius(words, n: int) -> Fraction:
 
 def tau_list(code: BinaryCode, L: int) -> Fraction:
     """Exact list-L decoding radius of an explicit code:
-    (min radius over all (L+1)-subsets minus 1) / n."""
+    (min radius over all (L+1)-subsets minus 1) / n.
+
+    That minimum is the least r at which some center lies within r of L + 1
+    words, so each radius is tested by one scan of the centers, not one per
+    subset, and each word's ball is built once per radius.  A subset holding
+    the word w holds L others, so its diameter, twice its radius or more, is
+    at least the distance from w to its L-th nearest other word."""
     check_list_size(L)
     if len(code.words) < L + 1:
         raise DomainError(f"code needs at least {L + 1} words")
     if comb(len(code.words), L + 1) > 500_000:
         raise SizeLimitError("too many subsets to enumerate")
-    best = None
-    for sub in itertools.combinations(code.words, L + 1):
-        r = chebyshev_radius(sub, code.n)
-        if best is None or r < best:
-            best = r
-    return Fraction(best - 1, code.n)
+    words = code.words
+    lower = min(sorted((a ^ b).bit_count() for b in words if b != a)[L - 1] for a in words)
+    return Fraction(_cover_radius(words, code.n, L + 1, (lower + 1) // 2) - 1, code.n)
 
 
 @dataclass(frozen=True)
@@ -302,6 +353,8 @@ def _region_blocks(step=REGION_STEP, rows=REGION_BLOCK_ROWS):
     values of a1 at a time.  Row a1 is np.arange(step, top, step) and then
     top = a1(1 - a1); arange fills start + i * step whatever its stop, so
     each row is a prefix of the longest, of length ceil((top - step) / step)."""
+    import numpy as np
+
     a1s = np.arange(step, 1.0 - 1e-6, step)
     tops = a1s * (1.0 - a1s)
     counts = np.maximum(np.ceil((tops - step) / step), 0.0)
@@ -329,6 +382,8 @@ def verify_monotonicity_region():
     is checked in that form.  Returns the list of violating (a1, a2) pairs
     (expected empty).
     """
+    import numpy as np
+
     violations: list[tuple[float, float]] = []
     for a1, a2 in _region_blocks():
         lhs = -2.0 * np.log2((1.0 - a2) / a1) * (a1 * a1 - a2 * a2)

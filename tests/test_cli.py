@@ -663,13 +663,15 @@ class TestStartup:
         assert listradius.__all__ == ["__version__"]
 
     def test_numpy_imported_only_by_verify(self):
-        # every curve, witness, table1 and usage errors run without numpy;
-        # only verify, through the checks and oracles, imports it.  None of
-        # them loads dataclasses, fractions or their imports; numpy imports
-        # inspect itself, so a run with it prints "-"
+        # every curve, witness, table1 and usage errors run without numpy,
+        # and so does the exact oracle suite, with and without --code; the
+        # identities suite imports it.  Only verify loads dataclasses,
+        # fractions or their imports; numpy imports inspect itself, so a run
+        # with it prints "-"
         script = textwrap.dedent(
             """
             import io, sys
+            code_file = sys.argv[1]
             before = set(sys.modules)
             def heavy():
                 if "numpy" in sys.modules:
@@ -692,6 +694,8 @@ class TestStartup:
                 ["table1", "--bogus"],
                 ["witness", "--L", "3", "--R", "0.2"],
                 ["table1"],
+                ["verify", "--suite", "oracle"],
+                ["verify", "--suite", "oracle", "--code", code_file],
                 ["verify", "--suite", "identities"],
             ):
                 code = listradius.cli.main(argv, out=io.StringIO(), err=io.StringIO())
@@ -701,10 +705,11 @@ class TestStartup:
         src = os.path.dirname(os.path.dirname(listradius.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-            timeout=60,
+            [sys.executable, "-c", script, os.path.join(DATA, "code-n7.txt")], env=env,
+            capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+        verify_imports = ["ast", "dataclasses", "decimal", "dis", "fractions", "inspect"]
         assert proc.stdout.splitlines() == [
             "False []",
             "curve --bound lp1 0 False []",
@@ -718,6 +723,8 @@ class TestStartup:
             "table1 --bogus 1 False []",
             "witness --L 3 0 False []",
             "table1 0 False []",
+            f"verify --suite oracle 0 False {verify_imports}",
+            f"verify --suite oracle 0 False {verify_imports}",
             "verify --suite identities 0 True -",
         ]
 

@@ -1,7 +1,10 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from listradius import bounds, core, lp, oracle
-from listradius.errors import DomainError
+from listradius.errors import DomainError, SizeLimitError
 
 NAN = float("nan")
 CODE = oracle.BinaryCode(n=4, words=(0b0011, 0b0101, 0b1010, 0b1100))
@@ -50,4 +53,57 @@ DOMAIN_CASES = [
 def test_domain_message(func, args, message):
     with pytest.raises(DomainError) as info:
         func(*args)
+    assert str(info.value) == message
+
+
+HALVES = oracle.JointType(L=1, t=(Fraction(1, 2), Fraction(1, 2)))
+QUARTERS = oracle.JointType(L=2, t=(Fraction(1, 4),) * 4)
+
+# The argument guards of the exact oracles.  No command reaches them (a code
+# file is parsed into distinct words of one blocklength, at most 24 long),
+# but a library caller does.  Without its guard, each of these calls would
+# return a wrong value, fail with an unrelated exception or run past a size
+# cap.
+ORACLE_CASES = [
+    ("word-not-int", oracle.chebyshev_radius, ([1.5, 3], 2), DomainError,
+     "word 1.5 is not an integer"),
+    ("blocklength-not-int", oracle.chebyshev_radius, ([1, 3], 2.0), DomainError,
+     "blocklength must be a positive integer, got 2.0"),
+    ("blocklength-zero", oracle.joint_type, ([0], 0), DomainError,
+     "blocklength must be a positive integer, got 0"),
+    ("word-too-long", oracle.chebyshev_radius, ([8], 3), DomainError,
+     "word 8 does not fit in 3 coordinates"),
+    ("radius-no-words", oracle.chebyshev_radius, ([], 3), DomainError,
+     "need at least one word"),
+    ("average-no-words", oracle.average_radius, ([], 3), DomainError,
+     "need at least one word"),
+    ("code-no-words", oracle.BinaryCode, (3, ()), DomainError,
+     "code must contain at least one word"),
+    ("random-code-too-large", oracle.BinaryCode.random, (random.Random(0), 2, 5),
+     DomainError, "cannot pick 5 distinct words of length 2"),
+    ("tau-list-subsets", oracle.tau_list,
+     (oracle.BinaryCode(n=7, words=tuple(range(100))), 3), SizeLimitError,
+     "too many subsets to enumerate"),
+    ("avg-type-few-words", oracle.avg_joint_type, (oracle.BinaryCode(n=3, words=(1, 2)), 3),
+     DomainError, "code needs at least 3 words"),
+    ("mixture-type-L", oracle.bernoulli_mixture_type, (CODE, 6), SizeLimitError,
+     "mixture type capped at L <= 5"),
+    ("type-length", oracle.JointType, (2, (Fraction(1),)), DomainError,
+     "type must have 2^L entries"),
+    ("sup-distance-L", HALVES.sup_distance, (QUARTERS,), DomainError,
+     "types must share the same L"),
+    ("shift-count-negative", oracle.avg_radius_of_type, (HALVES, -1), DomainError,
+     "shift count must be a nonnegative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, error, message",
+    [case[1:] for case in ORACLE_CASES],
+    ids=[case[0] for case in ORACLE_CASES],
+)
+def test_oracle_guard_message(func, args, error, message):
+    with pytest.raises(error) as info:
+        func(*args)
+    assert type(info.value) is error
     assert str(info.value) == message

@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from listradius.core import avg_radius_poly
 from listradius.errors import DomainError, SizeLimitError
@@ -28,6 +30,16 @@ from listradius.oracle import (
 from listradius.oracle import _region_blocks
 
 
+def _brute_radius(words, n):
+    return min(max((c ^ w).bit_count() for w in words) for c in range(1 << n))
+
+
+@st.composite
+def word_lists(draw, max_n, max_size):
+    n = draw(st.integers(1, max_n))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=max_size))
+
+
 class TestChebyshevRadius:
     def test_singleton(self):
         assert chebyshev_radius([0b000], 3) == 0
@@ -49,6 +61,21 @@ class TestChebyshevRadius:
             chebyshev_radius(list(range(20)), 30)
         with pytest.raises(SizeLimitError):
             chebyshev_radius([0, 1], 25)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(word_lists(max_n=10, max_size=9))
+    @example((3, [5, 1, 5]))
+    @example((4, [9, 9, 9]))
+    @example((6, [63, 0, 5, 0, 42]))
+    @example((1, [1, 0, 1]))
+    def test_equals_brute_force(self, case):
+        # repeated and unsorted words; the reference loops over the centers
+        n, words = case
+        assert chebyshev_radius(words, n) == _brute_radius(words, n)
+
+    def test_full_blocklength(self):
+        assert chebyshev_radius([0, 2**24 - 1], 24) == 12
+        assert chebyshev_radius([0b1011_0110_0101_1100_0011_1010], 24) == 0
 
 
 class TestAverageRadius:
@@ -107,6 +134,19 @@ class TestTauList:
             L = rng.randint(1, len(code.words) - 1)
             shift = rng.randrange(1 << n)
             assert tau_list(code, L) == tau_list(code.shifted(shift), L)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(word_lists(max_n=7, max_size=8), st.data())
+    def test_equals_min_over_subsets(self, case, data):
+        # the definition: the least Chebyshev radius of an (L+1)-subset
+        n, words = case
+        words = sorted(set(words))
+        assume(len(words) >= 2)
+        L = data.draw(st.integers(1, len(words) - 1))
+        best = min(
+            _brute_radius(sub, n) for sub in itertools.combinations(words, L + 1)
+        )
+        assert tau_list(BinaryCode(n=n, words=tuple(words)), L) == Fraction(best - 1, n)
 
     def test_needs_enough_words(self):
         with pytest.raises(DomainError):
