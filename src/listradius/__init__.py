@@ -27,9 +27,15 @@ def _lazy_submodule(name):
     return module
 
 
-# Only ``verify`` runs the checks and the exact oracles; the other commands
-# do not pay for compiling and executing them, nor for the dataclasses and
-# fractions imports that both make at module level.
+# Every computing module runs on the first use of one of its names, so a
+# command pays only for the layers it calls: ``witness``, ``table1`` and
+# the central curves never run ``lp``, and ``verify --suite oracle`` runs
+# ``checks`` and ``oracle`` alone.  ``from . import bounds`` binds a module
+# without running it; ``from .core import name`` runs ``core``.
+core = _lazy_submodule("core")
+solve = _lazy_submodule("solve")
+lp = _lazy_submodule("lp")
+bounds = _lazy_submodule("bounds")
 oracle = _lazy_submodule("oracle")
 checks = _lazy_submodule("checks")
 

@@ -14,6 +14,7 @@ from collections.abc import Callable
 from math import comb, log2
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import lp
 from .core import (
     _omega_root,
     admissible_j,
@@ -26,7 +27,6 @@ from .core import (
     krawtchouk_exponent_value,
 )
 from .errors import DomainError, NoSolutionError, check_list_size, check_rate
-from .lp import abl2_tau, lp1_tau, lp2_tau
 from .solve import brent_root
 
 if TYPE_CHECKING:
@@ -534,8 +534,8 @@ def best_upper_bound(L: int, R: float) -> tuple[float, str]:
     check_list_size(L)
     R = check_rate(R)
     if L == 1:
-        tau1 = lp1_tau(R)
-        tau2 = lp2_tau(R)
+        tau1 = lp.lp1_tau(R)
+        tau2 = lp.lp2_tau(R)
         # equal up to rounding below R ~ 0.305, so lp2 must win by a relative margin
         if tau2 < tau1 * (1 - 1e-9):
             return tau2, "lp2"
@@ -545,7 +545,7 @@ def best_upper_bound(L: int, R: float) -> tuple[float, str]:
         (blinovsky_bound(L, R), "blinovsky"),
     ]
     if L == 2:
-        candidates.append((abl2_tau(R), "abl2"))
+        candidates.append((lp.abl2_tau(R), "abl2"))
     return min(candidates, key=lambda t: t[0])
 
 
@@ -577,9 +577,9 @@ BOUNDS = {
     "blinovsky": BoundSpec(
         2, MAX_CATALAN_L, (), lambda L, R, **_: (blinovsky_bound(L, R), None, None)
     ),
-    "abl2": BoundSpec(2, 2, (), lambda L, R, **_: (abl2_tau(R), None, None)),
-    "lp1": BoundSpec(1, 1, (), lambda L, R, **_: (lp1_tau(R), None, None)),
-    "lp2": BoundSpec(1, 1, (), lambda L, R, **_: (lp2_tau(R), None, None)),
+    "abl2": BoundSpec(2, 2, (), lambda L, R, **_: (lp.abl2_tau(R), None, None)),
+    "lp1": BoundSpec(1, 1, (), lambda L, R, **_: (lp.lp1_tau(R), None, None)),
+    "lp2": BoundSpec(1, 1, (), lambda L, R, **_: (lp.lp2_tau(R), None, None)),
     "slope": BoundSpec(
         1, MAX_POLY_L, (),
         lambda L, R, **_: (slope_relaxation_bound(L, R).tau, None, None),

@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
+from typing import NamedTuple
 
-from . import bounds, core, lp, oracle
-from .solve import brent_root
+from . import bounds, core, lp, oracle, solve
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     residual: float
@@ -464,7 +462,7 @@ def check_lp_agreement_regime():
         worst = max(worst, abs(lp.r_lp2(core.delta_lp1(float(R)))[0] - float(R)))
     # the onset is where R - r_lp2 first exceeds 1e-6, bracketed to the
     # width that 40 halvings of [0.28, 0.40] would reach
-    lo, hi = brent_root(
+    lo, hi = solve.brent_root(
         lambda R: 1e-6 - (R - lp.r_lp2(core.delta_lp1(R))[0]), 0.28, 0.40, 1.5e-13
     )
     onset = 0.5 * (lo + hi)

@@ -24,6 +24,10 @@ FAILURE_EXIT = 2
 MAX_CURVE_ROWS = 100_000
 # Significant digits of every float that curve and witness print.
 OUTPUT_PRECISION = 10
+# The names of bounds.BOUNDS and bounds.EXPONENT_MODES, in their order, so
+# that building the parser does not run the bound layers.
+BOUND_CHOICES = ("theorem1", "blinovsky", "abl2", "lp1", "lp2", "slope", "best")
+EXPONENT_CHOICES = ("parametric", "binomial")
 
 
 class _UsageError(Exception):
@@ -41,7 +45,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_curve = sub.add_parser("curve", help="emit a bound curve as CSV")
-    p_curve.add_argument("--bound", required=True, choices=bounds.BOUNDS)
+    p_curve.add_argument("--bound", required=True, choices=BOUND_CHOICES)
     p_curve.add_argument("--L", required=True, type=int)
     p_curve.add_argument("--rmin", required=True, type=float)
     p_curve.add_argument("--rmax", required=True, type=float)
@@ -56,7 +60,7 @@ def _build_parser() -> _Parser:
     p_wit.add_argument("--R", required=True, type=float)
     p_wit.add_argument("--beta", type=float, default=None)
     p_wit.add_argument(
-        "--exponent", choices=bounds.EXPONENT_MODES, default="parametric"
+        "--exponent", choices=EXPONENT_CHOICES, default="parametric"
     )
 
     sub.add_parser("table1", help="crossover table vs published values")

@@ -12,9 +12,9 @@ once, as 2^n-bit integers whose bit c stands for center c.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError, check_list_size
 
@@ -36,6 +36,11 @@ __all__ = [
 MAX_EXHAUSTIVE_N = 24
 MAX_AVG_TYPE_SIZE = 14
 MAX_AVG_TYPE_L = 5
+# Cap on the bit operations of one radius test of tau_list: |C| words, each
+# updating min(L + 1, |C| - L) levels of 2^n-bit masks
+MAX_COVER_BITS = 1 << 32
+# Largest code whose pairwise distances tau_list reads for its lowest radius
+MAX_PAIRWISE_WORDS = 256
 REGION_STEP = 1e-3
 # a1 rows per array of the region scan: one array over all 167 130 points
 # raises the peak RSS of ``verify`` by 7.6 to 10.6 MB, 64 rows by 1.4 MB
@@ -64,14 +69,28 @@ def _validate_words(words, n):
             raise DomainError(f"word {w} does not fit in {n} coordinates")
 
 
+# Per word over the low 4 coordinates, the 16-bit masks of the centers
+# within distance t of it, for t = -1 .. 4.
+_LOW_BALLS = [
+    [sum(1 << c for c in range(16) if (c ^ w).bit_count() <= t) for t in range(-1, 5)]
+    for w in range(16)
+]
+
+
 def _ball_mask(n, r, w):
     """The 2^n-bit mask of the centers within distance r of the word w.
 
-    Built by doubling: over the low m + 1 bits, the ball of radius t is the
-    ball over m bits of radius t on the half where bit m of the center
-    agrees with w, and of radius t - 1 on the other half."""
-    balls = [int(t >= 0) for t in range(r - n, r + 1)]  # over 0 bits, radii r - n .. r
-    for m in range(n):
+    Built by doubling from the balls over the low min(n, 4) coordinates,
+    which the table holds: over the low m + 1 bits, the ball of radius t is
+    the ball over m bits of radius t on the half where bit m of the center
+    agrees with w, and of radius t - 1 on the other half.  Below 4
+    coordinates, a table ball cut to the centers under 2^n is the ball over
+    n coordinates, since those centers and w have no higher bits."""
+    low = min(n, 4)
+    row, keep = _LOW_BALLS[w & 15], (1 << (1 << low)) - 1
+    # over the low coordinates, radii r - n + low .. r
+    balls = [row[min(max(t, -1), low) + 1] & keep for t in range(r - n + low, r + 1)]
+    for m in range(low, n):
         s = 1 << m
         if w >> m & 1:
             balls = [near | far << s for near, far in zip(balls, balls[1:])]
@@ -111,25 +130,29 @@ def _cover_radius(words, n, k, r):
     return r
 
 
-@dataclass(frozen=True)
-class BinaryCode:
-    """Explicit code: distinct length-n words in strictly increasing
-    lexicographic order."""
-
+class _CodeFields(NamedTuple):
     n: int
     words: tuple[int, ...]
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_EXHAUSTIVE_N:
+
+class BinaryCode(_CodeFields):
+    """Explicit code: distinct length-n words in strictly increasing
+    lexicographic order."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, words: tuple[int, ...]):
+        if not 1 <= n <= MAX_EXHAUSTIVE_N:
             raise SizeLimitError(
-                f"blocklength must lie in [1, {MAX_EXHAUSTIVE_N}], got {self.n}"
+                f"blocklength must lie in [1, {MAX_EXHAUSTIVE_N}], got {n}"
             )
-        if not self.words:
+        if not words:
             raise DomainError("code must contain at least one word")
-        _validate_words(self.words, self.n)
-        for a, b in zip(self.words, self.words[1:]):
+        _validate_words(words, n)
+        for a, b in zip(words, words[1:]):
             if a >= b:
                 raise DomainError("code words must be distinct and sorted")
+        return super().__new__(cls, n, words)
 
     @classmethod
     def from_strings(cls, lines) -> "BinaryCode":
@@ -204,34 +227,45 @@ def tau_list(code: BinaryCode, L: int) -> Fraction:
     words, so each radius is tested by one scan of the centers, not one per
     subset, and each word's ball is built once per radius.  A subset holding
     the word w holds L others, so its diameter, twice its radius or more, is
-    at least the distance from w to its L-th nearest other word."""
+    at least the distance from w to its L-th nearest other word; that bound
+    takes |C|^2 steps and is skipped above MAX_PAIRWISE_WORDS words."""
     check_list_size(L)
     if len(code.words) < L + 1:
         raise DomainError(f"code needs at least {L + 1} words")
-    if comb(len(code.words), L + 1) > 500_000:
-        raise SizeLimitError("too many subsets to enumerate")
     words = code.words
-    lower = min(sorted((a ^ b).bit_count() for b in words if b != a)[L - 1] for a in words)
+    work = len(words) * min(L + 1, len(words) - L) << code.n
+    if work > MAX_COVER_BITS:
+        raise SizeLimitError(
+            f"list radius search capped at |C| min(L + 1, |C| - L) 2^n <= "
+            f"{MAX_COVER_BITS}, got {work}"
+        )
+    lower = 0
+    if len(words) <= MAX_PAIRWISE_WORDS:
+        lower = min(sorted((a ^ b).bit_count() for b in words if b != a)[L - 1] for a in words)
     return Fraction(_cover_radius(words, code.n, L + 1, (lower + 1) // 2) - 1, code.n)
 
 
-@dataclass(frozen=True)
-class JointType:
+class _TypeFields(NamedTuple):
+    L: int
+    t: tuple[Fraction, ...]
+
+
+class JointType(_TypeFields):
     """Probability distribution on the 2^L column patterns of an L-word
     stack, exact.  Pattern v is indexed as an integer whose bit i is the
     i-th word's value, so popcount gives the pattern weight."""
 
-    L: int
-    t: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.t) != 1 << self.L:
+    def __new__(cls, L: int, t: tuple[Fraction, ...]):
+        if len(t) != 1 << L:
             raise DomainError("type must have 2^L entries")
-        if any(v < 0 for v in self.t):
+        nums, den = _over_common_denominator(t)
+        if any(c < 0 for c in nums):
             raise DomainError("type entries must be nonnegative")
-        nums, den = _over_common_denominator(self.t)
         if sum(nums) != den:
             raise DomainError("type entries must sum to 1 exactly")
+        return super().__new__(cls, L, t)
 
     def weight_marginal(self) -> tuple[Fraction, ...]:
         nums, den = _over_common_denominator(self.t)

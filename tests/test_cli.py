@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import listradius
 
-from listradius import bounds
+from listradius import bounds, cli
 from listradius.cli import _build_parser, main
 
 
@@ -621,38 +621,62 @@ class TestContract:
 
 class TestStartup:
     def test_checks_and_oracle_run_only_when_used(self):
-        # compiling and executing checks.py and oracle.py is left to the
-        # first use, which only verify makes; the modules stay registered
+        # compiling and executing each computing module is left to its first
+        # use: importing the CLI runs none of them, the oracle suite runs
+        # checks and oracle alone, and the central bound's commands never
+        # run lp; the modules stay registered from the start
         script = textwrap.dedent(
             """
-            import os, sys
+            import io, os, sys
+            code_file = sys.argv[1]
             ran = set()
             def hook(event, args):
                 if event == "exec" and hasattr(args[0], "co_filename"):
                     ran.add(os.path.basename(args[0].co_filename))
             sys.addaudithook(hook)
+            layers = {"bounds.py", "checks.py", "core.py", "lp.py", "oracle.py", "solve.py"}
             import listradius.cli
-            print(sorted(ran & {"checks.py", "oracle.py"}))
-            print("listradius.checks" in sys.modules, "listradius.oracle" in sys.modules)
+            print(sorted(ran & layers))
+            print(all(f"listradius.{name[:-3]}" in sys.modules for name in layers))
+            rates = ["--rmin", "0.3", "--rmax", "0.5", "--step", "0.1"]
+            for argv in (
+                ["verify", "--suite", "oracle"],
+                ["verify", "--suite", "oracle", "--code", code_file],
+                ["witness", "--L", "3", "--R", "0.2"],
+                ["table1"],
+                ["curve", "--bound", "theorem1", "--L", "3", *rates],
+            ):
+                code = listradius.cli.main(argv, out=io.StringIO(), err=io.StringIO())
+                print(*argv[:3], code, sorted(ran & layers))
             import listradius
-            print(listradius.oracle.chebyshev_radius.__module__, "oracle.py" in ran)
-            from listradius import checks
-            print(callable(checks.run_suite), "checks.py" in ran)
+            print(listradius.lp.lp2_tau.__module__, "lp.py" in ran)
             """
         )
         src = os.path.dirname(os.path.dirname(listradius.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-            timeout=60,
+            [sys.executable, "-c", script, os.path.join(DATA, "code-n7.txt")], env=env,
+            capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+        oracle_suite = ["checks.py", "oracle.py"]
+        central = ["bounds.py", "checks.py", "core.py", "oracle.py", "solve.py"]
         assert proc.stdout.splitlines() == [
             "[]",
-            "True True",
-            "listradius.oracle True",
-            "True True",
+            "True",
+            f"verify --suite oracle 0 {oracle_suite}",
+            f"verify --suite oracle 0 {oracle_suite}",
+            f"witness --L 3 0 {central}",
+            f"table1 0 {central}",
+            f"curve --bound theorem1 0 {central}",
+            "listradius.lp True",
         ]
+
+    def test_parser_choices_are_the_bounds_names(self):
+        # the CLI lists the names itself, so that building the parser does
+        # not run the bound layers
+        assert cli.BOUND_CHOICES == tuple(bounds.BOUNDS)
+        assert cli.EXPONENT_CHOICES == bounds.EXPONENT_MODES
 
     @pytest.mark.parametrize("module", ["core", "bounds", "lp", "solve", "oracle", "checks"])
     def test_module_all_resolves(self, module):
@@ -665,9 +689,10 @@ class TestStartup:
     def test_numpy_imported_only_by_verify(self):
         # every curve, witness, table1 and usage errors run without numpy,
         # and so does the exact oracle suite, with and without --code; the
-        # identities suite imports it.  Only verify loads dataclasses,
-        # fractions or their imports; numpy imports inspect itself, so a run
-        # with it prints "-"
+        # identities suite imports it.  Only verify loads fractions and its
+        # decimal import; no command loads dataclasses or the inspect, ast
+        # and dis modules it imports.  numpy imports inspect itself, so a
+        # run with it prints "-"
         script = textwrap.dedent(
             """
             import io, sys
@@ -709,7 +734,7 @@ class TestStartup:
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        verify_imports = ["ast", "dataclasses", "decimal", "dis", "fractions", "inspect"]
+        verify_imports = ["decimal", "fractions"]
         assert proc.stdout.splitlines() == [
             "False []",
             "curve --bound lp1 0 False []",
@@ -756,3 +781,46 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) > 0
+
+    def test_benchmark_tracer_counts_calls_in_lazy_modules(self):
+        # the tracer's wrappers replace a function under every name of the
+        # loaded modules; a call that reaches a function by another route
+        # than the one the tracer replaces would be missed and read as 0
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = textwrap.dedent(
+            """
+            import io, json, sys
+            sys.path.insert(0, sys.argv[1] + "/perfbench")
+            import tracer
+            import listradius.cli
+            with open(sys.argv[1] + "/BENCHMARK.json", encoding="utf-8") as fh:
+                names = [m["name"] for m in json.load(fh)["per_layer"]]
+            recorder = tracer.Recorder()
+            recorder.install(tracer.plan_for(names))
+            for argv in (
+                ["curve", "--bound", "best", "--L", "1", "--rmin", "0.3", "--rmax", "0.35",
+                 "--step", "0.1"],
+                ["witness", "--L", "3", "--R", "0.2"],
+                ["verify", "--suite", "oracle", "--seed", "1"],
+            ):
+                listradius.cli.main(argv, out=io.StringIO(), err=io.StringIO())
+            values = tracer.layer_metrics([recorder.record()], names)
+            for name in ("lp.lp2_tau.calls", "bounds.list_radius_bound.calls",
+                         "oracle.chebyshev_radius.calls"):
+                print(name, values[name])
+            print(values["core.binary_entropy.calls"] > 0, values["lp.r_lp2.calls"] > 0)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(listradius.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, root], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "lp.lp2_tau.calls 1",
+            "bounds.list_radius_bound.calls 1",
+            "oracle.chebyshev_radius.calls 140",
+            "True True",
+        ]

@@ -81,9 +81,10 @@ ORACLE_CASES = [
      "code must contain at least one word"),
     ("random-code-too-large", oracle.BinaryCode.random, (random.Random(0), 2, 5),
      DomainError, "cannot pick 5 distinct words of length 2"),
-    ("tau-list-subsets", oracle.tau_list,
-     (oracle.BinaryCode(n=7, words=tuple(range(100))), 3), SizeLimitError,
-     "too many subsets to enumerate"),
+    ("tau-list-cover-work", oracle.tau_list,
+     (oracle.BinaryCode(n=24, words=tuple(range(65))), 3), SizeLimitError,
+     "list radius search capped at |C| min(L + 1, |C| - L) 2^n <= 4294967296, "
+     "got 4362076160"),
     ("avg-type-few-words", oracle.avg_joint_type, (oracle.BinaryCode(n=3, words=(1, 2)), 3),
      DomainError, "code needs at least 3 words"),
     ("mixture-type-L", oracle.bernoulli_mixture_type, (CODE, 6), SizeLimitError,

@@ -152,6 +152,13 @@ class TestTauList:
         with pytest.raises(DomainError):
             tau_list(BinaryCode(n=3, words=(0, 1)), 2)
 
+    def test_many_words_within_the_work_cap(self):
+        # 3 921 225 subsets of 4 words, but one cheap scan per radius: the
+        # words 0, 1, 2 and 4 lie within radius 1 of center 0; the larger
+        # code skips the pairwise lower bound
+        assert tau_list(BinaryCode(n=7, words=tuple(range(100))), 3) == 0
+        assert tau_list(BinaryCode(n=9, words=tuple(range(300))), 3) == 0
+
 
 class TestBinaryCode:
     def test_orders_and_validates(self):
