@@ -70,14 +70,15 @@ _NEWTON_MAX_ITER = 100
 # Width in xi0 of the bracket of theta_j' = 0 refining the central bound.
 _REFINE_TOL = 1e-10
 
-# xi0 grid points of the central bound scan over the feasible xi0
-# interval; the grid only brackets each j's maximizer for the refinement.
-_GRID_POINTS = 16
-
-# Slack of the concavity cap (see list_radius_bound): a shift count or a
-# grid point is skipped only when its cap falls short of the best value so
-# far by more than this fraction of it, far above one evaluation's rounding.
+# Slack of the concavity cap (see list_radius_bound): a shift count is
+# skipped only when its cap falls short of the best value so far by more
+# than this fraction of it, far above one evaluation's rounding.
 _CAP_SLACK = 1e-12
+
+# Subcode rates down to -_RATE_SLACK count as 0, not infeasible: where the
+# rate vanishes exactly, as the binomial one at h^-1(1 - R), it rounds to
+# either side of 0.
+_RATE_SLACK = 1e-12
 
 
 class RadiusWitness(NamedTuple):
@@ -255,18 +256,8 @@ def _solve_at(R, beta, hbeta, exponent, x):
     """(xi1, r_prime, *_split_args) at xi0 = x; xi1 is 0 where the subcode
     rate is negative, and r_prime is reported under the chosen exponent."""
     rp = _subcode_rate(R, beta, hbeta, x, exponent)
-    xi1 = 0.0 if rp < -1e-12 else _solve_xi1(x, binary_entropy(x), max(rp, 0.0))
+    xi1 = 0.0 if rp < -_RATE_SLACK else _solve_xi1(x, binary_entropy(x), max(rp, 0.0))
     return (xi1, rp, *_split_args(x, xi1))
-
-
-def _xi0_grid(R, xi_max, exponent, n):
-    """n xi0 spread evenly over the feasible interval, from one step above
-    its start to exactly xi_max.  The subcode rate rises in xi0, so the
-    feasible xi0 form one interval up to xi_max: all of (0, xi_max] for the
-    exact exponent, from h^-1(1 - R) on for the binomial estimate."""
-    start = min(inverse_entropy(1.0 - R), xi_max) if exponent == "binomial" else 0.0
-    step = (xi_max - start) / n
-    return tuple(xi_max - (n - k) * step for k in range(1, n + 1))
 
 
 # Keyed on beta as passed (None for the default), so a hit skips resolving
@@ -274,21 +265,28 @@ def _xi0_grid(R, xi_max, exponent, n):
 @functools.lru_cache(maxsize=32)
 def _rate_geometry(R, beta, exponent):
     """The half of :func:`list_radius_bound` that depends on the rate, beta
-    and exponent but not on L or j: the resolved beta, the xi0 grid ``xs``
-    and ``solve``, :func:`_solve_at` at this rate, memoized for the grid and
-    every refinement point so far by the calls that share it.  Each value
-    depends on its xi0 alone, so a call gets the numbers it would compute
-    itself, whatever ran before it."""
+    and exponent but not on L or j: the resolved beta, the searched xi0
+    interval [lo, hi] and ``solve``, :func:`_solve_at` at this rate,
+    memoized for every xi0 evaluated so far by the calls that share it.
+    Each value depends on its xi0 alone, so a call gets the numbers it would
+    compute itself, whatever ran before it.
+
+    The subcode rate rises in xi0, so the feasible xi0 form one interval up
+    to hi = xi_max: all of (0, hi] for the exact exponent, from h^-1(1 - R)
+    on for the binomial estimate.  Its top alone decides feasibility.  The
+    search starts a sixteenth of the way up it, which keeps out xi0 = 0,
+    where the xi1 equation is undefined."""
     beta = _checked_beta(inverse_entropy(R) if beta is None else beta)
     hbeta = binary_entropy(beta)
     if hbeta > R + 1e-9:
         raise DomainError(f"h(beta)={hbeta} exceeds rate {R}")
-    xs = _xi0_grid(R, 0.5 - math.sqrt(beta * (1.0 - beta)), exponent, _GRID_POINTS)
-    solve = functools.cache(functools.partial(_solve_at, R, beta, hbeta, exponent))
-    # the subcode rate rises in xi0, so the top of the grid decides at once
-    if not any(_subcode_rate(R, beta, hbeta, x, exponent) >= -1e-12 for x in reversed(xs)):
+    hi = 0.5 - math.sqrt(beta * (1.0 - beta))
+    if _subcode_rate(R, beta, hbeta, hi, exponent) < -_RATE_SLACK:
         raise NoSolutionError("no admissible xi0: subcode rate negative everywhere")
-    return beta, xs, solve
+    start = min(inverse_entropy(1.0 - R), hi) if exponent == "binomial" else 0.0
+    lo = hi - 15 * ((hi - start) / 16)
+    solve = functools.cache(functools.partial(_solve_at, R, beta, hbeta, exponent))
+    return beta, lo, hi, solve
 
 
 def _objective(solve, beta, exponent, L, j):
@@ -307,13 +305,13 @@ def _objective(solve, beta, exponent, L, j):
 
     def theta(x):
         _, rp, a1, a2 = solve(x)
-        if rp < -1e-12:
+        if rp < -_RATE_SLACK:
             return -math.inf
         return x * poly(a1) + (1.0 - x) * poly(a2)
 
     def slope(x):
         xi1, rp, a1, a2 = solve(x)
-        if rp < -1e-12:
+        if rp < -_RATE_SLACK:
             return math.inf
         # a p or q below the float resolution of 1 - p is the xi1 = 0 branch
         if a2 == 0.0 or a1 == 1.0:
@@ -333,37 +331,21 @@ def _objective(solve, beta, exponent, L, j):
     return theta, slope
 
 
-def _grid_values(theta, poly, xs):
-    """theta on the ascending grid xs, scanned from xs[-1] down to the
-    first point x whose cap poly(x) is more than ``_CAP_SLACK`` of the best
-    value so far below it; that point and all below it get -inf, since poly
-    rises on [0, 1/2] and caps theta (see :func:`list_radius_bound`)."""
-    values = [-math.inf] * len(xs)
-    best = values[-1] = theta(xs[-1])
-    for i in range(len(xs) - 2, -1, -1):
-        if poly(xs[i]) < best - _CAP_SLACK * abs(best):
-            break
-        values[i] = theta(xs[i])
-        best = max(best, values[i])
-    return values
-
-
-def _refine(theta, slope, xs, values):
-    """(xi0, theta(xi0)) maximizing theta from its values on the grid xs:
-    the better of the best grid point and the slope's root, bracketed to
-    ``_REFINE_TOL`` in the half-cell the slope there points into, if the
-    slope changes sign across it (at xs[-1] a slope >= 0 gives xi_max)."""
-    k = max(range(len(xs)), key=values.__getitem__)
-    s = slope(xs[k])
-    far = k + 1 if s > 0.0 else k - 1
-    if s != 0.0 and 0 <= far < len(xs):
-        # the end where the slope is >= 0 first, as brent_root takes them
-        (s_lo, lo), (s_hi, hi) = sorted([(s, xs[k]), (slope(xs[far]), xs[far])], reverse=True)
-        if s_lo >= 0.0 > s_hi:
-            a, b = brent_root(slope, lo, hi, _REFINE_TOL, s_lo, s_hi)
-            t, x = max((values[k], xs[k]), (theta(a), a), (theta(b), b))
-            return x, t
-    return xs[k], values[k]
+def _refine(theta, slope, lo, hi):
+    """(xi0, theta(xi0)) maximizing theta on [lo, hi]: hi where the slope
+    at hi is >= 0, else lo where the slope at lo is <= 0, else the better
+    end of the slope's root bracketed to ``_REFINE_TOL``.  That needs theta
+    to rise and then fall, as theta_j does at every shift count that wins
+    in the sampled cases (README, "Notes on the central bound evaluation")."""
+    s_hi = slope(hi)
+    if s_hi >= 0.0:
+        return hi, theta(hi)
+    s_lo = slope(lo)
+    if s_lo <= 0.0:
+        return lo, theta(lo)
+    a, b = brent_root(slope, lo, hi, _REFINE_TOL, s_lo, s_hi)
+    t, x = max((theta(a), a), (theta(b), b))
+    return x, t
 
 
 def list_radius_bound(
@@ -378,9 +360,10 @@ def list_radius_bound(
     xi_max = 1/2 - sqrt(beta(1-beta)), the subcode rate
     R + h(beta) - 2E_beta(xi0) determines the intersection parameter xi1,
     and theta_j(xi0) = xi0 P(a1) + (1-xi0) P(a2), P = avg_radius_poly(L, j,
-    .), is maximized by :func:`_refine` from a grid over the feasible xi0
-    interval that ends at xi_max.  xi1 depends on xi0 alone, so the grid and
-    every xi1 solved are kept per (R, beta, exponent) by _rate_geometry.
+    .), is maximized by :func:`_refine` over the xi0 interval that
+    _rate_geometry searches, which ends at xi_max.  xi1 depends on xi0
+    alone, so the interval and every xi1 solved are kept per (R, beta,
+    exponent) by _rate_geometry.
 
     The concavity cap prunes the search.  As xi0 a1 + (1-xi0) a2 = xi0,
     theta_j(xi0) <= P(xi0) <= P(xi_max) for P concave on [0, 1] and
@@ -394,9 +377,8 @@ def list_radius_bound(
       which falls in nu and is 0 at nu = 1/2, V being symmetric about k.
 
     So the j are searched by descending cap P(xi_max) down to the first cap
-    more than ``_CAP_SLACK`` of the best value found below it, and
-    :func:`_grid_values` skips the grid points that cannot be a j's grid
-    maximum.  Neither changes the result; ties go to the smallest j.
+    more than ``_CAP_SLACK`` of the best value found below it, which does
+    not change the result; ties go to the smallest j.
 
     beta defaults to h(beta) = R.  xi0 with negative subcode rate are
     excluded; subcode rates above h(xi0) clamp xi1 to 0.  ``exponent``
@@ -409,15 +391,13 @@ def list_radius_bound(
     if exponent not in EXPONENT_MODES:
         raise DomainError(f"unknown exponent mode {exponent!r}")
     R = check_rate(R)
-    beta, xs, solve = _rate_geometry(R, None if beta is None else float(beta), exponent)
-    polys = {j: avg_radius_evaluator(L, j) for j in admissible_j(L)}
-    caps = {j: poly(xs[-1]) for j, poly in polys.items()}
+    beta, lo, hi, solve = _rate_geometry(R, None if beta is None else float(beta), exponent)
+    caps = {j: avg_radius_evaluator(L, j)(hi) for j in admissible_j(L)}
     theta_star, xi0_star, j_star = -math.inf, None, None
     for j in sorted(caps, key=caps.__getitem__, reverse=True):
         if caps[j] < theta_star - _CAP_SLACK * abs(theta_star):
             break
-        theta, slope = _objective(solve, beta, exponent, L, j)
-        xi0, t = _refine(theta, slope, xs, _grid_values(theta, polys[j], xs))
+        xi0, t = _refine(*_objective(solve, beta, exponent, L, j), lo, hi)
         if j_star is None or t > theta_star or (t == theta_star and j < j_star):
             theta_star, xi0_star, j_star = t, xi0, j
 

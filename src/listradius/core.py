@@ -122,11 +122,17 @@ def admissible_j(L: int) -> tuple[int, ...]:
 # typed, so that a float j is validated rather than answered from an int entry
 @functools.lru_cache(maxsize=1024, typed=True)
 def _excess_terms(L: int, j: int) -> tuple[tuple[int, int, int], ...]:
-    """(c, w, L - w) of the excess terms, c = comb(L, w) (2w - L - j), w > (L + j)/2."""
+    """(c, w, L - w) of the excess terms, c = comb(L, w) (2w - L - j), w > (L + j)/2;
+    comb(L, w) is stepped along w from one comb call, exactly."""
     check_list_size(L)
     if not isinstance(j, int) or not 0 <= j <= L:
         raise DomainError(f"shift count must be an integer in [0, {L}], got {j}")
-    return tuple((comb(L, w) * (2 * w - L - j), w, L - w) for w in range((L + j) // 2 + 1, L + 1))
+    w0 = (L + j) // 2 + 1
+    terms, c = [], comb(L, w0)
+    for w in range(w0, L + 1):
+        terms.append((c * (2 * w - L - j), w, L - w))
+        c = c * (L - w) // (w + 1)
+    return tuple(terms)
 
 
 def avg_radius_evaluator(L: int, j: int):

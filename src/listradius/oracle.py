@@ -36,10 +36,12 @@ __all__ = [
 MAX_EXHAUSTIVE_N = 24
 MAX_AVG_TYPE_SIZE = 14
 MAX_AVG_TYPE_L = 5
-# Cap on the bit operations of one radius test of tau_list: |C| words, each
-# updating min(L + 1, |C| - L) levels of 2^n-bit masks
+# Cap on the bit operations of one radius test: |C| words, each updating
+# min(L + 1, |C| - L) levels of 2^n-bit masks in tau_list, one level in
+# chebyshev_radius
 MAX_COVER_BITS = 1 << 32
-# Largest code whose pairwise distances tau_list reads for its lowest radius
+# Largest code whose pairwise distances tau_list and chebyshev_radius read
+# for their lowest radius
 MAX_PAIRWISE_WORDS = 256
 REGION_STEP = 1e-3
 # a1 rows per array of the region scan: one array over all 167 130 points
@@ -190,7 +192,9 @@ def load_code(path) -> BinaryCode:
 def chebyshev_radius(words, n: int) -> int:
     """Radius of the smallest Hamming ball containing all words, by
     exhaustive search over the 2^n centers (n <= 24): the radii from half
-    the diameter up are tested until the words' balls intersect."""
+    the diameter up are tested until the words' balls intersect.  The
+    diameter takes |C|^2 steps; above MAX_PAIRWISE_WORDS distinct words
+    the search starts from half the largest distance from one word."""
     words = list(words)
     if not words:
         raise DomainError("need at least one word")
@@ -200,8 +204,16 @@ def chebyshev_radius(words, n: int) -> int:
             f"exhaustive center search capped at n = {MAX_EXHAUSTIVE_N}, got {n}"
         )
     words = sorted(set(words))
-    diam = max(((a ^ b).bit_count() for a, b in itertools.combinations(words, 2)), default=0)
-    return _cover_radius(words, n, len(words), (diam + 1) // 2)
+    work = len(words) << n
+    if work > MAX_COVER_BITS:
+        raise SizeLimitError(
+            f"Chebyshev radius search capped at |C| 2^n <= {MAX_COVER_BITS}, got {work}"
+        )
+    pairs = itertools.combinations(words, 2)
+    if len(words) > MAX_PAIRWISE_WORDS:
+        pairs = ((words[0], b) for b in words)
+    far = max(((a ^ b).bit_count() for a, b in pairs), default=0)
+    return _cover_radius(words, n, len(words), (far + 1) // 2)
 
 
 def average_radius(words, n: int) -> Fraction:

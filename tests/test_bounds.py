@@ -22,7 +22,6 @@ from listradius.bounds import (
     _rate_geometry,
     _refine,
     _split_args,
-    _xi0_grid,
     best_upper_bound,
     blinovsky_bound,
     crossover_rate,
@@ -219,10 +218,10 @@ PINNED_TAU = [
 
 # Exact outputs (tau, xi0, xi1, j) of list_radius_bound: an interior
 # maximizer comes from the root of the objective's slope, an endpoint one
-# (xi0 = 1/2 - sqrt(beta(1-beta))) from the slope's sign at the top of the
-# grid.  The endpoint rows were recorded before either, the interior rows
-# with the 16-point scan of the feasible xi0 interval.  At the near-unit
-# rates xi_max is below the refinement tolerance bounds._REFINE_TOL.
+# (xi0 = 1/2 - sqrt(beta(1-beta))) from the slope's sign there.  The
+# endpoint rows were recorded before either, the interior rows with one
+# root search over the searched xi0 interval.  At the near-unit rates
+# xi_max is below the refinement tolerance bounds._REFINE_TOL.
 # dense_xi0 is the xi0 of an interior row as a 2000-point grid over
 # (0, xi_max] bracketed it, which a refinement from another bracket must
 # find to 1e-7; None on the endpoint rows.  ref_xi0 is the row's true
@@ -233,23 +232,23 @@ PINNED_TAU = [
 # form slope; the refinement must find it to 2e-10.
 WITNESS_PINS = [
     # interior
-    (2, 0.1, "parametric", 0.21654143346580415, 0.38676267652592755, 0.33443519293469354, 0,
+    (2, 0.1, "parametric", 0.216541433465804, 0.386762676575478, 0.3344351929157824, 0,
      0.38676267584802193, "0.3867626765262884551455971353037764959663"),
-    (2, 0.6, "binomial", 0.07765209928298708, 0.12878355635794234, 0.09988112068687748, 0,
+    (2, 0.6, "binomial", 0.07765209928298702, 0.12878355641508327, 0.0998811206717302, 0,
      0.12878355769809413, "0.1287835564079402733718179789497480068777"),
-    (4, 0.2, "parametric", 0.2210202230030146, 0.32614473951137746, 0.26520819700124254, 0,
+    (4, 0.2, "parametric", 0.2210202230030146, 0.32614473956137957, 0.26520819698627807, 0,
      0.326144737942275, "0.3261447395113800821208907568887294852661"),
-    (4, 0.45, "binomial", 0.1318947332139182, 0.18175375296831078, 0.15567380499722586, 0,
+    (4, 0.45, "binomial", 0.13189473321391817, 0.18175375296831325, 0.15567380499722494, 0,
      0.181753753117018, "0.181753752968309602737678366904404731412"),
-    (6, 0.35, "parametric", 0.1731264491985241, 0.25137980939960497, 0.18919261478954025, 0,
+    (6, 0.35, "parametric", 0.17312644919852416, 0.25137980934758025, 0.18919261480022337, 0,
      0.25137981010553484, "0.2513798093496596259001150954585729048431"),
-    (9, 0.12, "parametric", 0.28516757981417207, 0.3730678480598076, 0.318629482596769, 0,
+    (9, 0.12, "parametric", 0.2851675798141722, 0.37306784805982235, 0.31862948259676444, 0,
      0.3730678481900424, "0.3730678480598308439721417209224095009771"),
-    (9, 0.14, "binomial", 0.2747534154375525, 0.33173326582291734, 0.3176568524405335, 0,
+    (9, 0.14, "binomial", 0.27475341543755244, 0.3317332658706965, 0.3176568524114769, 0,
      0.3317332594269466, "0.3317332658227942858020390500028016290599"),
-    (11, 0.08, "parametric", 0.3170914545250483, 0.400772231117911, 0.35212859845098543, 0,
+    (11, 0.08, "parametric", 0.31709145452504817, 0.4007722311179229, 0.35212859845098105, 0,
      0.40077223079600083, "0.4007722310679291490244007383449951230841"),
-    (11, 0.1, "binomial", 0.3048227021859219, 0.3593792835840317, 0.3484573641580738, 0,
+    (11, 0.1, "binomial", 0.30482270218592206, 0.359379283582822, 0.3484573641588744, 0,
      0.3593792907159594, "0.3593792835840314340044454346490274144542"),
     # endpoint
     (3, 0.05, "parametric", 0.27304042193657657, 0.42532919113016965, 0.3830834790158536, 1, None, None),
@@ -271,21 +270,34 @@ WITNESS_PINS = [
 ]
 
 
-def _search_j(L, j, beta, exponent, solve, xs):
-    """(xi0, theta) of one j's refinement from all of the grid xs."""
-    theta, slope = _objective(solve, beta, exponent, L, j)
-    return _refine(theta, slope, xs, [theta(x) for x in xs])
+def _search_j(L, j, beta, exponent, solve, lo, hi):
+    """(xi0, theta) of one j's search over [lo, hi]."""
+    return _refine(*_objective(solve, beta, exponent, L, j), lo, hi)
 
 
-def _full_search(L, beta, exponent, solve, xs):
+def _full_search(L, beta, exponent, solve, lo, hi):
     """(tau, xi0, j) of the search without the concavity cap: every
-    admissible j on all of the grid xs, ties going to the smallest j."""
+    admissible j over [lo, hi], ties going to the smallest j."""
     best = None
     for j in admissible_j(L):
-        xi0, t = _search_j(L, j, beta, exponent, solve, xs)
+        xi0, t = _search_j(L, j, beta, exponent, solve, lo, hi)
         if best is None or t > best[0]:
             best = (t, xi0, j)
     return best
+
+
+def _check_at_least_dense_scan(L, R, exponent, points=512):
+    """tau is at least, less rounding, every theta_j of every admissible j
+    at points xi0 spread evenly over the searched [lo, hi], with xi1
+    solved apart from the cached geometry."""
+    tau = list_radius_bound(L, R, exponent=exponent)[0]
+    beta, lo, hi, solve = _rate_geometry(R, None, exponent)
+    solve = functools.cache(solve.__wrapped__)
+    step = (hi - lo) / (points - 1)
+    xs = [lo + k * step for k in range(points - 1)] + [hi]
+    for j in admissible_j(L):
+        theta = _objective(solve, beta, exponent, L, j)[0]
+        assert tau >= max(map(theta, xs)) - 1e-14, j
 
 
 # Seeded cases of the dense-grid audit, L <= 31 and R in [0.005, 0.995]
@@ -322,16 +334,15 @@ class TestListRadiusBound:
 
     @pytest.mark.parametrize("L, R, exponent", DENSE_AUDIT)
     def test_grid_agrees_with_dense_grid(self, L, R, exponent):
-        # the 16-point scan only brackets each j's maximum; the same search
-        # from a 512-point scan of the same interval must find the same j
-        # and tau.  It solves xi1 apart from the cached 16-point geometry
-        tau, w = list_radius_bound(L, R, exponent=exponent)
-        beta, xs, solve = _rate_geometry(R, None, exponent)
-        solve = functools.cache(solve.__wrapped__)
-        dense = _xi0_grid(R, xs[-1], exponent, 512)
-        tau_dense, _, j_dense = _full_search(L, beta, exponent, solve, dense)
-        assert w.j == j_dense
-        assert abs(tau - tau_dense) <= 1e-14
+        # the search takes each j's maximum from the slope's signs at the
+        # two ends of [lo, hi] and one root search, which assumes theta_j
+        # rises and then falls there: no j's 512-point scan may exceed tau
+        _check_at_least_dense_scan(L, R, exponent)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=10)
+    @given(st.integers(2, 31), _rates, st.sampled_from(EXPONENT_MODES))
+    def test_at_least_dense_scan(self, L, R, exponent):
+        _check_at_least_dense_scan(L, R, exponent)
 
     def test_grid_starts_at_feasible_end(self):
         # the binomial subcode rate is negative below h^-1(1 - R), here on
@@ -449,8 +460,8 @@ class TestListRadiusBound:
 def _unpruned_bound(L, R, exponent):
     """list_radius_bound's (tau, witness) by the search without the
     concavity cap."""
-    beta, xs, solve = _rate_geometry(R, None, exponent)
-    tau, xi0, j = _full_search(L, beta, exponent, solve, xs)
+    beta, lo, hi, solve = _rate_geometry(R, None, exponent)
+    tau, xi0, j = _full_search(L, beta, exponent, solve, lo, hi)
     xi1, r_prime = solve(xi0)[:2]
     return tau, RadiusWitness(xi0=xi0, xi1=xi1, j=j, theta=tau, beta=beta, r_prime=r_prime)
 
@@ -476,10 +487,10 @@ class TestConcavityCap:
     @pytest.mark.parametrize("exponent", EXPONENT_MODES)
     def test_cap_bounds_each_searched_max(self, L, R, exponent):
         # theta_j(xi0) <= P_j(xi0) <= P_j(xi_max) for every admissible j
-        beta, xs, solve = _rate_geometry(R, None, exponent)
+        beta, lo, hi, solve = _rate_geometry(R, None, exponent)
         for j in admissible_j(L):
-            t = _search_j(L, j, beta, exponent, solve, xs)[1]
-            assert avg_radius_poly(L, j, xs[-1]) >= t - 1e-12, j
+            t = _search_j(L, j, beta, exponent, solve, lo, hi)[1]
+            assert avg_radius_poly(L, j, hi) >= t - 1e-12, j
 
     def test_planted_low_cap_is_caught(self, monkeypatch):
         # a negative slack prunes as if every cap were that fraction too
@@ -509,7 +520,7 @@ class TestConcavityCap:
 
 
 # Seeded interior points of the slope test: L, R, j and the fraction u of
-# the way up the feasible grid interval
+# the way up the searched xi0 interval
 _slope_rng = random.Random(3)
 SLOPE_CASES = [
     (L, round(_slope_rng.uniform(0.02, 0.98), 4), _slope_rng.choice(admissible_j(L)), _slope_rng.random())
@@ -527,17 +538,17 @@ class TestObjectiveSlope:
         # a step of 1e-6 xi_max leaves the difference quotient about
         # 1e-16/h off, at most 5e-9 on these cases
         for L, R, j, u in SLOPE_CASES:
-            beta, xs, solve = _rate_geometry(R, None, exponent)
-            x = xs[0] + u * (xs[-1] - xs[0])
+            beta, lo, hi, solve = _rate_geometry(R, None, exponent)
+            x = lo + u * (hi - lo)
             assert 0.0 < solve(x)[0] < 2.0 * x * (1.0 - x)
             theta, slope = _objective(solve, beta, exponent, L, j)
-            fd = _central_difference(theta, x, 1e-6 * xs[-1])
+            fd = _central_difference(theta, x, 1e-6 * hi)
             assert slope(x) == pytest.approx(fd, abs=1e-7), (L, R, j, x)
 
     def test_clamp_branches(self):
         # xi1 = 0 where the subcode rate exceeds h(xi0), here from a beta
         # with h(beta) = 0.2 < R: theta = xi0 j/(L+j)
-        beta, _, solve = _rate_geometry(0.5, inverse_entropy(0.2), "parametric")
+        beta, _, _, solve = _rate_geometry(0.5, inverse_entropy(0.2), "parametric")
         for L, j in ((5, 3), (4, 0), (9, 1)):
             theta, slope = _objective(solve, beta, "parametric", L, j)
             for x in (0.015, 0.03, 0.04):
@@ -584,61 +595,55 @@ class TestRefine:
     # _refine on functions given as (value, slope) pairs, apart from the
     # central objective
     @staticmethod
-    def _run(f, xs):
+    def _run(f, lo, hi):
         theta, seen_theta = _counted(lambda t: f(t)[0])
         slope, seen_slope = _counted(lambda t: f(t)[1])
-        return _refine(theta, slope, xs, [f(x)[0] for x in xs]), seen_theta, seen_slope
+        return _refine(theta, slope, lo, hi), seen_theta, seen_slope
 
     def test_increasing_returns_upper_end(self):
-        # the slope's sign at xs[-1] alone decides
-        got, seen_theta, seen_slope = self._run(lambda t: (t**3, 3.0 * t * t), (0.1, 0.4, 0.7))
+        # the slope's sign at hi alone decides
+        got, seen_theta, seen_slope = self._run(lambda t: (t**3, 3.0 * t * t), 0.1, 0.7)
         assert got == (0.7, 0.7**3)
-        assert (seen_theta, seen_slope) == ([], [0.7])
+        assert (seen_theta, seen_slope) == ([0.7], [0.7])
 
     def test_decreasing_returns_lower_end(self):
-        got, seen_theta, seen_slope = self._run(lambda t: (-t, -1.0), (0.1, 0.4, 0.7))
+        got, seen_theta, seen_slope = self._run(lambda t: (-t, -1.0), 0.1, 0.7)
         assert got == (0.1, -0.1)
-        assert (seen_theta, seen_slope) == ([], [0.1])
+        assert (seen_theta, seen_slope) == ([0.1], [0.7, 0.1])
 
     @pytest.mark.parametrize("f", [_quadratic, _cubic], ids=["quadratic", "cubic"])
     def test_interior_maximum_within_tol(self, f):
         # both peak at 0.3 with value 0, so no rounding flattens the top
-        (x, v), _, _ = self._run(f, (0.0, 0.5, 1.0))
+        (x, v), _, _ = self._run(f, 0.0, 1.0)
         assert abs(x - 0.3) <= _REFINE_TOL
         assert v == f(x)[0]
 
     def test_passed_end_values_not_evaluated(self):
         # the objective is evaluated at the final bracket only, and the
-        # slope once at each grid point it needs
+        # slope once at each end
         def f(t):
             s, c, e = math.sin(3.0 * t), math.cos(3.0 * t), math.exp(-t)
             return s * e, (3.0 * c - s) * e
 
-        xs = (0.0, 0.5, 1.0)
-        (x, _), seen_theta, seen_slope = self._run(f, xs)
-        assert len(seen_theta) == 2 and not set(seen_theta) & set(xs)
+        (x, _), seen_theta, seen_slope = self._run(f, 0.0, 1.0)
+        assert len(seen_theta) == 2 and not set(seen_theta) & {0.0, 1.0}
         assert x in seen_theta
-        assert [t for t in seen_slope if t in xs] == [0.5, 0.0]
+        assert [t for t in seen_slope if t in (0.0, 1.0)] == [1.0, 0.0]
 
-    @pytest.mark.parametrize(
-        "f",
-        [
-            lambda t: (math.sin(40.0 * t), 40.0 * math.cos(40.0 * t)),
-            lambda t: (-abs(t - 0.5), -1.0 if t > 0.5 else 1.0),
-            lambda t: (1.0 if t == 0.5 else 0.0, 0.0),
-        ],
-        ids=["multimodal", "kink", "spike"],
-    )
-    def test_never_below_grid_maximum(self, f):
-        xs = tuple(k / 8 for k in range(9))
-        (x, v), _, _ = self._run(f, xs)
-        assert v >= max(f(t)[0] for t in xs)
+    def test_infeasible_low_end(self):
+        # theta is -inf, and its slope +inf, below 0.2, as where the subcode
+        # rate is negative; the maximum sits at that edge
+        def f(t):
+            return (-math.inf, math.inf) if t < 0.2 else (-((t - 0.1) ** 2), -2.0 * (t - 0.1))
+
+        (x, v), _, _ = self._run(f, 0.05, 0.5)
+        assert 0.2 <= x <= 0.2 + _REFINE_TOL
         assert v == f(x)[0]
 
     def test_fewer_evaluations_than_golden_section(self):
         golden, seen_golden = _counted(lambda t: _cubic(t)[0])
         golden_max(golden, 0.2, 0.6, _REFINE_TOL)
-        (x, _), seen_theta, seen_slope = self._run(_cubic, (0.2, 0.4, 0.6))
+        (x, _), seen_theta, seen_slope = self._run(_cubic, 0.2, 0.6)
         assert abs(x - 0.3) <= _REFINE_TOL
         assert 3 * (len(seen_theta) + len(seen_slope)) <= len(seen_golden)
 
@@ -707,9 +712,10 @@ class TestRateGeometryCache:
 
     def test_xi1_solve_count_of_a_curve(self, monkeypatch):
         # curve --bound theorem1 --L 3 --rmin 0.01 --rmax 0.99 --step 0.01
-        # solves xi1 1 203 times with the root of the slope, 2 654 times
-        # with Brent's minimizer in its place, 4 003 times with that and
-        # without the concavity cap, and 5 698 with golden section
+        # solves xi1 779 times with one root search of the slope per shift
+        # count, 1 203 times with a 16-point grid bracketing that root,
+        # 2 654 times with Brent's minimizer in its place, 4 003 times with
+        # that and without the concavity cap, and 5 698 with golden section
         solve_at, calls = bounds._solve_at, []
 
         def counted(*args):
@@ -720,23 +726,23 @@ class TestRateGeometryCache:
         _rate_geometry.cache_clear()
         sample_curve("theorem1", 3, _rate_grid(0.01, 0.99, 0.01))
         _rate_geometry.cache_clear()
-        assert len(calls) < 1300
+        assert len(calls) <= 800
 
     def test_infeasible_grid_points(self):
         # beta near 1/2 with R just inside the 1e-9 slack of h(beta) <= R:
-        # xi_max is about 1e-10, and the subcode rate is negative on the
-        # low end of the grid, where xi1 is not solved and theta is -inf
+        # xi_max is about 1e-10, and the subcode rate is negative at the
+        # low end lo of the searched interval, where xi1 is not solved and
+        # theta is -inf
         beta = 0.49999
         R = binary_entropy(beta) - 9e-10
         _rate_geometry.cache_clear()
         tau, w = list_radius_bound(3, R, beta=beta)
-        _, xs, solve = _rate_geometry(R, beta, "parametric")
-        xi_max = xs[-1]
-        infeasible = [xi1 for xi1, rp, *_ in map(solve, xs) if rp < -1e-12]
-        assert infeasible and set(infeasible) == {0.0}
+        _, lo, hi, solve = _rate_geometry(R, beta, "parametric")
+        xi1, rp = solve(lo)[:2]
+        assert rp < -bounds._RATE_SLACK and xi1 == 0.0
         assert 0.0 < tau < 1e-9
-        assert w.r_prime >= -1e-12
-        assert 0.0 < w.xi0 <= xi_max
+        assert w.r_prime >= -bounds._RATE_SLACK
+        assert 0.0 < w.xi0 <= hi
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=15)
     @given(rate_sequences())

@@ -13,6 +13,7 @@ from listradius.errors import DomainError, SizeLimitError
 from listradius.oracle import (
     MAX_AVG_TYPE_L,
     MAX_AVG_TYPE_SIZE,
+    MAX_PAIRWISE_WORDS,
     REGION_BLOCK_ROWS,
     REGION_STEP,
     BinaryCode,
@@ -76,6 +77,15 @@ class TestChebyshevRadius:
     def test_full_blocklength(self):
         assert chebyshev_radius([0, 2**24 - 1], 24) == 12
         assert chebyshev_radius([0b1011_0110_0101_1100_0011_1010], 24) == 0
+
+
+def test_chebyshev_radius_past_pairwise_cap():
+    # above MAX_PAIRWISE_WORDS words the search starts from half of one
+    # word's farthest distance instead of half the diameter
+    rng = random.Random(5)
+    for n in (9, 10):
+        words = rng.sample(range(1 << n), MAX_PAIRWISE_WORDS + 44)
+        assert chebyshev_radius(words, n) == _brute_radius(words, n)
 
 
 class TestAverageRadius:
