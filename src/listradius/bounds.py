@@ -290,34 +290,30 @@ def _rate_geometry(R, beta, exponent):
 
 
 def _objective(solve, beta, exponent, L, j):
-    """(theta, theta') in xi0 of theta_j(xi0) = split_avg_radius(L, j, xi0,
-    xi1), for solve a :func:`_rate_geometry`'s; theta is -inf, and theta'
-    +inf, where the subcode rate is negative.  With p = xi1/(2 xi0) and
-    q = a2 = xi1/(2(1-xi0)), theta' = P(a1) - P(a2) + p P'(a1) + q P'(a2) +
+    """xi0 -> (theta, theta') of theta_j(xi0) = split_avg_radius(L, j, xi0,
+    xi1), for solve a :func:`_rate_geometry`'s; (-inf, +inf) where the
+    subcode rate is negative.  With p = xi1/(2 xi0) and q = a2 =
+    xi1/(2(1-xi0)), theta' = P(a1) - P(a2) + p P'(a1) + q P'(a2) +
     xi1' (P'(a2) - P'(a1))/2, and xi1' = -F0/F1 from the xi1 equation: F1
     is :func:`_solve_xi1`'s slope, F0 = h'(xi0) + log2(1-p) - log2(1-q)
     less the subcode rate's slope, h'(xi0) under the binomial estimate and
     -2 log2((1-w)/(1+w)), w = _omega_root(beta, xi0), under the exact
-    exponent, whose stationarity in w is _omega_root's quadratic.  xi1 = 0
-    gives theta' = j/(L+j), and xi1 = 2 xi0 (1-xi0) gives P'(xi0).
+    exponent, whose stationarity in w is _omega_root's quadratic.  theta
+    takes P(a1), P(a2) from that slope pass, but from the value kernel,
+    which holds where a1 rounds to 0, on the clamped branches: xi1 = 0,
+    with theta' = j/(L+j), and xi1 = 2 xi0 (1-xi0), with theta' = P'(xi0).
     """
     poly, poly_slope = avg_radius_evaluator(L, j), avg_radius_slope_evaluator(L, j)
 
-    def theta(x):
-        _, rp, a1, a2 = solve(x)
-        if rp < -_RATE_SLACK:
-            return -math.inf
-        return x * poly(a1) + (1.0 - x) * poly(a2)
-
-    def slope(x):
+    def theta_and_slope(x):
         xi1, rp, a1, a2 = solve(x)
         if rp < -_RATE_SLACK:
-            return math.inf
+            return -math.inf, math.inf
         # a p or q below the float resolution of 1 - p is the xi1 = 0 branch
         if a2 == 0.0 or a1 == 1.0:
-            return j / (L + j)
+            return x * poly(a1) + (1.0 - x) * poly(a2), j / (L + j)
         if xi1 >= 2.0 * x * (1.0 - x):
-            return poly_slope(x)[1]
+            return x * poly(a1) + (1.0 - x) * poly(a2), poly_slope(x)[1]
         p, q = xi1 / (2.0 * x), a2
         lp1, lq1 = log2(1.0 - p), log2(1.0 - q)
         f0 = lp1 - lq1
@@ -326,25 +322,32 @@ def _objective(solve, beta, exponent, L, j):
             f0 += log2((1.0 - x) / x) + 2.0 * log2((1.0 - w) / (1.0 + w))
         dxi1 = -2.0 * f0 / (log2(p) + log2(q) - lp1 - lq1)
         (v1, d1), (v2, d2) = poly_slope(a1), poly_slope(a2)
-        return v1 - v2 + p * d1 + q * d2 + 0.5 * dxi1 * (d2 - d1)
+        return x * v1 + (1.0 - x) * v2, v1 - v2 + p * d1 + q * d2 + 0.5 * dxi1 * (d2 - d1)
 
-    return theta, slope
+    return theta_and_slope
 
 
-def _refine(theta, slope, lo, hi):
-    """(xi0, theta(xi0)) maximizing theta on [lo, hi]: hi where the slope
-    at hi is >= 0, else lo where the slope at lo is <= 0, else the better
-    end of the slope's root bracketed to ``_REFINE_TOL``.  That needs theta
-    to rise and then fall, as theta_j does at every shift count that wins
-    in the sampled cases (README, "Notes on the central bound evaluation")."""
-    s_hi = slope(hi)
+def _refine(f, lo, hi):
+    """(xi0, theta(xi0)) maximizing theta on [lo, hi], calling f: xi0 ->
+    (theta, theta') at most once per xi0: hi where theta'(hi) >= 0, else
+    lo where theta'(lo) <= 0, else the better end of the root of theta'
+    bracketed to ``_REFINE_TOL``.  That needs theta to rise and then fall,
+    as theta_j does at every shift count that wins in the sampled cases
+    (README, "Notes on the central bound evaluation")."""
+    t_hi, s_hi = f(hi)
     if s_hi >= 0.0:
-        return hi, theta(hi)
-    s_lo = slope(lo)
+        return hi, t_hi
+    t_lo, s_lo = f(lo)
     if s_lo <= 0.0:
-        return lo, theta(lo)
+        return lo, t_lo
+    thetas = {lo: t_lo, hi: t_hi}
+
+    def slope(x):
+        thetas[x], s = f(x)
+        return s
+
     a, b = brent_root(slope, lo, hi, _REFINE_TOL, s_lo, s_hi)
-    t, x = max((theta(a), a), (theta(b), b))
+    t, x = max((thetas[a], a), (thetas[b], b))
     return x, t
 
 
@@ -397,7 +400,7 @@ def list_radius_bound(
     for j in sorted(caps, key=caps.__getitem__, reverse=True):
         if caps[j] < theta_star - _CAP_SLACK * abs(theta_star):
             break
-        xi0, t = _refine(*_objective(solve, beta, exponent, L, j), lo, hi)
+        xi0, t = _refine(_objective(solve, beta, exponent, L, j), lo, hi)
         if j_star is None or t > theta_star or (t == theta_star and j < j_star):
             theta_star, xi0_star, j_star = t, xi0, j
 

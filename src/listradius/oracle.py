@@ -56,9 +56,10 @@ def _over_common_denominator(t):
 
 
 def _column_masks(words, n):
-    """Per coordinate, the bitmask of the indices of the words holding a one."""
+    """Per coordinate, the bitmask of the indices of the words holding a
+    one; a leading zero row gives n masks of 0 for no words."""
     rows = (format(w, f"0{n}b") for w in reversed(words))  # bit k is word k
-    return [int("".join(col), 2) for col in zip(*rows)][::-1]
+    return [int("".join(col), 2) for col in zip("0" * n, *rows)][::-1]
 
 
 def _validate_words(words, n):
@@ -304,11 +305,7 @@ def joint_type(words, n: int) -> JointType:
         if a > b:
             raise DomainError("words must be given in lexicographic order")
     counts = [0] * (1 << L)
-    for pos in range(n):
-        v = 0
-        for i, w in enumerate(words):
-            if (w >> pos) & 1:
-                v |= 1 << i
+    for v in _column_masks(words, n):
         counts[v] += 1
     return JointType(L=L, t=tuple(Fraction(c, n) for c in counts))
 

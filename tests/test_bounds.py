@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from listradius import bounds
+from listradius import bounds, checks
 from listradius.bounds import (
     EXPONENT_MODES,
     MAX_CATALAN_L,
@@ -37,6 +37,7 @@ from listradius.bounds import (
 from listradius.cli import _rate_grid
 from listradius.core import (
     admissible_j,
+    avg_radius_evaluator,
     avg_radius_poly,
     binary_entropy,
     inverse_entropy,
@@ -272,7 +273,7 @@ WITNESS_PINS = [
 
 def _search_j(L, j, beta, exponent, solve, lo, hi):
     """(xi0, theta) of one j's search over [lo, hi]."""
-    return _refine(*_objective(solve, beta, exponent, L, j), lo, hi)
+    return _refine(_objective(solve, beta, exponent, L, j), lo, hi)
 
 
 def _full_search(L, beta, exponent, solve, lo, hi):
@@ -296,8 +297,8 @@ def _check_at_least_dense_scan(L, R, exponent, points=512):
     step = (hi - lo) / (points - 1)
     xs = [lo + k * step for k in range(points - 1)] + [hi]
     for j in admissible_j(L):
-        theta = _objective(solve, beta, exponent, L, j)[0]
-        assert tau >= max(map(theta, xs)) - 1e-14, j
+        f = _objective(solve, beta, exponent, L, j)
+        assert tau >= max(f(x)[0] for x in xs) - 1e-14, j
 
 
 # Seeded cases of the dense-grid audit, L <= 31 and R in [0.005, 0.995]
@@ -536,24 +537,30 @@ class TestObjectiveSlope:
     @pytest.mark.parametrize("exponent", EXPONENT_MODES)
     def test_matches_central_differences(self, exponent):
         # a step of 1e-6 xi_max leaves the difference quotient about
-        # 1e-16/h off, at most 5e-9 on these cases
+        # 1e-16/h off, at most 5e-9 on these cases.  theta, taken from the
+        # slope pass, is bit for bit the value kernel's
         for L, R, j, u in SLOPE_CASES:
             beta, lo, hi, solve = _rate_geometry(R, None, exponent)
             x = lo + u * (hi - lo)
-            assert 0.0 < solve(x)[0] < 2.0 * x * (1.0 - x)
-            theta, slope = _objective(solve, beta, exponent, L, j)
-            fd = _central_difference(theta, x, 1e-6 * hi)
-            assert slope(x) == pytest.approx(fd, abs=1e-7), (L, R, j, x)
+            xi1, _, a1, a2 = solve(x)
+            assert 0.0 < xi1 < 2.0 * x * (1.0 - x)
+            f = _objective(solve, beta, exponent, L, j)
+            theta, slope = f(x)
+            poly = avg_radius_evaluator(L, j)
+            assert theta == x * poly(a1) + (1.0 - x) * poly(a2)
+            fd = _central_difference(lambda t: f(t)[0], x, 1e-6 * hi)
+            assert slope == pytest.approx(fd, abs=1e-7), (L, R, j, x)
 
     def test_clamp_branches(self):
         # xi1 = 0 where the subcode rate exceeds h(xi0), here from a beta
         # with h(beta) = 0.2 < R: theta = xi0 j/(L+j)
         beta, _, _, solve = _rate_geometry(0.5, inverse_entropy(0.2), "parametric")
         for L, j in ((5, 3), (4, 0), (9, 1)):
-            theta, slope = _objective(solve, beta, "parametric", L, j)
+            f = _objective(solve, beta, "parametric", L, j)
             for x in (0.015, 0.03, 0.04):
                 assert solve(x)[0] == 0.0
-                assert slope(x) == j / (L + j) == pytest.approx(_central_difference(theta, x, 1e-6))
+                fd = _central_difference(lambda t: f(t)[0], x, 1e-6)
+                assert f(x)[1] == j / (L + j) == pytest.approx(fd)
 
         # xi1 = 2 xi0 (1 - xi0) at a zero subcode rate: theta = P(xi0)
         def top(x):
@@ -561,16 +568,21 @@ class TestObjectiveSlope:
             return (xi1, 0.0, *_split_args(x, xi1))
 
         for L, j in ((5, 3), (4, 0), (9, 1)):
-            theta, slope = _objective(top, beta, "parametric", L, j)
+            f = _objective(top, beta, "parametric", L, j)
             for x in (0.05, 0.2, 0.35):
-                assert slope(x) == pytest.approx(_central_difference(theta, x, 1e-6), abs=1e-8)
+                fd = _central_difference(lambda t: f(t)[0], x, 1e-6)
+                assert f(x)[1] == pytest.approx(fd, abs=1e-8)
+            # below 1.1e-16 a1 rounds to 0, where the slope kernel would
+            # divide by nu; theta = (1 - xi0) P(xi0) there
+            assert top(1e-17)[2] == 0.0
+            assert f(1e-17)[0] == pytest.approx(avg_radius_poly(L, j, 1e-17), rel=1e-12)
 
     def test_infeasible_point_rises(self):
         def infeasible(x):
             return (0.0, -1.0, 1.0, 0.0)
 
-        theta, slope = _objective(infeasible, 0.1, "parametric", 3, 1)
-        assert (theta(0.2), slope(0.2)) == (-math.inf, math.inf)
+        f = _objective(infeasible, 0.1, "parametric", 3, 1)
+        assert f(0.2) == (-math.inf, math.inf)
 
 
 def _counted(g):
@@ -592,43 +604,49 @@ def _cubic(t):
 
 
 class TestRefine:
-    # _refine on functions given as (value, slope) pairs, apart from the
-    # central objective
+    # _refine on functions t -> (value, slope), apart from the central
+    # objective
     @staticmethod
     def _run(f, lo, hi):
-        theta, seen_theta = _counted(lambda t: f(t)[0])
-        slope, seen_slope = _counted(lambda t: f(t)[1])
-        return _refine(theta, slope, lo, hi), seen_theta, seen_slope
+        counted, seen = _counted(f)
+        return _refine(counted, lo, hi), seen
 
     def test_increasing_returns_upper_end(self):
         # the slope's sign at hi alone decides
-        got, seen_theta, seen_slope = self._run(lambda t: (t**3, 3.0 * t * t), 0.1, 0.7)
+        got, seen = self._run(lambda t: (t**3, 3.0 * t * t), 0.1, 0.7)
         assert got == (0.7, 0.7**3)
-        assert (seen_theta, seen_slope) == ([0.7], [0.7])
+        assert seen == [0.7]
 
     def test_decreasing_returns_lower_end(self):
-        got, seen_theta, seen_slope = self._run(lambda t: (-t, -1.0), 0.1, 0.7)
+        got, seen = self._run(lambda t: (-t, -1.0), 0.1, 0.7)
         assert got == (0.1, -0.1)
-        assert (seen_theta, seen_slope) == ([0.1], [0.7, 0.1])
+        assert seen == [0.7, 0.1]
 
     @pytest.mark.parametrize("f", [_quadratic, _cubic], ids=["quadratic", "cubic"])
     def test_interior_maximum_within_tol(self, f):
         # both peak at 0.3 with value 0, so no rounding flattens the top
-        (x, v), _, _ = self._run(f, 0.0, 1.0)
+        (x, v), _ = self._run(f, 0.0, 1.0)
         assert abs(x - 0.3) <= _REFINE_TOL
         assert v == f(x)[0]
 
     def test_passed_end_values_not_evaluated(self):
-        # the objective is evaluated at the final bracket only, and the
-        # slope once at each end
+        # each end once, hi first, and the value at the returned point is
+        # the one its slope came with
         def f(t):
             s, c, e = math.sin(3.0 * t), math.cos(3.0 * t), math.exp(-t)
             return s * e, (3.0 * c - s) * e
 
-        (x, _), seen_theta, seen_slope = self._run(f, 0.0, 1.0)
-        assert len(seen_theta) == 2 and not set(seen_theta) & {0.0, 1.0}
-        assert x in seen_theta
-        assert [t for t in seen_slope if t in (0.0, 1.0)] == [1.0, 0.0]
+        (x, v), seen = self._run(f, 0.0, 1.0)
+        assert seen[:2] == [1.0, 0.0]
+        assert x in seen[2:] and v == f(x)[0]
+
+    @pytest.mark.parametrize("f", [_quadratic, _cubic], ids=["quadratic", "cubic"])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.2, 0.6), (0.25, 0.3000001)])
+    def test_evaluates_once_per_point(self, f, lo, hi):
+        # the value at the bracket ends comes from the evaluation that gave
+        # their slope, never from a second one
+        _, seen = self._run(f, lo, hi)
+        assert len(seen) == len(set(seen)) > 2
 
     def test_infeasible_low_end(self):
         # theta is -inf, and its slope +inf, below 0.2, as where the subcode
@@ -636,16 +654,16 @@ class TestRefine:
         def f(t):
             return (-math.inf, math.inf) if t < 0.2 else (-((t - 0.1) ** 2), -2.0 * (t - 0.1))
 
-        (x, v), _, _ = self._run(f, 0.05, 0.5)
+        (x, v), _ = self._run(f, 0.05, 0.5)
         assert 0.2 <= x <= 0.2 + _REFINE_TOL
         assert v == f(x)[0]
 
     def test_fewer_evaluations_than_golden_section(self):
         golden, seen_golden = _counted(lambda t: _cubic(t)[0])
         golden_max(golden, 0.2, 0.6, _REFINE_TOL)
-        (x, _), seen_theta, seen_slope = self._run(_cubic, 0.2, 0.6)
+        (x, _), seen = self._run(_cubic, 0.2, 0.6)
         assert abs(x - 0.3) <= _REFINE_TOL
-        assert 3 * (len(seen_theta) + len(seen_slope)) <= len(seen_golden)
+        assert 5 * len(seen) <= len(seen_golden)
 
 
 # 25 seeded rates, each at four list sizes under both exponents; the
@@ -727,6 +745,35 @@ class TestRateGeometryCache:
         sample_curve("theorem1", 3, _rate_grid(0.01, 0.99, 0.01))
         _rate_geometry.cache_clear()
         assert len(calls) <= 800
+
+    def test_kernel_passes_of_the_bounds_suite(self, monkeypatch):
+        # verify --suite bounds, cold: each searched xi0 costs one pass of
+        # the slope kernel per polynomial argument, and the value kernel
+        # runs only for the caps and on the clamped xi1 branches.  Reading
+        # theta by a value pass apart from the slope pass took 3 014 value
+        # passes
+        passes = {"value": 0, "slope": 0, "xi1": 0}
+
+        def counting(key, real):
+            def wrapped(*args):
+                passes[key] += 1
+                return real(*args)
+
+            return wrapped
+
+        for name, key in (("avg_radius_evaluator", "value"), ("avg_radius_slope_evaluator", "slope")):
+            make = getattr(bounds, name)
+            monkeypatch.setattr(
+                bounds, name, lambda L, j, make=make, key=key: counting(key, make(L, j))
+            )
+        monkeypatch.setattr(bounds, "_solve_xi1", counting("xi1", bounds._solve_xi1))
+        _rate_geometry.cache_clear()
+        crossover_rate.cache_clear()
+        checks.run_suite("bounds", seed=7)
+        _rate_geometry.cache_clear()
+        crossover_rate.cache_clear()
+        assert passes["value"] <= 1224
+        assert (passes["slope"], passes["xi1"]) == (5902, 2209)
 
     def test_infeasible_grid_points(self):
         # beta near 1/2 with R just inside the 1e-9 slack of h(beta) <= R:

@@ -388,6 +388,16 @@ class TestVerify:
         assert code == 0
         assert "provided code" in out
 
+    def test_code_checked_with_any_suite(self):
+        code, out, err = run_cli(
+            ["verify", "--suite", "identities", "--code", os.path.join(DATA, "code-n7.txt")]
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == [
+            "[PASS] weight marginal identity on provided code (n=7, M=6): worst residual 0",
+            "15/15 checks passed",
+        ]
+
     def test_missing_code_file(self):
         code, _, err = run_cli(
             ["verify", "--suite", "oracle", "--code", "/nonexistent/file"]

@@ -12,10 +12,7 @@ from listradius.core import (
     avg_radius_poly,
     avg_radius_slope_evaluator,
     binary_entropy,
-    binomial_pmf,
-    binomial_tail,
     delta_lp1,
-    expected_excess,
     inverse_entropy,
     krawtchouk_exponent_value,
     plotkin_radius,
@@ -311,34 +308,3 @@ class TestAdmissibleJ:
     def test_even(self):
         assert admissible_j(4) == (0, 2, 4)
         assert admissible_j(2) == (0, 2)
-
-
-class TestDerivativeIdentities:
-    STEP = 1e-6
-    TOL = 1e-5
-
-    def test_excess_expectation_derivative(self):
-        for L in range(2, 9):
-            for k in range(L + 1):
-                for p in np.arange(0.1, 0.91, 0.1):
-                    p = float(p)
-                    fd = (
-                        expected_excess(L, p + self.STEP, k)
-                        - expected_excess(L, p - self.STEP, k)
-                    ) / (2 * self.STEP)
-                    assert fd == pytest.approx(
-                        L * binomial_tail(L - 1, p, k), abs=self.TOL
-                    )
-
-    def test_tail_derivative(self):
-        for L in range(2, 9):
-            for k in range(L + 1):
-                for p in np.arange(0.1, 0.91, 0.1):
-                    p = float(p)
-                    fd = (
-                        binomial_tail(L, p + self.STEP, k)
-                        - binomial_tail(L, p - self.STEP, k)
-                    ) / (2 * self.STEP)
-                    assert fd == pytest.approx(
-                        L * binomial_pmf(L - 1, p, k - 1), abs=self.TOL
-                    )

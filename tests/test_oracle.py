@@ -206,6 +206,8 @@ class TestJointType:
         T = joint_type([0b0101, 0b0101], 4)
         assert T.t[0b00] == Fraction(1, 2)
         assert T.t[0b11] == Fraction(1, 2)
+        # no words: every column is the empty pattern
+        assert joint_type([], 4).t == (1,)
 
     def test_marginal_is_ones_density(self):
         rng = random.Random(1)
