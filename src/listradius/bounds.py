@@ -231,6 +231,8 @@ def _split_args(xi0, xi1):
 def split_avg_radius(L: int, j: int, xi0, xi1):
     """Two-piece average-radius value
     xi0 * poly(1 - xi1/(2 xi0)) + (1-xi0) * poly(xi1/(2(1-xi0)))."""
+    if not 0.0 < xi0 < 1.0:
+        raise DomainError(f"xi0 must lie in (0, 1), got {xi0}")
     a1, a2 = _split_args(xi0, xi1)
     return xi0 * avg_radius_poly(L, j, a1) + (1.0 - xi0) * avg_radius_poly(L, j, a2)
 
@@ -260,16 +262,11 @@ def _solve_at(R, beta, hbeta, exponent, x):
     return (xi1, rp, *_split_args(x, xi1))
 
 
-# Keyed on beta as passed (None for the default), so a hit skips resolving
-# it too.  Exceptions are not cached: a bad input raises on every call.
-@functools.lru_cache(maxsize=32)
 def _rate_geometry(R, beta, exponent):
     """The half of :func:`list_radius_bound` that depends on the rate, beta
     and exponent but not on L or j: the resolved beta, the searched xi0
     interval [lo, hi] and ``solve``, :func:`_solve_at` at this rate,
-    memoized for every xi0 evaluated so far by the calls that share it.
-    Each value depends on its xi0 alone, so a call gets the numbers it would
-    compute itself, whatever ran before it.
+    memoized for the shift counts of one call.
 
     The subcode rate rises in xi0, so the feasible xi0 form one interval up
     to hi = xi_max: all of (0, hi] for the exact exponent, from h^-1(1 - R)
@@ -365,8 +362,7 @@ def list_radius_bound(
     and theta_j(xi0) = xi0 P(a1) + (1-xi0) P(a2), P = avg_radius_poly(L, j,
     .), is maximized by :func:`_refine` over the xi0 interval that
     _rate_geometry searches, which ends at xi_max.  xi1 depends on xi0
-    alone, so the interval and every xi1 solved are kept per (R, beta,
-    exponent) by _rate_geometry.
+    alone, so the shift counts share every xi1 solved.
 
     The concavity cap prunes the search.  As xi0 a1 + (1-xi0) a2 = xi0,
     theta_j(xi0) <= P(xi0) <= P(xi_max) for P concave on [0, 1] and
@@ -394,7 +390,7 @@ def list_radius_bound(
     if exponent not in EXPONENT_MODES:
         raise DomainError(f"unknown exponent mode {exponent!r}")
     R = check_rate(R)
-    beta, lo, hi, solve = _rate_geometry(R, None if beta is None else float(beta), exponent)
+    beta, lo, hi, solve = _rate_geometry(R, beta, exponent)
     caps = {j: avg_radius_evaluator(L, j)(hi) for j in admissible_j(L)}
     theta_star, xi0_star, j_star = -math.inf, None, None
     for j in sorted(caps, key=caps.__getitem__, reverse=True):

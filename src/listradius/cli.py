@@ -125,7 +125,6 @@ def cmd_witness(args, out, err) -> int:
         print(f"listradius witness: error: {exc}", file=err)
         return USAGE_EXIT
     xi_max = 0.5 - math.sqrt(w.beta * (1.0 - w.beta))
-    at_limit = abs(w.xi0 - xi_max) <= 1e-6
     print(f"L = {args.L}", file=out)
     print(f"rate = {_fmt(args.R)}", file=out)
     print(f"tau = {_fmt(tau)}", file=out)
@@ -135,7 +134,7 @@ def cmd_witness(args, out, err) -> int:
     print(f"beta = {_fmt(w.beta)}", file=out)
     print(f"r_prime = {_fmt(w.r_prime)}", file=out)
     print(f"xi0_upper_limit = {_fmt(xi_max)}", file=out)
-    print(f"xi0_at_upper_limit = {'yes' if at_limit else 'no'}", file=out)
+    print(f"xi0_at_upper_limit = {'yes' if w.xi0 == xi_max else 'no'}", file=out)
     print(f"j_is_one = {'yes' if w.j == 1 else 'no'}", file=out)
     return 0
 

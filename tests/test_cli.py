@@ -1,3 +1,4 @@
+import ast
 import importlib
 import io
 import math
@@ -290,6 +291,13 @@ class TestWitness:
         assert code == 0
         assert "xi0_at_upper_limit = no" in out
 
+    def test_maximizer_just_below_the_limit(self):
+        # the slope root lies 2.3e-7 below xi_max, closer than the ten
+        # printed digits of xi0 and xi0_upper_limit tell apart
+        code, out, _ = run_cli(["witness", "--L", "2", "--R", "0.01"])
+        assert code == 0
+        assert "xi0_at_upper_limit = no" in out
+
     def test_high_rate_small_radius(self):
         code, out, _ = run_cli(["witness", "--L", "3", "--R", "0.9"])
         assert code == 0
@@ -537,6 +545,28 @@ class TestUsage:
                     if option not in ("-h", "--help"):
                         assert re.search(rf"{option}\b", section), (name, option)
         assert "--config" not in readme
+
+    def test_readme_lists_every_cache(self):
+        # every functools.cache or functools.lru_cache decorator in the
+        # package has a row in README's cache table
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            table = fh.read().split("## Caches", 1)[1].split("\n## ", 1)[0]
+        package = os.path.join(root, "src", "listradius")
+        cached = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                for deco in getattr(node, "decorator_list", ()):
+                    deco = deco.func if isinstance(deco, ast.Call) else deco
+                    if ast.unparse(deco) in ("functools.cache", "functools.lru_cache"):
+                        cached.append(f"{name[:-3]}.{node.name}")
+        assert cached
+        for qualname in cached:
+            assert f"| `{qualname}` |" in table, qualname
 
 
 # Argument pools of the command line contract: edge floats and list sizes

@@ -39,6 +39,9 @@ DOMAIN_CASES = [
     (bounds.slope_relaxation_bound, (3, 1.5), "rate must lie in [0, 1], got 1.5"),
     (core.delta_lp1, (NAN,), "rate must lie in [0, 1], got nan"),
     (lp.lp1_tau, (2,), "rate must lie in [0, 1], got 2.0"),
+    # the sphere radius of the split average radius, under solve_xi1's rule
+    (bounds.split_avg_radius, (3, 1, 0.0, 0.0), "xi0 must lie in (0, 1), got 0.0"),
+    (bounds.split_avg_radius, (3, 1, 1.0, 0.0), "xi0 must lie in (0, 1), got 1.0"),
 ]
 
 
