@@ -35,7 +35,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BOUNDS",
     "BoundSpec",
-    "CrossoverResult",
     "CurvePoint",
     "RadiusWitness",
     "SlopeBound",
@@ -87,18 +86,8 @@ class RadiusWitness(NamedTuple):
     xi0: float
     xi1: float
     j: int
-    theta: float
     beta: float
     r_prime: float
-
-
-class CrossoverResult(NamedTuple):
-    """Largest rate at which the central bound still matches or beats the
-    Catalan-sum bound."""
-
-    L: int
-    r_cross: float
-    tau_at_cross: float
 
 
 class SlopeBound(NamedTuple):
@@ -108,7 +97,6 @@ class SlopeBound(NamedTuple):
     tau: float
     tau_j1: float | None
     j_star: int
-    max_at_j1: bool
 
 
 class CurvePoint(NamedTuple):
@@ -402,7 +390,7 @@ def list_radius_bound(
 
     xi1_star, rp_star = solve(xi0_star)[:2]
     witness = RadiusWitness(
-        xi0=xi0_star, xi1=xi1_star, j=j_star, theta=theta_star, beta=beta, r_prime=rp_star
+        xi0=xi0_star, xi1=xi1_star, j=j_star, beta=beta, r_prime=rp_star
     )
     return theta_star, witness
 
@@ -440,12 +428,7 @@ def slope_relaxation_bound(L: int, R: float) -> SlopeBound:
     values = {j: avg_radius_poly(L, j, x) for j in admissible_j(L)}
     j_star = max(values, key=values.get)
     tau_j1 = values.get(1)
-    return SlopeBound(
-        tau=values[j_star],
-        tau_j1=tau_j1,
-        j_star=j_star,
-        max_at_j1=j_star == 1,
-    )
+    return SlopeBound(tau=values[j_star], tau_j1=tau_j1, j_star=j_star)
 
 
 _REFERENCE_CROSSOVERS = {3: 0.361, 5: 0.248, 7: 0.184, 9: 0.136, 11: 0.100}
@@ -467,13 +450,13 @@ _CROSSOVER_R_TOL = 1e-5
 
 
 @functools.lru_cache(maxsize=16, typed=True)
-def crossover_rate(L: int) -> CrossoverResult:
+def crossover_rate(L: int) -> float:
     """Largest rate at which the central bound is at most the Catalan-sum
     bound, found by a coarse top-down scan and a Brent-Dekker root finder
     on their difference.  Memoized per L and its type (``typed=True``, so
-    a float L is not answered from an int entry): the result is frozen,
-    and verification asks for each L more than once.  Exceptions are not
-    cached: a bad L raises on every call.
+    a float L is not answered from an int entry), as verification asks for
+    each L more than once.  Exceptions are not cached: a bad L raises on
+    every call.
 
     The central bound is evaluated with the binomial exponent estimate, as
     the published crossover table was.  The two treatments agree at the
@@ -482,12 +465,10 @@ def crossover_rate(L: int) -> CrossoverResult:
     """
     if not isinstance(L, int) or L < 3 or L % 2 == 0:
         raise DomainError(f"crossover rates are computed for odd L >= 3, got {L}")
-    central = {}
 
     def margin(R):
         # >= 0 exactly where the central bound wins
-        central[R] = list_radius_bound(L, R, exponent="binomial")[0]
-        return blinovsky_bound(L, R) - central[R]
+        return blinovsky_bound(L, R) - list_radius_bound(L, R, exponent="binomial")[0]
 
     # top-down scan: the first rate where the central bound wins and the
     # scan point above it bracket the crossover
@@ -500,10 +481,8 @@ def crossover_rate(L: int) -> CrossoverResult:
     else:
         raise NoSolutionError(f"central bound never beats the Catalan sum for L={L}")
     if hi is None:
-        r_cross = lo
-    else:
-        r_cross = brent_root(margin, lo, hi, _CROSSOVER_R_TOL, g_lo=g_lo, g_hi=g_hi)[0]
-    return CrossoverResult(L=L, r_cross=r_cross, tau_at_cross=central[r_cross])
+        return lo
+    return brent_root(margin, lo, hi, _CROSSOVER_R_TOL, g_lo=g_lo, g_hi=g_hi)[0]
 
 
 def best_upper_bound(L: int, R: float) -> tuple[float, str]:

@@ -16,6 +16,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import bounds, core, lp, oracle, solve
+from .errors import DomainError
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -405,7 +406,7 @@ def check_crossover_table():
     worst = 0.0
     details = []
     for L, ref in bounds.reference_crossovers().items():
-        got = bounds.crossover_rate(L).r_cross
+        got = bounds.crossover_rate(L)
         worst = max(worst, abs(got - ref))
         details.append(f"L={L}:{got:.4f}")
     return _result(
@@ -489,7 +490,7 @@ def check_ordering_below_crossover():
     worst_low = -math.inf
     worst_high = -math.inf
     for L in (3, 5, 7, 9, 11):
-        rc = bounds.crossover_rate(L).r_cross
+        rc = bounds.crossover_rate(L)
         for R in np.arange(0.02, rc - 0.002, 0.02):
             d = bounds.list_radius_bound(L, float(R), exponent="binomial")[0] - bounds.blinovsky_bound(L, float(R))
             worst_low = max(worst_low, d)
@@ -533,7 +534,7 @@ def check_witness_validity():
             ximax = 0.5 - math.sqrt(w.beta * (1 - w.beta))
             worst = max(worst, max(0.0, -w.xi0), max(0.0, w.xi0 - ximax))
             worst = max(worst, max(0.0, -w.xi1), max(0.0, w.xi1 - 2 * w.xi0 * (1 - w.xi0)))
-            worst = max(worst, abs(bounds.split_avg_radius(L, w.j, w.xi0, w.xi1) - w.theta))
+            worst = max(worst, abs(bounds.split_avg_radius(L, w.j, w.xi0, w.xi1) - tau))
             rp = R + core.binary_entropy(w.beta) - 2 * core.krawtchouk_exponent_value(w.beta, w.xi0)
             worst = max(worst, abs(rp - w.r_prime))
             if w.j not in core.admissible_j(L):
@@ -652,7 +653,7 @@ def run_suite(suite: str, seed: int = 0, code=None) -> list[CheckResult]:
     elif suite in SUITES:
         names = [suite]
     else:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise DomainError(f"unknown suite {suite!r}")
     results = []
     for name in names:
         results.extend(SUITES[name](seed))

@@ -144,10 +144,10 @@ def cmd_table1(args, out, err) -> int:
     print(f"{'L':>3} {'computed':>10} {'reference':>10} {'delta':>10}", file=out)
     worst = 0.0
     for L, ref in refs.items():
-        res = bounds.crossover_rate(L)
-        delta = res.r_cross - ref
+        r_cross = bounds.crossover_rate(L)
+        delta = r_cross - ref
         worst = max(worst, abs(delta))
-        print(f"{L:>3} {res.r_cross:>10.4f} {ref:>10.3f} {delta:>+10.4f}", file=out)
+        print(f"{L:>3} {r_cross:>10.4f} {ref:>10.3f} {delta:>+10.4f}", file=out)
     if worst > 0.002:
         print(
             f"listradius table1: worst deviation {worst:.4f} exceeds 0.002",

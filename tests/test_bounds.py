@@ -384,8 +384,7 @@ class TestListRadiusBound:
         assert -1e-8 <= w.xi0 <= ximax + 1e-8
         assert -1e-8 <= w.xi1 <= 2 * w.xi0 * (1 - w.xi0) + 1e-8
         assert w.j in admissible_j(L)
-        assert w.theta == pytest.approx(tau, abs=1e-12)
-        assert split_avg_radius(L, w.j, w.xi0, w.xi1) == pytest.approx(w.theta, abs=1e-8)
+        assert split_avg_radius(L, w.j, w.xi0, w.xi1) == pytest.approx(tau, abs=1e-8)
         if exponent == "parametric":
             rp = R + binary_entropy(w.beta) - 2 * krawtchouk_exponent_value(w.beta, w.xi0)
         else:
@@ -393,12 +392,9 @@ class TestListRadiusBound:
         assert rp == pytest.approx(w.r_prime, abs=1e-8)
 
     def test_records_are_read_only(self):
-        # crossover_rate is memoized and hands the same object to every
-        # caller
         point = sample_curve("theorem1", 3, [0.2])[0]
         records = [
             (point.witness, "xi0"),
-            (crossover_rate(3), "r_cross"),
             (slope_relaxation_bound(3, 0.2), "tau"),
             (point, "tau"),
             (r_lp2(0.1)[1], "alpha"),
@@ -461,7 +457,7 @@ def _unpruned_bound(L, R, exponent):
     beta, lo, hi, solve = _rate_geometry(R, None, exponent)
     tau, xi0, j = _full_search(L, beta, exponent, solve, lo, hi)
     xi1, r_prime = solve(xi0)[:2]
-    return tau, RadiusWitness(xi0=xi0, xi1=xi1, j=j, theta=tau, beta=beta, r_prime=r_prime)
+    return tau, RadiusWitness(xi0=xi0, xi1=xi1, j=j, beta=beta, r_prime=r_prime)
 
 
 def _differs_from_unpruned(L, R, exponent):
@@ -776,14 +772,14 @@ class TestSlopeRelaxation:
     def test_zero_rate(self):
         sb = slope_relaxation_bound(3, 0.0)
         assert sb.tau == pytest.approx(5 / 16, abs=1e-12)
-        assert sb.max_at_j1
+        assert sb.j_star == 1
 
     def test_reference_point(self):
         # delta_lp1(0.1) = 0.386782...; frozen from the involution chain
         sb = slope_relaxation_bound(3, 0.1)
         d = 0.386782
         assert sb.tau_j1 == pytest.approx(0.75 * d - 0.5 * d**3, abs=1e-5)
-        assert sb.max_at_j1
+        assert sb.j_star == 1
 
     def test_float_cap(self):
         with pytest.raises(DomainError):
@@ -797,11 +793,10 @@ class TestSlopeRelaxation:
 
 class TestCrossover:
     def test_list3(self):
-        res = crossover_rate(3)
+        r_cross = crossover_rate(3)
         # at the crossover the two bounds agree to solver tolerance
-        assert res.tau_at_cross == pytest.approx(
-            blinovsky_bound(3, res.r_cross), abs=1e-4
-        )
+        central = list_radius_bound(3, r_cross, exponent="binomial")[0]
+        assert central == pytest.approx(blinovsky_bound(3, r_cross), abs=1e-4)
 
     def test_parity_error(self):
         with pytest.raises(DomainError):
@@ -810,9 +805,10 @@ class TestCrossover:
     @pytest.mark.parametrize("L", [3, 5, 7, 9, 11])
     def test_crossover_on_central_side(self, L):
         # the bisection returns the end of its bracket where the central
-        # bound is at most the Catalan sum, and tau_at_cross is that value
-        res = crossover_rate(L)
-        assert res.tau_at_cross <= blinovsky_bound(L, res.r_cross)
+        # bound is at most the Catalan sum
+        r_cross = crossover_rate(L)
+        central = list_radius_bound(L, r_cross, exponent="binomial")[0]
+        assert central <= blinovsky_bound(L, r_cross)
 
     def test_memo_shared_across_spellings(self):
         # one entry per int L; the float spelling 3.0 is keyed apart and
@@ -828,7 +824,7 @@ class TestCrossover:
     def test_no_crossing_above_on_fine_grid(self, L):
         # the 0.1-step scan finds the largest crossing that a 0.02-step
         # scan of [0.02, 0.99] finds: above it the central bound loses
-        r_cross = crossover_rate(L).r_cross
+        r_cross = crossover_rate(L)
         rates = np.arange(0.02, 0.99, 0.02).tolist() + [0.99]
         for R in (R for R in rates if R > r_cross):
             central = list_radius_bound(L, R, exponent="binomial")[0]
@@ -838,7 +834,7 @@ class TestCrossover:
         "L, r_cross", [(13, 0.078037), (15, 0.062783), (33, 0.018910), (51, 0.009766)]
     )
     def test_large_list_sizes_resolve(self, L, r_cross):
-        assert crossover_rate(L).r_cross == pytest.approx(r_cross, abs=2e-5)
+        assert crossover_rate(L) == pytest.approx(r_cross, abs=2e-5)
 
     def test_scan_rates_match_arange(self):
         halvings = [0.02 / 2**k for k in range(12, 0, -1)]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from listradius import bounds, core, lp, oracle
+from listradius import bounds, checks, core, lp, oracle
 from listradius.errors import DomainError, SizeLimitError
 
 NAN = float("nan")
@@ -42,6 +42,12 @@ DOMAIN_CASES = [
     # the sphere radius of the split average radius, under solve_xi1's rule
     (bounds.split_avg_radius, (3, 1, 0.0, 0.0), "xi0 must lie in (0, 1), got 0.0"),
     (bounds.split_avg_radius, (3, 1, 1.0, 0.0), "xi0 must lie in (0, 1), got 1.0"),
+    # guards that no command reaches, as the command line offers only valid
+    # suite and bound names and the bounds pass these only in-range arguments
+    (checks.run_suite, ("bogus",), "unknown suite 'bogus'"),
+    (bounds.sample_curve, ("nope", 3, [0.2]), "unknown bound 'nope'"),
+    (bounds.solve_xi1, (0.0, 0.1), "xi0 must lie in (0, 1), got 0.0"),
+    (lp.abl_sphere_param, (0.3,), "tau must lie in (0, 1/4), got 0.3"),
 ]
 
 
