@@ -74,11 +74,6 @@ _REFINE_TOL = 1e-10
 # than this fraction of it, far above one evaluation's rounding.
 _CAP_SLACK = 1e-12
 
-# Subcode rates down to -_RATE_SLACK count as 0, not infeasible: where the
-# rate vanishes exactly, as the binomial one at h^-1(1 - R), it rounds to
-# either side of 0.
-_RATE_SLACK = 1e-12
-
 
 class RadiusWitness(NamedTuple):
     """Maximizing parameters of the central bound at one rate."""
@@ -243,10 +238,12 @@ def _subcode_rate(R, beta, hbeta, xi0, exponent):
 
 
 def _solve_at(R, beta, hbeta, exponent, x):
-    """(xi1, r_prime, *_split_args) at xi0 = x; xi1 is 0 where the subcode
-    rate is negative, and r_prime is reported under the chosen exponent."""
+    """(xi1, r_prime, *_split_args) at xi0 = x, r_prime reported under the
+    chosen exponent.  A subcode rate that rounds below 0 is solved as 0:
+    there xi1 = 2 xi0 (1 - xi0) gives theta = P(xi0), the largest value at
+    this xi0, so rounding can only raise tau, which stays an upper bound."""
     rp = _subcode_rate(R, beta, hbeta, x, exponent)
-    xi1 = 0.0 if rp < -_RATE_SLACK else _solve_xi1(x, binary_entropy(x), max(rp, 0.0))
+    xi1 = _solve_xi1(x, binary_entropy(x), rp)
     return (xi1, rp, *_split_args(x, xi1))
 
 
@@ -256,18 +253,19 @@ def _rate_geometry(R, beta, exponent):
     interval [lo, hi] and ``solve``, :func:`_solve_at` at this rate,
     memoized for the shift counts of one call.
 
-    The subcode rate rises in xi0, so the feasible xi0 form one interval up
-    to hi = xi_max: all of (0, hi] for the exact exponent, from h^-1(1 - R)
-    on for the binomial estimate.  Its top alone decides feasibility.  The
-    search starts a sixteenth of the way up it, which keeps out xi0 = 0,
-    where the xi1 equation is undefined."""
-    beta = _checked_beta(inverse_entropy(R) if beta is None else beta)
+    An explicit beta must satisfy h(beta) <= R, to 4 ulps of R; the default
+    h^-1(R) does up to its own rounding.  The subcode rate rises in xi0,
+    and at hi = xi_max it is at least R - h(beta) >= 0, as the LP1 distance
+    lies above the GV distance.  So the feasible xi0 form one interval up to
+    hi: all of (0, hi] for the exact exponent, from h^-1(1 - R) on for the
+    binomial estimate.  The search starts a sixteenth of the way up it,
+    which keeps out xi0 = 0, where the xi1 equation is undefined."""
+    explicit = beta is not None
+    beta = _checked_beta(beta if explicit else inverse_entropy(R))
     hbeta = binary_entropy(beta)
-    if hbeta > R + 1e-9:
+    if explicit and hbeta > R + 4 * math.ulp(R):
         raise DomainError(f"h(beta)={hbeta} exceeds rate {R}")
     hi = 0.5 - math.sqrt(beta * (1.0 - beta))
-    if _subcode_rate(R, beta, hbeta, hi, exponent) < -_RATE_SLACK:
-        raise NoSolutionError("no admissible xi0: subcode rate negative everywhere")
     start = min(inverse_entropy(1.0 - R), hi) if exponent == "binomial" else 0.0
     lo = hi - 15 * ((hi - start) / 16)
     solve = functools.cache(functools.partial(_solve_at, R, beta, hbeta, exponent))
@@ -276,9 +274,8 @@ def _rate_geometry(R, beta, exponent):
 
 def _objective(solve, beta, exponent, L, j):
     """xi0 -> (theta, theta') of theta_j(xi0) = split_avg_radius(L, j, xi0,
-    xi1), for solve a :func:`_rate_geometry`'s; (-inf, +inf) where the
-    subcode rate is negative.  With p = xi1/(2 xi0) and q = a2 =
-    xi1/(2(1-xi0)), theta' = P(a1) - P(a2) + p P'(a1) + q P'(a2) +
+    xi1), for solve a :func:`_rate_geometry`'s.  With p = xi1/(2 xi0) and
+    q = a2 = xi1/(2(1-xi0)), theta' = P(a1) - P(a2) + p P'(a1) + q P'(a2) +
     xi1' (P'(a2) - P'(a1))/2, and xi1' = -F0/F1 from the xi1 equation: F1
     is :func:`_solve_xi1`'s slope, F0 = h'(xi0) + log2(1-p) - log2(1-q)
     less the subcode rate's slope, h'(xi0) under the binomial estimate and
@@ -291,9 +288,7 @@ def _objective(solve, beta, exponent, L, j):
     poly, poly_slope = avg_radius_evaluator(L, j), avg_radius_slope_evaluator(L, j)
 
     def theta_and_slope(x):
-        xi1, rp, a1, a2 = solve(x)
-        if rp < -_RATE_SLACK:
-            return -math.inf, math.inf
+        xi1, _, a1, a2 = solve(x)
         # a p or q below the float resolution of 1 - p is the xi1 = 0 branch
         if a2 == 0.0 or a1 == 1.0:
             return x * poly(a1) + (1.0 - x) * poly(a2), j / (L + j)
@@ -367,8 +362,8 @@ def list_radius_bound(
     more than ``_CAP_SLACK`` of the best value found below it, which does
     not change the result; ties go to the smallest j.
 
-    beta defaults to h(beta) = R.  xi0 with negative subcode rate are
-    excluded; subcode rates above h(xi0) clamp xi1 to 0.  ``exponent``
+    beta defaults to h(beta) = R; an explicit beta needs h(beta) <= R.
+    Subcode rates above h(xi0) clamp xi1 to 0.  ``exponent``
     selects the Krawtchouk exponent's treatment (:func:`_subcode_rate`),
     under which the witness r_prime is reported.
     """

@@ -542,21 +542,21 @@ def check_witness_validity():
     return _result("witness validity", worst <= 1e-8, worst)
 
 
+def _relaxation_decay(L, tau0, scale):
+    """(tau0 - the list-L relaxation at rate h(eps^2)) / scale(eps) for
+    eps = 0.01, 0.02, ..., 0.1."""
+    return [
+        (tau0 - bounds.slope_relaxation_bound(L, core.binary_entropy(eps * eps)).tau) / scale(eps)
+        for eps in (0.01 * k for k in range(1, 11))
+    ]
+
+
 def check_slope_behavior():
     """Linear decay in eps of the odd-L relaxation and eps^2 log(1/eps)
     decay of the even-L one."""
-    tau3 = float(bounds.zero_rate_radius(3))
-    ratios3 = []
-    for k in range(1, 11):
-        eps = 0.01 * k
-        sb = bounds.slope_relaxation_bound(3, core.binary_entropy(eps * eps))
-        ratios3.append((tau3 - sb.tau) / eps)
+    ratios3 = _relaxation_decay(3, float(bounds.zero_rate_radius(3)), lambda eps: eps)
     tau4 = float(max(core.avg_radius_poly(4, j, Fraction(1, 2)) for j in core.admissible_j(4)))
-    ratios4 = []
-    for k in range(1, 11):
-        eps = 0.01 * k
-        sb = bounds.slope_relaxation_bound(4, core.binary_entropy(eps * eps))
-        ratios4.append((tau4 - sb.tau) / (eps * eps * math.log2(1 / eps)))
+    ratios4 = _relaxation_decay(4, tau4, lambda eps: eps * eps * math.log2(1 / eps))
     ok = all(0.05 <= r <= 5 for r in ratios3) and all(0.1 <= r <= 10 for r in ratios4)
     return _result(
         "slope behavior at zero rate (odd linear, even quadratic-log)",

@@ -162,10 +162,10 @@ def _invert_decreasing(f, target: float, hi: float) -> float:
     """Largest tau in [_TAU_LO, hi] with f(tau) >= target, f nonincreasing,
     to within 1e-12; the returned tau satisfies f(tau) >= target, except
     for a target above f(_TAU_LO): every such tau lies below _TAU_LO, so
-    _TAU_LO is returned as the bound."""
+    _TAU_LO is returned as the bound.  Both callers' f(hi) is 0, below
+    every target, which check_rate keeps above 0, so hi itself is never
+    the answer."""
     f_lo, f_hi = _end_rates(f, hi)
-    if f_hi >= target:
-        return hi
     if f_lo < target:
         return _TAU_LO
     return brent_root(

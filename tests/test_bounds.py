@@ -570,13 +570,6 @@ class TestObjectiveSlope:
             assert top(1e-17)[2] == 0.0
             assert f(1e-17)[0] == pytest.approx(avg_radius_poly(L, j, 1e-17), rel=1e-12)
 
-    def test_infeasible_point_rises(self):
-        def infeasible(x):
-            return (0.0, -1.0, 1.0, 0.0)
-
-        f = _objective(infeasible, 0.1, "parametric", 3, 1)
-        assert f(0.2) == (-math.inf, math.inf)
-
 
 def _counted(g):
     seen = []
@@ -642,8 +635,8 @@ class TestRefine:
         assert len(seen) == len(set(seen)) > 2
 
     def test_infeasible_low_end(self):
-        # theta is -inf, and its slope +inf, below 0.2, as where the subcode
-        # rate is negative; the maximum sits at that edge
+        # theta is -inf, and its slope +inf, below 0.2; the maximum sits at
+        # that edge
         def f(t):
             return (-math.inf, math.inf) if t < 0.2 else (-((t - 0.1) ** 2), -2.0 * (t - 0.1))
 
@@ -732,20 +725,46 @@ class TestRateGeometryCache:
         assert passes["value"] <= 1224
         assert (passes["slope"], passes["xi1"]) == (5902, 2593)
 
-    def test_infeasible_grid_points(self):
-        # beta near 1/2 with R just inside the 1e-9 slack of h(beta) <= R:
-        # xi_max is about 1e-10, and the subcode rate is negative at the
-        # low end lo of the searched interval, where xi1 is not solved and
-        # theta is -inf
+    def test_beta_above_rate_refused(self):
+        # beta near 1/2 with h(beta) 9e-10 above R, where the subcode rate
+        # would be negative over the low end of the searched interval
         beta = 0.49999
         R = binary_entropy(beta) - 9e-10
-        tau, w = list_radius_bound(3, R, beta=beta)
-        _, lo, hi, solve = _rate_geometry(R, beta, "parametric")
-        xi1, rp = solve(lo)[:2]
-        assert rp < -bounds._RATE_SLACK and xi1 == 0.0
-        assert 0.0 < tau < 1e-9
-        assert w.r_prime >= -bounds._RATE_SLACK
-        assert 0.0 < w.xi0 <= hi
+        with pytest.raises(DomainError) as info:
+            list_radius_bound(3, R, beta=beta)
+        assert str(info.value) == "h(beta)=0.999999999711461 exceeds rate 0.9999999988114611"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        st.integers(2, 31),
+        st.one_of(
+            st.floats(1e-300, 1.0 - 1e-9),
+            st.floats(-300.0, -9.0).map(lambda e: 10.0**e),
+        ),
+        st.sampled_from(EXPONENT_MODES),
+        st.sampled_from([None, 1.0, 0.5, 0.01]),
+    )
+    def test_subcode_rates_nonnegative(self, L, R, exponent, scale):
+        # with h(beta) <= R the subcode rate is at least R - h(beta) >= 0 at
+        # xi_max and rises in xi0, so every evaluated rate is 0 up to
+        # rounding; an explicit beta is h^-1(R) scaled, then stepped down
+        # until h(beta) <= R holds in floats
+        beta = None
+        if scale is not None:
+            beta = scale * inverse_entropy(R)
+            step = math.ulp(beta)
+            while binary_entropy(beta) > R:
+                beta, step = beta - step, 2.0 * step
+        subcode_rate, rates = bounds._subcode_rate, []
+
+        def recorded(*args):
+            rates.append(subcode_rate(*args))
+            return rates[-1]
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(bounds, "_subcode_rate", recorded)
+            list_radius_bound(L, R, beta=beta, exponent=exponent)
+        assert rates and min(rates) >= -1e-12
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=15)
     @given(rate_sequences())

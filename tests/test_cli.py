@@ -298,6 +298,18 @@ class TestWitness:
         assert code == 0
         assert "xi0_at_upper_limit = no" in out
 
+    def test_beta_above_rate_refused(self):
+        # h(beta) = 1.99e-9 lies 0.99e-9 above the rate; accepted, this beta
+        # gives tau = 0.312497192, below the default beta's 0.3124980377 and
+        # so no upper bound
+        code, out, err = run_cli(
+            ["witness", "--L", "3", "--R", "1e-9", "--beta", "5.606122510659617e-11"]
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "listradius witness: error: h(beta)=1.9899998071094816e-09 exceeds rate 1e-09\n"
+        )
+
     def test_high_rate_small_radius(self):
         code, out, _ = run_cli(["witness", "--L", "3", "--R", "0.9"])
         assert code == 0

@@ -28,6 +28,9 @@ DOMAIN_CASES = [
     (bounds.list_radius_bound, (1, 0.2), "list size must be an integer >= 2, got 1"),
     (bounds.list_radius_bound, (3, NAN), "rate must lie in (0, 1), got nan"),
     (bounds.list_radius_bound, (3, 1.5), "rate must lie in (0, 1), got 1.5"),
+    # witness --L 3 --R 1e-12 --beta 2.737394338980792e-11 --exponent binomial
+    (bounds.list_radius_bound, (3, 1e-12, 2.737394338980792e-11, "binomial"),
+     "h(beta)=1.0000003554949304e-09 exceeds rate 1e-12"),
     (bounds.list3_parameters, (0,), "rate must lie in (0, 1), got 0.0"),
     (bounds.list3_closed_form, (NAN,), "rate must lie in (0, 1), got nan"),
     (bounds.best_upper_bound, (3, 1), "rate must lie in (0, 1), got 1.0"),

@@ -205,3 +205,9 @@ class TestInversions:
             tau = abl2_tau(R)
             assert abl_list2(tau) == pytest.approx(R, abs=1e-8)
             assert abl_list2(tau) >= R
+
+    def test_bracket_top_rate_is_zero(self):
+        # f(hi) = 0 at the top of both inversions' brackets, below every
+        # target rate, so the inversion never returns hi itself
+        assert lp._end_rates(lp._lp2_rate, 0.25) == (0.999999968659952, 0.0)
+        assert lp._end_rates(abl_list2, 0.25 - 1e-12) == (0.999999968659952, 0.0)
