@@ -223,27 +223,23 @@ def split_avg_radius(L: int, j: int, xi0, xi1):
 EXPONENT_MODES = ("parametric", "binomial")
 
 
-def _subcode_rate(R, beta, hbeta, xi0, exponent):
-    """Subcode rate R + h(beta) - 2E(xi0) under the chosen exponent
-    treatment, which list_radius_bound has checked.
-
-    "parametric" evaluates the Krawtchouk exponent exactly; "binomial"
-    substitutes its upper estimate (1 + h(beta) - h(xi0))/2, which weakens
-    the bound monotonically and is the evaluation behind the published
-    crossover table.
-    """
-    if exponent == "binomial":
-        return R + binary_entropy(xi0) - 1.0
-    return R + hbeta - 2.0 * krawtchouk_exponent_value(beta, xi0)
-
-
 def _solve_at(R, beta, hbeta, exponent, x):
-    """(xi1, r_prime, *_split_args) at xi0 = x, r_prime reported under the
-    chosen exponent.  A subcode rate that rounds below 0 is solved as 0:
-    there xi1 = 2 xi0 (1 - xi0) gives theta = P(xi0), the largest value at
-    this xi0, so rounding can only raise tau, which stays an upper bound."""
-    rp = _subcode_rate(R, beta, hbeta, x, exponent)
-    xi1 = _solve_xi1(x, binary_entropy(x), rp)
+    """(xi1, r_prime, *_split_args) at xi0 = x, with h(xi0) evaluated once.
+
+    The subcode rate r_prime = R + h(beta) - 2E(xi0) is taken under the
+    exponent treatment that list_radius_bound has checked: "parametric"
+    evaluates the Krawtchouk exponent exactly; "binomial" substitutes its
+    upper estimate (1 + h(beta) - h(xi0))/2, which weakens the bound
+    monotonically and is the evaluation behind the published crossover
+    table.  A subcode rate that rounds below 0 is solved as 0: there
+    xi1 = 2 xi0 (1 - xi0) gives theta = P(xi0), the largest value at this
+    xi0, so rounding can only raise tau, which stays an upper bound."""
+    h0 = binary_entropy(x)
+    if exponent == "binomial":
+        rp = R + h0 - 1.0
+    else:
+        rp = R + hbeta - 2.0 * krawtchouk_exponent_value(beta, x)
+    xi1 = _solve_xi1(x, h0, rp)
     return (xi1, rp, *_split_args(x, xi1))
 
 
@@ -364,7 +360,7 @@ def list_radius_bound(
 
     beta defaults to h(beta) = R; an explicit beta needs h(beta) <= R.
     Subcode rates above h(xi0) clamp xi1 to 0.  ``exponent``
-    selects the Krawtchouk exponent's treatment (:func:`_subcode_rate`),
+    selects the Krawtchouk exponent's treatment (:func:`_solve_at`),
     under which the witness r_prime is reported.
     """
     if not isinstance(L, int) or L < 2:

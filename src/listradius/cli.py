@@ -92,12 +92,8 @@ def _fmt(value):
 
 
 def cmd_curve(args, out, err) -> int:
-    try:
-        rates = _rate_grid(args.rmin, args.rmax, args.step)
-        curve = bounds.sample_curve(args.bound, args.L, rates, beta=args.beta)
-    except ListRadiusError as exc:
-        print(f"listradius curve: error: {exc}", file=err)
-        return USAGE_EXIT
+    rates = _rate_grid(args.rmin, args.rmax, args.step)
+    curve = bounds.sample_curve(args.bound, args.L, rates, beta=args.beta)
     columns = bounds.BOUNDS[args.bound].columns
     print(",".join(("rate", "tau") + columns), file=out)
     for pt in curve:
@@ -117,13 +113,9 @@ def cmd_curve(args, out, err) -> int:
 
 
 def cmd_witness(args, out, err) -> int:
-    try:
-        tau, w = bounds.list_radius_bound(
-            args.L, args.R, beta=args.beta, exponent=args.exponent
-        )
-    except ListRadiusError as exc:
-        print(f"listradius witness: error: {exc}", file=err)
-        return USAGE_EXIT
+    tau, w = bounds.list_radius_bound(
+        args.L, args.R, beta=args.beta, exponent=args.exponent
+    )
     xi_max = 0.5 - math.sqrt(w.beta * (1.0 - w.beta))
     print(f"L = {args.L}", file=out)
     print(f"rate = {_fmt(args.R)}", file=out)
@@ -141,10 +133,12 @@ def cmd_witness(args, out, err) -> int:
 
 def cmd_table1(args, out, err) -> int:
     refs = bounds.reference_crossovers()
+    # every crossover before the header, so that a failure prints no rows
+    crossings = {L: bounds.crossover_rate(L) for L in refs}
     print(f"{'L':>3} {'computed':>10} {'reference':>10} {'delta':>10}", file=out)
     worst = 0.0
     for L, ref in refs.items():
-        r_cross = bounds.crossover_rate(L)
+        r_cross = crossings[L]
         delta = r_cross - ref
         worst = max(worst, abs(delta))
         print(f"{L:>3} {r_cross:>10.4f} {ref:>10.3f} {delta:>+10.4f}", file=out)
@@ -196,13 +190,15 @@ def main(argv=None, out=None, err=None) -> int:
         return USAGE_EXIT
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    if args.command == "curve":
-        return cmd_curve(args, out, err)
-    if args.command == "witness":
-        return cmd_witness(args, out, err)
-    if args.command == "table1":
-        return cmd_table1(args, out, err)
-    return cmd_verify(args, out, err)
+    command = {
+        "curve": cmd_curve, "witness": cmd_witness,
+        "table1": cmd_table1, "verify": cmd_verify,
+    }[args.command]
+    try:
+        return command(args, out, err)
+    except ListRadiusError as exc:
+        print(f"listradius {args.command}: error: {exc}", file=err)
+        return USAGE_EXIT
 
 
 def run():  # console entry point

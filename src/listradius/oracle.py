@@ -37,11 +37,10 @@ MAX_EXHAUSTIVE_N = 24
 MAX_AVG_TYPE_SIZE = 14
 MAX_AVG_TYPE_L = 5
 # Cap on the bit operations of one radius test: |C| words, each updating
-# min(L + 1, |C| - L) levels of 2^n-bit masks in tau_list, one level in
-# chebyshev_radius
+# min(k, |C| - k + 1) levels of 2^n-bit masks when k words must share a ball
 MAX_COVER_BITS = 1 << 32
-# Largest code whose pairwise distances tau_list and chebyshev_radius read
-# for their lowest radius
+# Largest code whose pairwise distances the radius search reads for its
+# lowest radius
 MAX_PAIRWISE_WORDS = 256
 REGION_STEP = 1e-3
 # a1 rows per array of the region scan: one array over all 167 130 points
@@ -124,10 +123,31 @@ def _covers(words, n, r, k):
     return True
 
 
-def _cover_radius(words, n, k, r):
-    """Smallest radius, tested upwards from the lower bound r, at which some
-    center lies within distance r of at least k of the words.  Every center
-    lies within n of all of them, so radius n is not tested."""
+def _cover_radius(words, n, k):
+    """Least radius r at which some center lies within r of at least k of
+    the distinct words, tested upwards from a lower bound; radius n, which
+    every center attains, is not tested.
+
+    In a best k-subset each word has its k - 1 partners within 2r, so at
+    least k words have their k-th nearest word, itself counted first,
+    within 2r: the search starts at half the k-th smallest such distance.
+    These distances take |C|^2 steps; above MAX_PAIRWISE_WORDS words the
+    search starts at half the first word's largest distance for k = |C|,
+    and at 0 otherwise."""
+    m = len(words)
+    work = m * min(k, m - k + 1) << n
+    if work > MAX_COVER_BITS:
+        raise SizeLimitError(
+            f"radius search capped at |C| min(k, |C| - k + 1) 2^n <= "
+            f"{MAX_COVER_BITS}, got {work}"
+        )
+    lower = 0
+    if m <= MAX_PAIRWISE_WORDS:
+        kth = sorted(sorted((a ^ b).bit_count() for b in words)[k - 1] for a in words)
+        lower = kth[k - 1]
+    elif k == m:
+        lower = max((words[0] ^ b).bit_count() for b in words)
+    r = (lower + 1) // 2
     while r < n and not _covers(words, n, r, k):
         r += 1
     return r
@@ -191,11 +211,8 @@ def load_code(path) -> BinaryCode:
 
 
 def chebyshev_radius(words, n: int) -> int:
-    """Radius of the smallest Hamming ball containing all words, by
-    exhaustive search over the 2^n centers (n <= 24): the radii from half
-    the diameter up are tested until the words' balls intersect.  The
-    diameter takes |C|^2 steps; above MAX_PAIRWISE_WORDS distinct words
-    the search starts from half the largest distance from one word."""
+    """Radius of the smallest Hamming ball containing all words, by the
+    search of :func:`_cover_radius` over the 2^n centers (n <= 24)."""
     words = list(words)
     if not words:
         raise DomainError("need at least one word")
@@ -205,16 +222,7 @@ def chebyshev_radius(words, n: int) -> int:
             f"exhaustive center search capped at n = {MAX_EXHAUSTIVE_N}, got {n}"
         )
     words = sorted(set(words))
-    work = len(words) << n
-    if work > MAX_COVER_BITS:
-        raise SizeLimitError(
-            f"Chebyshev radius search capped at |C| 2^n <= {MAX_COVER_BITS}, got {work}"
-        )
-    pairs = itertools.combinations(words, 2)
-    if len(words) > MAX_PAIRWISE_WORDS:
-        pairs = ((words[0], b) for b in words)
-    far = max(((a ^ b).bit_count() for a, b in pairs), default=0)
-    return _cover_radius(words, n, len(words), (far + 1) // 2)
+    return _cover_radius(words, n, len(words))
 
 
 def average_radius(words, n: int) -> Fraction:
@@ -237,25 +245,13 @@ def tau_list(code: BinaryCode, L: int) -> Fraction:
     (min radius over all (L+1)-subsets minus 1) / n.
 
     That minimum is the least r at which some center lies within r of L + 1
-    words, so each radius is tested by one scan of the centers, not one per
-    subset, and each word's ball is built once per radius.  A subset holding
-    the word w holds L others, so its diameter, twice its radius or more, is
-    at least the distance from w to its L-th nearest other word; that bound
-    takes |C|^2 steps and is skipped above MAX_PAIRWISE_WORDS words."""
+    words (:func:`_cover_radius`), so each radius is tested by one scan of
+    the centers, not one per subset, and each word's ball is built once per
+    radius."""
     check_list_size(L)
     if len(code.words) < L + 1:
         raise DomainError(f"code needs at least {L + 1} words")
-    words = code.words
-    work = len(words) * min(L + 1, len(words) - L) << code.n
-    if work > MAX_COVER_BITS:
-        raise SizeLimitError(
-            f"list radius search capped at |C| min(L + 1, |C| - L) 2^n <= "
-            f"{MAX_COVER_BITS}, got {work}"
-        )
-    lower = 0
-    if len(words) <= MAX_PAIRWISE_WORDS:
-        lower = min(sorted((a ^ b).bit_count() for b in words if b != a)[L - 1] for a in words)
-    return Fraction(_cover_radius(words, code.n, L + 1, (lower + 1) // 2) - 1, code.n)
+    return Fraction(_cover_radius(code.words, code.n, L + 1) - 1, code.n)
 
 
 class _TypeFields(NamedTuple):

@@ -699,6 +699,23 @@ class TestRateGeometryCache:
         sample_curve("theorem1", 3, _rate_grid(0.01, 0.99, 0.01))
         assert len(calls) <= 800
 
+    def test_one_entropy_per_searched_point(self, monkeypatch):
+        # h(xi0) once per solved xi0, and h(beta) once per call; the
+        # binomial estimate took h(xi0) twice, 21 entropies for 10 solves
+        calls = {"binary_entropy": 0, "_solve_at": 0}
+        for name in calls:
+            real = getattr(bounds, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(bounds, name, counted)
+        for L, R, exponent in ((3, 0.3, "binomial"), (11, 0.1, "parametric")):
+            calls.update(binary_entropy=0, _solve_at=0)
+            list_radius_bound(L, R, exponent=exponent)
+            assert calls == {"binary_entropy": 11, "_solve_at": 10}
+
     def test_kernel_passes_of_the_bounds_suite(self, monkeypatch):
         # verify --suite bounds, cold: each searched xi0 costs one pass of
         # the slope kernel per polynomial argument, and the value kernel
@@ -755,14 +772,15 @@ class TestRateGeometryCache:
             step = math.ulp(beta)
             while binary_entropy(beta) > R:
                 beta, step = beta - step, 2.0 * step
-        subcode_rate, rates = bounds._subcode_rate, []
+        solve_at, rates = bounds._solve_at, []
 
         def recorded(*args):
-            rates.append(subcode_rate(*args))
-            return rates[-1]
+            result = solve_at(*args)
+            rates.append(result[1])
+            return result
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(bounds, "_subcode_rate", recorded)
+            m.setattr(bounds, "_solve_at", recorded)
             list_radius_bound(L, R, beta=beta, exponent=exponent)
         assert rates and min(rates) >= -1e-12
 

@@ -16,9 +16,11 @@ import listradius
 
 from listradius import bounds, cli
 from listradius.cli import _build_parser, main
+from listradius.errors import NoSolutionError
 
 
-DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "tests", "data")
 
 
 def run_cli(argv):
@@ -358,6 +360,15 @@ class TestTable1:
         assert len(out.strip().splitlines()) == 6  # header + five list sizes
         assert err == "listradius table1: worst deviation 0.0096 exceeds 0.002\n"
 
+    def test_library_error_is_a_usage_error(self, monkeypatch):
+        # every crossover is found before the header, so a failed one
+        # leaves stdout empty
+        def no_crossing(L):
+            raise NoSolutionError("no crossing")
+
+        monkeypatch.setattr(bounds, "crossover_rate", no_crossing)
+        assert run_cli(["table1"]) == (1, "", "listradius table1: error: no crossing\n")
+
 
 class TestVerify:
     def test_failed_check_exits_2(self, monkeypatch):
@@ -544,8 +555,7 @@ class TestUsage:
     def test_readme_documents_every_option(self):
         # every option of every subcommand appears in README's command
         # line section, and the removed --config appears nowhere
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
             readme = fh.read()
         section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
         subparsers = next(
@@ -561,10 +571,9 @@ class TestUsage:
     def test_readme_lists_every_cache(self):
         # every functools.cache or functools.lru_cache decorator in the
         # package has a row in README's cache table
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
             table = fh.read().split("## Caches", 1)[1].split("\n## ", 1)[0]
-        package = os.path.join(root, "src", "listradius")
+        package = os.path.join(ROOT, "src", "listradius")
         cached = []
         for name in sorted(os.listdir(package)):
             if not name.endswith(".py"):
@@ -671,6 +680,18 @@ class TestContract:
         assert all(g.startswith(w) for g, w in zip(got, warnings))
 
 
+def _run_probe(script, *args):
+    """The stdout lines of ``script`` run in a child interpreter, with this
+    package on its path and ``args`` as its arguments, once it exits 0."""
+    src = os.path.dirname(os.path.dirname(listradius.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 class TestStartup:
     def test_checks_and_oracle_run_only_when_used(self):
         # compiling and executing each computing module is left to its first
@@ -704,16 +725,10 @@ class TestStartup:
             print(listradius.lp.lp2_tau.__module__, "lp.py" in ran)
             """
         )
-        src = os.path.dirname(os.path.dirname(listradius.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, os.path.join(DATA, "code-n7.txt")], env=env,
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
+        lines = _run_probe(script, os.path.join(DATA, "code-n7.txt"))
         oracle_suite = ["checks.py", "oracle.py"]
         central = ["bounds.py", "checks.py", "core.py", "oracle.py", "solve.py"]
-        assert proc.stdout.splitlines() == [
+        assert lines == [
             "[]",
             "True",
             f"verify --suite oracle 0 {oracle_suite}",
@@ -779,15 +794,9 @@ class TestStartup:
                 print(*argv[:3], code, "numpy" in sys.modules, heavy())
             """
         )
-        src = os.path.dirname(os.path.dirname(listradius.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, os.path.join(DATA, "code-n7.txt")], env=env,
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
+        lines = _run_probe(script, os.path.join(DATA, "code-n7.txt"))
         verify_imports = ["decimal", "fractions"]
-        assert proc.stdout.splitlines() == [
+        assert lines == [
             "False []",
             "curve --bound lp1 0 False []",
             "curve --bound lp2 0 False []",
@@ -809,7 +818,6 @@ class TestStartup:
         # the benchmark tracer imports listradius.cli, then looks up every
         # function that a per-layer metric names; a renamed function or a
         # module loaded on demand would fail every traced invocation
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         script = textwrap.dedent(
             """
             import json, sys
@@ -825,20 +833,13 @@ class TestStartup:
             print(len(targets))
             """
         )
-        src = os.path.dirname(os.path.dirname(listradius.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, root], env=env, capture_output=True,
-            text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) > 0
+        lines = _run_probe(script, ROOT)
+        assert len(lines) == 1 and int(lines[0]) > 0
 
     def test_benchmark_tracer_counts_calls_in_lazy_modules(self):
         # the tracer's wrappers replace a function under every name of the
         # loaded modules; a call that reaches a function by another route
         # than the one the tracer replaces would be missed and read as 0
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         script = textwrap.dedent(
             """
             import io, json, sys
@@ -863,14 +864,8 @@ class TestStartup:
             print(values["core.binary_entropy.calls"] > 0, values["lp.r_lp2.calls"] > 0)
             """
         )
-        src = os.path.dirname(os.path.dirname(listradius.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, root], env=env, capture_output=True,
-            text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
+        lines = _run_probe(script, ROOT)
+        assert lines == [
             "lp.lp2_tau.calls 1",
             "bounds.list_radius_bound.calls 1",
             "oracle.chebyshev_radius.calls 140",

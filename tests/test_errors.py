@@ -95,10 +95,11 @@ ORACLE_CASES = [
      DomainError, "cannot pick 5 distinct words of length 2"),
     ("tau-list-cover-work", oracle.tau_list,
      (oracle.BinaryCode(n=24, words=tuple(range(65))), 3), SizeLimitError,
-     "list radius search capped at |C| min(L + 1, |C| - L) 2^n <= 4294967296, "
+     "radius search capped at |C| min(k, |C| - k + 1) 2^n <= 4294967296, "
      "got 4362076160"),
     ("radius-cover-work", oracle.chebyshev_radius, (range(257), 24), SizeLimitError,
-     "Chebyshev radius search capped at |C| 2^n <= 4294967296, got 4311744512"),
+     "radius search capped at |C| min(k, |C| - k + 1) 2^n <= 4294967296, "
+     "got 4311744512"),
     ("avg-type-few-words", oracle.avg_joint_type, (oracle.BinaryCode(n=3, words=(1, 2)), 3),
      DomainError, "code needs at least 3 words"),
     ("mixture-type-L", oracle.bernoulli_mixture_type, (CODE, 6), SizeLimitError,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from listradius import oracle
 from listradius.core import avg_radius_poly
 from listradius.errors import DomainError, SizeLimitError
 from listradius.oracle import (
@@ -161,6 +162,21 @@ class TestTauList:
     def test_needs_enough_words(self):
         with pytest.raises(DomainError):
             tau_list(BinaryCode(n=3, words=(0, 1)), 2)
+
+    def test_start_from_kth_smallest_neighbor_distance(self, monkeypatch):
+        # each word's distance to its third nearest word, itself first, is
+        # 2, 4, 4 or 5; the third smallest, 4, starts the search at radius 2,
+        # where 112, 118 and 176 lie around center 112, and one scan of the
+        # centers finds it.  The least, 2, would start it at radius 1
+        covers, calls = oracle._covers, []
+
+        def counted(*args):
+            calls.append(args)
+            return covers(*args)
+
+        monkeypatch.setattr(oracle, "_covers", counted)
+        assert tau_list(BinaryCode(n=8, words=(112, 118, 176, 235)), 2) == Fraction(1, 8)
+        assert len(calls) == 1
 
     def test_many_words_within_the_work_cap(self):
         # 3 921 225 subsets of 4 words, but one cheap scan per radius: the
