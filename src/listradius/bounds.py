@@ -25,6 +25,7 @@ from .core import (
     delta_lp1,
     inverse_entropy,
     krawtchouk_exponent_value,
+    xi_max,
 )
 from .errors import DomainError, NoSolutionError, check_list_size, check_rate
 from .solve import brent_root
@@ -95,10 +96,12 @@ class SlopeBound(NamedTuple):
 
 
 class CurvePoint(NamedTuple):
+    """A row of :func:`sample_curve`: tau and the values of the bound's
+    :data:`BOUNDS` columns, or tau None and the row's error as a note."""
+
     rate: float
     tau: float | None
-    witness: RadiusWitness | None = None
-    label: str | None = None
+    columns: tuple = ()
     note: str | None = None
 
 
@@ -224,7 +227,7 @@ EXPONENT_MODES = ("parametric", "binomial")
 
 
 def _solve_at(R, beta, hbeta, exponent, x):
-    """(xi1, r_prime, *_split_args) at xi0 = x, with h(xi0) evaluated once.
+    """(xi1, r_prime, *_split_args, g) at xi0 = x, h(xi0) evaluated once.
 
     The subcode rate r_prime = R + h(beta) - 2E(xi0) is taken under the
     exponent treatment that list_radius_bound has checked: "parametric"
@@ -233,14 +236,22 @@ def _solve_at(R, beta, hbeta, exponent, x):
     monotonically and is the evaluation behind the published crossover
     table.  A subcode rate that rounds below 0 is solved as 0: there
     xi1 = 2 xi0 (1 - xi0) gives theta = P(xi0), the largest value at this
-    xi0, so rounding can only raise tau, which stays an upper bound."""
+    xi0, so rounding can only raise tau, which stays an upper bound.
+
+    g is h'(xi0) less the subcode rate's slope in xi0, the term of
+    :func:`_objective`'s F0 that depends on xi0 alone: 0 under the binomial
+    estimate, whose subcode rate rises as h(xi0), and log2((1-xi0)/xi0) +
+    2 log2((1-w)/(1+w)), w = _omega_root(beta, xi0), under the exact
+    exponent, whose stationarity in w is _omega_root's quadratic."""
     h0 = binary_entropy(x)
     if exponent == "binomial":
-        rp = R + h0 - 1.0
+        rp, g = R + h0 - 1.0, 0.0
     else:
         rp = R + hbeta - 2.0 * krawtchouk_exponent_value(beta, x)
+        w = _omega_root(beta, x)
+        g = log2((1.0 - x) / x) + 2.0 * log2((1.0 - w) / (1.0 + w))
     xi1 = _solve_xi1(x, h0, rp)
-    return (xi1, rp, *_split_args(x, xi1))
+    return (xi1, rp, *_split_args(x, xi1), g)
 
 
 def _rate_geometry(R, beta, exponent):
@@ -261,22 +272,20 @@ def _rate_geometry(R, beta, exponent):
     hbeta = binary_entropy(beta)
     if explicit and hbeta > R + 4 * math.ulp(R):
         raise DomainError(f"h(beta)={hbeta} exceeds rate {R}")
-    hi = 0.5 - math.sqrt(beta * (1.0 - beta))
+    hi = xi_max(beta)
     start = min(inverse_entropy(1.0 - R), hi) if exponent == "binomial" else 0.0
     lo = hi - 15 * ((hi - start) / 16)
     solve = functools.cache(functools.partial(_solve_at, R, beta, hbeta, exponent))
     return beta, lo, hi, solve
 
 
-def _objective(solve, beta, exponent, L, j):
+def _objective(solve, L, j):
     """xi0 -> (theta, theta') of theta_j(xi0) = split_avg_radius(L, j, xi0,
     xi1), for solve a :func:`_rate_geometry`'s.  With p = xi1/(2 xi0) and
     q = a2 = xi1/(2(1-xi0)), theta' = P(a1) - P(a2) + p P'(a1) + q P'(a2) +
     xi1' (P'(a2) - P'(a1))/2, and xi1' = -F0/F1 from the xi1 equation: F1
-    is :func:`_solve_xi1`'s slope, F0 = h'(xi0) + log2(1-p) - log2(1-q)
-    less the subcode rate's slope, h'(xi0) under the binomial estimate and
-    -2 log2((1-w)/(1+w)), w = _omega_root(beta, xi0), under the exact
-    exponent, whose stationarity in w is _omega_root's quadratic.  theta
+    is :func:`_solve_xi1`'s slope, F0 = log2(1-p) - log2(1-q) + g, with g
+    the subcode rate's part, which :func:`_solve_at` returns.  theta
     takes P(a1), P(a2) from that slope pass, but from the value kernel,
     which holds where a1 rounds to 0, on the clamped branches: xi1 = 0,
     with theta' = j/(L+j), and xi1 = 2 xi0 (1-xi0), with theta' = P'(xi0).
@@ -284,7 +293,7 @@ def _objective(solve, beta, exponent, L, j):
     poly, poly_slope = avg_radius_evaluator(L, j), avg_radius_slope_evaluator(L, j)
 
     def theta_and_slope(x):
-        xi1, _, a1, a2 = solve(x)
+        xi1, _, a1, a2, g = solve(x)
         # a p or q below the float resolution of 1 - p is the xi1 = 0 branch
         if a2 == 0.0 or a1 == 1.0:
             return x * poly(a1) + (1.0 - x) * poly(a2), j / (L + j)
@@ -292,10 +301,7 @@ def _objective(solve, beta, exponent, L, j):
             return x * poly(a1) + (1.0 - x) * poly(a2), poly_slope(x)[1]
         p, q = xi1 / (2.0 * x), a2
         lp1, lq1 = log2(1.0 - p), log2(1.0 - q)
-        f0 = lp1 - lq1
-        if exponent != "binomial":
-            w = _omega_root(beta, x)
-            f0 += log2((1.0 - x) / x) + 2.0 * log2((1.0 - w) / (1.0 + w))
+        f0 = lp1 - lq1 + g
         dxi1 = -2.0 * f0 / (log2(p) + log2(q) - lp1 - lq1)
         (v1, d1), (v2, d2) = poly_slope(a1), poly_slope(a2)
         return x * v1 + (1.0 - x) * v2, v1 - v2 + p * d1 + q * d2 + 0.5 * dxi1 * (d2 - d1)
@@ -375,7 +381,7 @@ def list_radius_bound(
     for j in sorted(caps, key=caps.__getitem__, reverse=True):
         if caps[j] < theta_star - _CAP_SLACK * abs(theta_star):
             break
-        xi0, t = _refine(_objective(solve, beta, exponent, L, j), lo, hi)
+        xi0, t = _refine(_objective(solve, L, j), lo, hi)
         if j_star is None or t > theta_star or (t == theta_star and j < j_star):
             theta_star, xi0_star, j_star = t, xi0, j
 
@@ -501,7 +507,8 @@ def best_upper_bound(L: int, R: float) -> tuple[float, str]:
 class BoundSpec(NamedTuple):
     """One bound of :data:`BOUNDS`: the list sizes it accepts, the CSV
     columns it adds after ``rate,tau``, and its row evaluator, called as
-    ``row(L, R, beta=)`` and returning ``(tau, witness, label)``."""
+    ``row(L, R, beta=)`` and returning tau followed by the values of those
+    columns."""
 
     min_L: int
     max_L: int
@@ -510,13 +517,8 @@ class BoundSpec(NamedTuple):
 
 
 def _theorem1_row(L, R, beta):
-    tau, witness = list_radius_bound(L, R, beta=beta)
-    return tau, witness, None
-
-
-def _best_row(L, R, **_):
-    tau, label = best_upper_bound(L, R)
-    return tau, None, label
+    tau, w = list_radius_bound(L, R, beta=beta)
+    return tau, w.xi0, w.xi1, w.j
 
 
 # The evaluators name their bound function in their body, so that a wrapper
@@ -524,16 +526,17 @@ def _best_row(L, R, **_):
 BOUNDS = {
     "theorem1": BoundSpec(2, MAX_POLY_L, ("xi0", "xi1", "j"), _theorem1_row),
     "blinovsky": BoundSpec(
-        2, MAX_CATALAN_L, (), lambda L, R, **_: (blinovsky_bound(L, R), None, None)
+        2, MAX_CATALAN_L, (), lambda L, R, **_: (blinovsky_bound(L, R),)
     ),
-    "abl2": BoundSpec(2, 2, (), lambda L, R, **_: (lp.abl2_tau(R), None, None)),
-    "lp1": BoundSpec(1, 1, (), lambda L, R, **_: (lp.lp1_tau(R), None, None)),
-    "lp2": BoundSpec(1, 1, (), lambda L, R, **_: (lp.lp2_tau(R), None, None)),
+    "abl2": BoundSpec(2, 2, (), lambda L, R, **_: (lp.abl2_tau(R),)),
+    "lp1": BoundSpec(1, 1, (), lambda L, R, **_: (lp.lp1_tau(R),)),
+    "lp2": BoundSpec(1, 1, (), lambda L, R, **_: (lp.lp2_tau(R),)),
     "slope": BoundSpec(
-        1, MAX_POLY_L, (),
-        lambda L, R, **_: (slope_relaxation_bound(L, R).tau, None, None),
+        1, MAX_POLY_L, (), lambda L, R, **_: (slope_relaxation_bound(L, R).tau,)
     ),
-    "best": BoundSpec(1, MAX_POLY_L, ("label",), _best_row),
+    "best": BoundSpec(
+        1, MAX_POLY_L, ("label",), lambda L, R, **_: best_upper_bound(L, R)
+    ),
 }
 
 
@@ -560,9 +563,8 @@ def sample_curve(
     for R in rates:
         R = float(R)
         try:
-            tau, witness, label = spec.row(L, R, beta=beta)
-            note = None
+            row = spec.row(L, R, beta=beta)
+            points.append(CurvePoint(R, row[0], row[1:]))
         except (DomainError, NoSolutionError) as exc:
-            tau, witness, label, note = None, None, None, str(exc)
-        points.append(CurvePoint(rate=R, tau=tau, witness=witness, label=label, note=note))
+            points.append(CurvePoint(R, None, note=str(exc)))
     return tuple(points)

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from . import bounds, checks, oracle
+from . import bounds, checks, core, oracle
 from .errors import DomainError, ListRadiusError, SizeLimitError
 
 __all__ = ["main", "run"]
@@ -30,18 +30,8 @@ BOUND_CHOICES = ("theorem1", "blinovsky", "abl2", "lp1", "lp2", "slope", "best")
 EXPONENT_CHOICES = ("parametric", "binomial")
 
 
-class _UsageError(Exception):
-    """A usage error, raised with the (sub)parser and the message, for
-    main to print to the err stream it was given."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(self, message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="listradius", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="listradius", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_curve = sub.add_parser("curve", help="emit a bound curve as CSV")
@@ -104,9 +94,7 @@ def cmd_curve(args, out, err) -> int:
             print(",".join(row + [""] * (1 + len(columns))), file=out)
             print(f"listradius curve: warning: rate {row[0]}: {pt.note}", file=err)
             continue
-        row.append(_fmt(pt.tau))
-        for col in columns:
-            value = pt.label if col == "label" else getattr(pt.witness, col)
+        for value in (pt.tau, *pt.columns):
             row.append(_fmt(value) if isinstance(value, float) else str(value))
         print(",".join(row), file=out)
     return 0
@@ -116,7 +104,7 @@ def cmd_witness(args, out, err) -> int:
     tau, w = bounds.list_radius_bound(
         args.L, args.R, beta=args.beta, exponent=args.exponent
     )
-    xi_max = 0.5 - math.sqrt(w.beta * (1.0 - w.beta))
+    xi_max = core.xi_max(w.beta)
     print(f"L = {args.L}", file=out)
     print(f"rate = {_fmt(args.R)}", file=out)
     print(f"tau = {_fmt(tau)}", file=out)
@@ -181,15 +169,11 @@ def main(argv=None, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     parser = _build_parser()
     try:
-        with contextlib.redirect_stdout(out):  # --help prints to out
+        # argparse prints --help to stdout and usage errors to stderr
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
-    except _UsageError as exc:
-        failed, message = exc.args
-        failed.print_usage(err)
-        print(f"{failed.prog}: error: {message}", file=err)
-        return USAGE_EXIT
     except SystemExit as exc:
-        return exc.code if exc.code is not None else 0
+        return USAGE_EXIT if exc.code else 0
     command = {
         "curve": cmd_curve, "witness": cmd_witness,
         "table1": cmd_table1, "verify": cmd_verify,

@@ -28,6 +28,7 @@ __all__ = [
     "inverse_entropy",
     "krawtchouk_exponent_value",
     "plotkin_radius",
+    "xi_max",
 ]
 
 
@@ -201,7 +202,12 @@ def plotkin_radius(L: int, xi):
 def delta_lp1(R: float) -> float:
     """First linear-programming bound on relative distance at rate R (bits):
     1/2 - sqrt(beta(1-beta)) with h(beta) = R."""
-    beta = inverse_entropy(check_rate(R, closed=True))
+    return xi_max(inverse_entropy(check_rate(R, closed=True)))
+
+
+def xi_max(beta: float) -> float:
+    """1/2 - sqrt(beta(1-beta)), the first LP distance at h(beta) = R and
+    the largest sphere radius xi0 that the central bound searches."""
     return 0.5 - math.sqrt(beta * (1.0 - beta))
 
 

@@ -131,9 +131,10 @@ def _cover_radius(words, n, k):
     In a best k-subset each word has its k - 1 partners within 2r, so at
     least k words have their k-th nearest word, itself counted first,
     within 2r: the search starts at half the k-th smallest such distance.
-    These distances take |C|^2 steps; above MAX_PAIRWISE_WORDS words the
-    search starts at half the first word's largest distance for k = |C|,
-    and at 0 otherwise."""
+    These distances take |C|^2 steps.  At k = |C| the k-th nearest word is
+    the farthest, so the start is half the diameter, over the |C|(|C|-1)/2
+    pairs.  Above MAX_PAIRWISE_WORDS words the search starts at half the
+    first word's largest distance for k = |C|, and at 0 otherwise."""
     m = len(words)
     work = m * min(k, m - k + 1) << n
     if work > MAX_COVER_BITS:
@@ -142,11 +143,15 @@ def _cover_radius(words, n, k):
             f"{MAX_COVER_BITS}, got {work}"
         )
     lower = 0
-    if m <= MAX_PAIRWISE_WORDS:
+    if k == m:
+        pairs = (
+            itertools.combinations(words, 2) if m <= MAX_PAIRWISE_WORDS
+            else ((words[0], b) for b in words)
+        )
+        lower = max(((a ^ b).bit_count() for a, b in pairs), default=0)
+    elif m <= MAX_PAIRWISE_WORDS:
         kth = sorted(sorted((a ^ b).bit_count() for b in words)[k - 1] for a in words)
         lower = kth[k - 1]
-    elif k == m:
-        lower = max((words[0] ^ b).bit_count() for b in words)
     r = (lower + 1) // 2
     while r < n and not _covers(words, n, r, k):
         r += 1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from listradius import bounds, checks
 from listradius.bounds import (
+    BOUNDS,
     EXPONENT_MODES,
     MAX_CATALAN_L,
     MAX_POLY_L,
@@ -270,17 +271,17 @@ WITNESS_PINS = [
 ]
 
 
-def _search_j(L, j, beta, exponent, solve, lo, hi):
+def _search_j(L, j, solve, lo, hi):
     """(xi0, theta) of one j's search over [lo, hi]."""
-    return _refine(_objective(solve, beta, exponent, L, j), lo, hi)
+    return _refine(_objective(solve, L, j), lo, hi)
 
 
-def _full_search(L, beta, exponent, solve, lo, hi):
+def _full_search(L, solve, lo, hi):
     """(tau, xi0, j) of the search without the concavity cap: every
     admissible j over [lo, hi], ties going to the smallest j."""
     best = None
     for j in admissible_j(L):
-        xi0, t = _search_j(L, j, beta, exponent, solve, lo, hi)
+        xi0, t = _search_j(L, j, solve, lo, hi)
         if best is None or t > best[0]:
             best = (t, xi0, j)
     return best
@@ -290,11 +291,11 @@ def _check_at_least_dense_scan(L, R, exponent, points=512):
     """tau is at least, less rounding, every theta_j of every admissible j
     at points xi0 spread evenly over the searched [lo, hi]."""
     tau = list_radius_bound(L, R, exponent=exponent)[0]
-    beta, lo, hi, solve = _rate_geometry(R, None, exponent)
+    _, lo, hi, solve = _rate_geometry(R, None, exponent)
     step = (hi - lo) / (points - 1)
     xs = [lo + k * step for k in range(points - 1)] + [hi]
     for j in admissible_j(L):
-        f = _objective(solve, beta, exponent, L, j)
+        f = _objective(solve, L, j)
         assert tau >= max(f(x)[0] for x in xs) - 1e-14, j
 
 
@@ -394,7 +395,7 @@ class TestListRadiusBound:
     def test_records_are_read_only(self):
         point = sample_curve("theorem1", 3, [0.2])[0]
         records = [
-            (point.witness, "xi0"),
+            (point, "columns"),
             (slope_relaxation_bound(3, 0.2), "tau"),
             (point, "tau"),
             (r_lp2(0.1)[1], "alpha"),
@@ -455,7 +456,7 @@ def _unpruned_bound(L, R, exponent):
     """list_radius_bound's (tau, witness) by the search without the
     concavity cap."""
     beta, lo, hi, solve = _rate_geometry(R, None, exponent)
-    tau, xi0, j = _full_search(L, beta, exponent, solve, lo, hi)
+    tau, xi0, j = _full_search(L, solve, lo, hi)
     xi1, r_prime = solve(xi0)[:2]
     return tau, RadiusWitness(xi0=xi0, xi1=xi1, j=j, beta=beta, r_prime=r_prime)
 
@@ -481,9 +482,9 @@ class TestConcavityCap:
     @pytest.mark.parametrize("exponent", EXPONENT_MODES)
     def test_cap_bounds_each_searched_max(self, L, R, exponent):
         # theta_j(xi0) <= P_j(xi0) <= P_j(xi_max) for every admissible j
-        beta, lo, hi, solve = _rate_geometry(R, None, exponent)
+        _, lo, hi, solve = _rate_geometry(R, None, exponent)
         for j in admissible_j(L):
-            t = _search_j(L, j, beta, exponent, solve, lo, hi)[1]
+            t = _search_j(L, j, solve, lo, hi)[1]
             assert avg_radius_poly(L, j, hi) >= t - 1e-12, j
 
     def test_planted_low_cap_is_caught(self, monkeypatch):
@@ -533,11 +534,11 @@ class TestObjectiveSlope:
         # 1e-16/h off, at most 5e-9 on these cases.  theta, taken from the
         # slope pass, is bit for bit the value kernel's
         for L, R, j, u in SLOPE_CASES:
-            beta, lo, hi, solve = _rate_geometry(R, None, exponent)
+            _, lo, hi, solve = _rate_geometry(R, None, exponent)
             x = lo + u * (hi - lo)
-            xi1, _, a1, a2 = solve(x)
+            xi1, _, a1, a2, _ = solve(x)
             assert 0.0 < xi1 < 2.0 * x * (1.0 - x)
-            f = _objective(solve, beta, exponent, L, j)
+            f = _objective(solve, L, j)
             theta, slope = f(x)
             poly = avg_radius_evaluator(L, j)
             assert theta == x * poly(a1) + (1.0 - x) * poly(a2)
@@ -547,9 +548,9 @@ class TestObjectiveSlope:
     def test_clamp_branches(self):
         # xi1 = 0 where the subcode rate exceeds h(xi0), here from a beta
         # with h(beta) = 0.2 < R: theta = xi0 j/(L+j)
-        beta, _, _, solve = _rate_geometry(0.5, inverse_entropy(0.2), "parametric")
+        *_, solve = _rate_geometry(0.5, inverse_entropy(0.2), "parametric")
         for L, j in ((5, 3), (4, 0), (9, 1)):
-            f = _objective(solve, beta, "parametric", L, j)
+            f = _objective(solve, L, j)
             for x in (0.015, 0.03, 0.04):
                 assert solve(x)[0] == 0.0
                 fd = _central_difference(lambda t: f(t)[0], x, 1e-6)
@@ -558,10 +559,10 @@ class TestObjectiveSlope:
         # xi1 = 2 xi0 (1 - xi0) at a zero subcode rate: theta = P(xi0)
         def top(x):
             xi1 = 2.0 * x * (1.0 - x)
-            return (xi1, 0.0, *_split_args(x, xi1))
+            return (xi1, 0.0, *_split_args(x, xi1), 0.0)
 
         for L, j in ((5, 3), (4, 0), (9, 1)):
-            f = _objective(top, beta, "parametric", L, j)
+            f = _objective(top, L, j)
             for x in (0.05, 0.2, 0.35):
                 fd = _central_difference(lambda t: f(t)[0], x, 1e-6)
                 assert f(x)[1] == pytest.approx(fd, abs=1e-8)
@@ -701,8 +702,11 @@ class TestRateGeometryCache:
 
     def test_one_entropy_per_searched_point(self, monkeypatch):
         # h(xi0) once per solved xi0, and h(beta) once per call; the
-        # binomial estimate took h(xi0) twice, 21 entropies for 10 solves
-        calls = {"binary_entropy": 0, "_solve_at": 0}
+        # binomial estimate took h(xi0) twice, 21 entropies for 10 solves.
+        # The exact exponent's omega root, behind the subcode rate's slope,
+        # is also taken once per solved xi0, not once per shift count: 22
+        # roots for 18 solves at L = 31
+        calls = {"binary_entropy": 0, "_solve_at": 0, "_omega_root": 0}
         for name in calls:
             real = getattr(bounds, name)
 
@@ -711,10 +715,14 @@ class TestRateGeometryCache:
                 return real(*args)
 
             monkeypatch.setattr(bounds, name, counted)
-        for L, R, exponent in ((3, 0.3, "binomial"), (11, 0.1, "parametric")):
-            calls.update(binary_entropy=0, _solve_at=0)
+        for L, R, exponent, counts in (
+            (3, 0.3, "binomial", (11, 10, 0)),
+            (11, 0.1, "parametric", (11, 10, 10)),
+            (31, 0.1, "parametric", (19, 18, 18)),
+        ):
+            calls.update(binary_entropy=0, _solve_at=0, _omega_root=0)
             list_radius_bound(L, R, exponent=exponent)
-            assert calls == {"binary_entropy": 11, "_solve_at": 10}
+            assert tuple(calls.values()) == counts, (L, R, exponent)
 
     def test_kernel_passes_of_the_bounds_suite(self, monkeypatch):
         # verify --suite bounds, cold: each searched xi0 costs one pass of
@@ -945,10 +953,11 @@ class TestSampleCurve:
         assert len(curve) == 99
         assert curve[0].tau == pytest.approx(5 / 16, abs=6e-3)
 
-    def test_witness_attached_only_for_central(self):
-        curve = sample_curve("theorem1", 3, [0.2, 0.4])
-        assert all(p.witness is not None for p in curve)
-        assert sample_curve("blinovsky", 3, [0.2])[0].witness is None
+    def test_columns_match_the_bound_table(self):
+        assert len(BOUNDS) == 7
+        for bound, spec in BOUNDS.items():
+            for point in sample_curve(bound, spec.min_L, [0.2, 0.4]):
+                assert len(point.columns) == len(spec.columns), bound
 
     def test_bound_compat_errors(self):
         with pytest.raises(DomainError):
