@@ -401,16 +401,14 @@ def check_code_oracle(code: oracle.BinaryCode):
 # bounds suite
 
 
-def check_crossover_table():
-    """Computed crossover rates match the published table to 0.002."""
-    worst = 0.0
-    details = []
-    for L, ref in bounds.reference_crossovers().items():
-        got = bounds.crossover_rate(L)
-        worst = max(worst, abs(got - ref))
-        details.append(f"L={L}:{got:.4f}")
+def check_crossover_table(crossings):
+    """The crossover rates ``crossings`` (by L, for the published list
+    sizes) match the published table to ``bounds.CROSSOVER_TOLERANCE``."""
+    refs = bounds.reference_crossovers()
+    worst = max(abs(crossings[L] - ref) for L, ref in refs.items())
+    details = " ".join(f"L={L}:{crossings[L]:.4f}" for L in refs)
     return _result(
-        "crossover rates vs published table", worst <= 0.002, worst, " ".join(details)
+        "crossover rates vs published table", worst <= bounds.CROSSOVER_TOLERANCE, worst, details
     )
 
 
@@ -482,16 +480,15 @@ def check_abl_branch():
     return _result("list-2 branch point and continuity", ok, resid, detail=f"tau0 {tau0:.5f}")
 
 
-def check_ordering_below_crossover():
-    """Central bound strictly below the Catalan sum under the crossover,
-    and never below it by more than solver noise above."""
+def check_ordering_below_crossover(crossings):
+    """Central bound strictly below the Catalan sum under each crossover of
+    ``crossings`` (by L), and never below it by more than solver noise above."""
     import numpy as np
 
     worst_low = -math.inf
     worst_high = -math.inf
-    for L in (3, 5, 7, 9, 11):
-        rc = bounds.crossover_rate(L)
-        for R in np.arange(0.02, rc - 0.002, 0.02):
+    for L, rc in crossings.items():
+        for R in np.arange(0.02, rc - bounds.CROSSOVER_TOLERANCE, 0.02):
             d = bounds.list_radius_bound(L, float(R), exponent="binomial")[0] - bounds.blinovsky_bound(L, float(R))
             worst_low = max(worst_low, d)
         for R in np.arange(rc + 0.01, 0.99, 0.05):
@@ -624,14 +621,16 @@ def _oracle_checks(seed):
 
 
 def _bounds_checks(seed):
+    # each published crossover is found once and read by two checks
+    crossings = {L: bounds.crossover_rate(L) for L in bounds.reference_crossovers()}
     return [
-        check_crossover_table(),
+        check_crossover_table(crossings),
         check_central_vs_closed_form(),
         check_zero_rate_agreement(),
         check_blinovsky_zero_exact(),
         check_lp_agreement_regime(),
         check_abl_branch(),
-        check_ordering_below_crossover(),
+        check_ordering_below_crossover(crossings),
         check_central_monotone_and_relaxed(),
         check_witness_validity(),
         check_slope_behavior(),

@@ -130,11 +130,9 @@ def cmd_table1(args, out, err) -> int:
         delta = r_cross - ref
         worst = max(worst, abs(delta))
         print(f"{L:>3} {r_cross:>10.4f} {ref:>10.3f} {delta:>+10.4f}", file=out)
-    if worst > 0.002:
-        print(
-            f"listradius table1: worst deviation {worst:.4f} exceeds 0.002",
-            file=err,
-        )
+    tol = bounds.CROSSOVER_TOLERANCE
+    if worst > tol:
+        print(f"listradius table1: worst deviation {worst:.4f} exceeds {tol}", file=err)
         return FAILURE_EXIT
     return 0
 
@@ -145,14 +143,14 @@ def cmd_verify(args, out, err) -> int:
         # every bad code file fails here, before any suite runs
         try:
             code = oracle.load_code(args.code)
-            if len(code.words) > oracle.MAX_AVG_TYPE_SIZE:
-                raise SizeLimitError(
-                    f"{args.code}: {len(code.words)} words, the oracle checks "
-                    f"take at most {oracle.MAX_AVG_TYPE_SIZE}"
-                )
-        except (OSError, ValueError) as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"listradius verify: error: {exc}", file=err)
             return USAGE_EXIT
+        if len(code.words) > oracle.MAX_AVG_TYPE_SIZE:
+            raise SizeLimitError(
+                f"{args.code}: {len(code.words)} words, the oracle checks "
+                f"take at most {oracle.MAX_AVG_TYPE_SIZE}"
+            )
     results = checks.run_suite(args.suite, seed=args.seed, code=code)
     failed = 0
     for r in results:

@@ -8,13 +8,18 @@ import time
 
 import pytest
 
-from listradius import checks
+from listradius import bounds, checks
 
 SEED = 7  # the seeded checks of c06 run as in ``verify --seed 7``
 
+
+def _crossings():  # the published crossovers, found as the bounds suite finds them
+    return {L: bounds.crossover_rate(L) for L in bounds.reference_crossovers()}
+
+
 # criterion -> (its checks, time budget in seconds or None)
 CRITERIA = {
-    "c01": ((checks.check_crossover_table,), 120.0),
+    "c01": ((lambda: checks.check_crossover_table(_crossings()),), 120.0),
     "c02": ((checks.check_zero_rate_agreement, checks.check_blinovsky_zero_exact), None),
     "c03": ((checks.check_central_vs_closed_form,), None),
     "c04": ((checks.check_abl_branch,), None),
@@ -38,7 +43,10 @@ CRITERIA = {
         None,
     ),
     "c08": ((checks.check_region_inequality,), None),
-    "c09": ((checks.check_ordering_below_crossover, checks.check_plotkin_parity), None),
+    "c09": (
+        (lambda: checks.check_ordering_below_crossover(_crossings()), checks.check_plotkin_parity),
+        None,
+    ),
     "c10": ((checks.check_slope_behavior,), None),
 }
 

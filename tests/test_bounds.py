@@ -745,7 +745,6 @@ class TestRateGeometryCache:
                 bounds, name, lambda L, j, make=make, key=key: counting(key, make(L, j))
             )
         monkeypatch.setattr(bounds, "_solve_xi1", counting("xi1", bounds._solve_xi1))
-        crossover_rate.cache_clear()
         checks.run_suite("bounds", seed=7)
         assert passes["value"] <= 1224
         assert (passes["slope"], passes["xi1"]) == (5902, 2593)
@@ -846,6 +845,8 @@ class TestCrossover:
     def test_parity_error(self):
         with pytest.raises(DomainError):
             crossover_rate(4)
+        with pytest.raises(DomainError):
+            crossover_rate(3.0)
 
     @pytest.mark.parametrize("L", [3, 5, 7, 9, 11])
     def test_crossover_on_central_side(self, L):
@@ -855,15 +856,18 @@ class TestCrossover:
         central = list_radius_bound(L, r_cross, exponent="binomial")[0]
         assert central <= blinovsky_bound(L, r_cross)
 
-    def test_memo_shared_across_spellings(self):
-        # one entry per int L; the float spelling 3.0 is keyed apart and
-        # still rejected
-        crossover_rate.cache_clear()
-        assert crossover_rate(3) is crossover_rate(3)
-        info = crossover_rate.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        with pytest.raises(DomainError):
-            crossover_rate(3.0)
+    def test_bounds_suite_finds_each_crossover_once(self, monkeypatch):
+        # the suite finds the five published crossovers once and hands them
+        # to both checks that read them
+        calls = []
+
+        def counted(L):
+            calls.append(L)
+            return crossover_rate(L)
+
+        monkeypatch.setattr(bounds, "crossover_rate", counted)
+        checks.run_suite("bounds", seed=7)
+        assert calls == [3, 5, 7, 9, 11]
 
     @pytest.mark.parametrize("L", [3, 5, 7, 9, 11])
     def test_no_crossing_above_on_fine_grid(self, L):
