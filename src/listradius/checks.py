@@ -228,7 +228,7 @@ def check_plotkin_parity():
     import numpy as np
 
     xs = np.arange(0.01, 0.5001, 0.01)
-    # plotkin_radius(L, xs) is the (L + 1, 0) average-radius polynomial
+    # the list-L Plotkin radius is the (L + 1, 0) average-radius polynomial
     radius = {L: core.avg_radius_evaluator(L + 1, 0)(xs) for L in range(1, 10)}
     worst = max(np.abs(radius[L] - radius[L - 1]).max() for L in (2, 4, 6, 8))
     strict = min((radius[L] - radius[L - 1]).min() for L in (3, 5, 7, 9))
@@ -333,8 +333,7 @@ def check_type_lipschitz(seed):
             nums = [rng.randint(0, 20) for _ in range(size)]
             while sum(nums) == 0:
                 nums = [rng.randint(0, 20) for _ in range(size)]
-            den = sum(nums)
-            return oracle.JointType(L=L, t=tuple(Fraction(v, den) for v in nums))
+            return oracle.JointType(L, nums, sum(nums))
 
         t1, t2 = random_type(), random_type()
         lhs = abs(oracle.avg_radius_of_type(t1, j) - oracle.avg_radius_of_type(t2, j))

@@ -1,10 +1,11 @@
 """Scalar building blocks shared by every bound.
 
 Entropies, the Krawtchouk polynomial exponent in parametric form, the
-average-radius polynomials, the Plotkin-type radius and the first
-linear-programming distance.  All rates and entropies are in bits.  The
-polynomial evaluators accept floats or ``fractions.Fraction`` (the latter
-giving exact results); the entropy and exponent functions take floats.
+average-radius polynomials (the Plotkin-type radius is their (L + 1, 0)
+member) and the first linear-programming distance.  All rates and
+entropies are in bits.  The polynomial evaluators accept floats or
+``fractions.Fraction`` (the latter giving exact results); the entropy and
+exponent functions take floats.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ __all__ = [
     "expected_excess",
     "inverse_entropy",
     "krawtchouk_exponent_value",
-    "plotkin_radius",
     "xi_max",
 ]
 
@@ -84,13 +84,12 @@ def _omega_root(beta, xi):
     """
     b = 1.0 - 2.0 * xi
     disc = b * b - 4.0 * beta * (1.0 - beta)
-    if disc < 0.0:
-        if disc < -1e-9:
-            raise DomainError(
-                f"xi={xi} exceeds 1/2 - sqrt(beta(1-beta)) for beta={beta}"
-            )
-        disc = 0.0
-    w = (b - math.sqrt(disc)) / (2.0 * (1.0 - beta))
+    # past 1 - xi_max the discriminant is positive again, but b < 0
+    if b < 0.0 or disc < -1e-9:
+        raise DomainError(
+            f"xi={xi} exceeds 1/2 - sqrt(beta(1-beta)) for beta={beta}"
+        )
+    w = (b - math.sqrt(disc if disc > 0.0 else 0.0)) / (2.0 * (1.0 - beta))
     lo = beta / (1.0 - beta)
     hi = math.sqrt(beta / (1.0 - beta))
     return min(max(w, lo), hi)
@@ -186,17 +185,6 @@ def avg_radius_poly(L: int, j: int, nu):
     if not 0 <= nu <= 1:
         raise DomainError(f"probability argument must lie in [0, 1], got {nu}")
     return poly(nu)
-
-
-def plotkin_radius(L: int, xi):
-    """Zero-rate list-L decoding radius of codes on the sphere of relative
-    radius xi: E[min(W, L+1-W)] / (L+1) with W ~ Bino(L+1, xi).
-
-    Since min(W, L+1-W) = W - max(0, 2W - (L+1)), this is the average-radius
-    polynomial avg_radius_poly(L+1, 0, xi).  Exact when xi is a Fraction.
-    """
-    check_list_size(L)
-    return avg_radius_poly(L + 1, 0, xi)
 
 
 def delta_lp1(R: float) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import DomainError, SizeLimitError, check_list_size
@@ -46,12 +46,6 @@ REGION_STEP = 1e-3
 # a1 rows per array of the region scan: one array over all 167 130 points
 # raises the peak RSS of ``verify`` by 7.6 to 10.6 MB, 64 rows by 1.4 MB
 REGION_BLOCK_ROWS = 16
-
-
-def _over_common_denominator(t):
-    """Numerators of the fractions t over their least common denominator."""
-    den = lcm(*(f.denominator for f in t))
-    return [f.numerator * (den // f.denominator) for f in t], den
 
 
 def _column_masks(words, n):
@@ -261,37 +255,42 @@ def tau_list(code: BinaryCode, L: int) -> Fraction:
 
 class _TypeFields(NamedTuple):
     L: int
-    t: tuple[Fraction, ...]
+    counts: tuple[int, ...]
+    den: int
 
 
 class JointType(_TypeFields):
     """Probability distribution on the 2^L column patterns of an L-word
-    stack, exact.  Pattern v is indexed as an integer whose bit i is the
-    i-th word's value, so popcount gives the pattern weight."""
+    stack, exact: pattern v has probability counts[v] / den.  Pattern v is
+    indexed as an integer whose bit i is the i-th word's value, so popcount
+    gives the pattern weight."""
 
     __slots__ = ()
 
-    def __new__(cls, L: int, t: tuple[Fraction, ...]):
-        if len(t) != 1 << L:
+    def __new__(cls, L: int, counts: tuple[int, ...], den: int):
+        if not isinstance(L, int) or L < 0:
+            raise DomainError(f"type list size must be a nonnegative integer, got {L}")
+        if len(counts) != 1 << L:
             raise DomainError("type must have 2^L entries")
-        nums, den = _over_common_denominator(t)
-        if any(c < 0 for c in nums):
+        if any(c < 0 for c in counts):
             raise DomainError("type entries must be nonnegative")
-        if sum(nums) != den:
+        if den <= 0 or sum(counts) != den:
             raise DomainError("type entries must sum to 1 exactly")
-        return super().__new__(cls, L, t)
+        return super().__new__(cls, L, tuple(counts), den)
 
     def weight_marginal(self) -> tuple[Fraction, ...]:
-        nums, den = _over_common_denominator(self.t)
         out = [0] * (self.L + 1)
-        for v, c in enumerate(nums):
+        for v, c in enumerate(self.counts):
             out[v.bit_count()] += c
-        return tuple(Fraction(c, den) for c in out)
+        return tuple(Fraction(c, self.den) for c in out)
 
     def sup_distance(self, other: "JointType") -> Fraction:
         if other.L != self.L:
             raise DomainError("types must share the same L")
-        return max(abs(a - b) for a, b in zip(self.t, other.t))
+        gap = max(
+            abs(a * other.den - b * self.den) for a, b in zip(self.counts, other.counts)
+        )
+        return Fraction(gap, self.den * other.den)
 
 
 def joint_type(words, n: int) -> JointType:
@@ -308,7 +307,7 @@ def joint_type(words, n: int) -> JointType:
     counts = [0] * (1 << L)
     for v in _column_masks(words, n):
         counts[v] += 1
-    return JointType(L=L, t=tuple(Fraction(c, n) for c in counts))
+    return JointType(L, counts, n)
 
 
 def _check_avg_type_limits(code: BinaryCode, L: int):
@@ -339,12 +338,11 @@ def avg_joint_type(code: BinaryCode, L: int) -> JointType:
         mask = sum(sub)
         for col in cols:
             total_w[(col & mask).bit_count()] += 1
-    subsets = comb(M, L)
-    t = [Fraction(0)] * (1 << L)
-    for v in range(1 << L):
-        w = v.bit_count()
-        t[v] = Fraction(total_w[w], n * subsets * comb(L, w))
-    return JointType(L=L, t=tuple(t))
+    # weight w's mass total_w[w] / (n C(M, L)) over its C(L, w) patterns,
+    # over n C(M, L) L!, since 1 / C(L, w) = w! (L - w)! / L!
+    per_w = [total_w[w] * factorial(w) * factorial(L - w) for w in range(L + 1)]
+    counts = [per_w[v.bit_count()] for v in range(1 << L)]
+    return JointType(L, counts, n * comb(M, L) * factorial(L))
 
 
 def weight_marginal_exact(code: BinaryCode, L: int) -> tuple[Fraction, ...]:
@@ -375,8 +373,7 @@ def bernoulli_mixture_type(code: BinaryCode, L: int) -> JointType:
         ones = col.bit_count()
         for w in range(L + 1):
             per_w[w] += ones**w * (M - ones) ** (L - w)
-    t = tuple(Fraction(per_w[v.bit_count()], n * M**L) for v in range(1 << L))
-    return JointType(L=L, t=t)
+    return JointType(L, [per_w[v.bit_count()] for v in range(1 << L)], n * M**L)
 
 
 def avg_radius_of_type(T: JointType, j: int) -> Fraction:
@@ -384,21 +381,24 @@ def avg_radius_of_type(T: JointType, j: int) -> Fraction:
     (E[W] - E[max(0, 2W - L - j)]) / (L + j), W the pattern weight."""
     if not isinstance(j, int) or j < 0:
         raise DomainError(f"shift count must be a nonnegative integer, got {j}")
-    nums, den = _over_common_denominator(T.t)
+    if T.L + j == 0:
+        raise DomainError(f"average radius needs L + j >= 1, got L = {T.L}, j = {j}")
     total = 0
-    for v, c in enumerate(nums):
+    for v, c in enumerate(T.counts):
         w = v.bit_count()
         total += (w - max(0, 2 * w - T.L - j)) * c
-    return Fraction(total, den * (T.L + j))
+    return Fraction(total, T.den * (T.L + j))
 
 
-def _region_blocks(step=REGION_STEP, rows=REGION_BLOCK_ROWS):
-    """The region scan's interior points as flat (a1, a2) arrays, ``rows``
-    values of a1 at a time.  Row a1 is np.arange(step, top, step) and then
-    top = a1(1 - a1); arange fills start + i * step whatever its stop, so
-    each row is a prefix of the longest, of length ceil((top - step) / step)."""
+def _region_blocks():
+    """The region scan's interior points as flat (a1, a2) arrays, ``rows`` =
+    REGION_BLOCK_ROWS values of a1 at a time.  Row a1 is np.arange(step,
+    top, step) and then top = a1(1 - a1), with step = REGION_STEP; arange
+    fills start + i * step whatever its stop, so each row is a prefix of the
+    longest, of length ceil((top - step) / step)."""
     import numpy as np
 
+    step, rows = REGION_STEP, REGION_BLOCK_ROWS
     a1s = np.arange(step, 1.0 - 1e-6, step)
     tops = a1s * (1.0 - a1s)
     counts = np.maximum(np.ceil((tops - step) / step), 0.0)

@@ -30,7 +30,7 @@ def test_g1_dominance_flags_j_above_g1(monkeypatch):
 
 
 def test_plotkin_parity_flags_offset(monkeypatch):
-    # plotkin_radius(4, x) is the (5, 0) polynomial, which must equal (4, 0)
+    # the list-4 Plotkin radius is the (5, 0) polynomial, which must equal (4, 0)
     g = core.avg_radius_evaluator(5, 0)
     _plant_evaluator(monkeypatch, 5, 0, lambda x: g(x) + 1e-9)
     result = checks.check_plotkin_parity()
@@ -62,6 +62,37 @@ def test_majority_check_flags_average_radius_offset(monkeypatch):
         oracle, "average_radius", lambda words, n: real(words, n) + Fraction(1, len(words))
     )
     assert not checks.check_majority_optimal(7).passed
+
+
+def test_type_radius_check_flags_functional_offset(monkeypatch):
+    real = oracle.avg_radius_of_type
+    monkeypatch.setattr(oracle, "avg_radius_of_type", lambda T, j: real(T, j) + Fraction(1, 1000))
+    assert not checks.check_type_radius_equivalence(7).passed
+
+
+def test_weight_marginal_check_flags_formula_offset(monkeypatch):
+    real = oracle.weight_marginal_exact
+
+    def planted(code, L):
+        marginal = real(code, L)
+        return (marginal[0] + Fraction(1, 1000),) + marginal[1:]
+
+    monkeypatch.setattr(oracle, "weight_marginal_exact", planted)
+    assert not checks.check_weight_marginal_identity(7).passed
+
+
+def test_shift_check_flags_shift_dependent_radius(monkeypatch):
+    # the least word moves under almost every shift
+    real = oracle.tau_list
+    monkeypatch.setattr(oracle, "tau_list", lambda code, L: real(code, L) + code.words[0])
+    assert not checks.check_shift_invariance(7).passed
+
+
+def test_lipschitz_check_flags_zero_distance(monkeypatch):
+    monkeypatch.setattr(oracle.JointType, "sup_distance", lambda self, other: Fraction(0))
+    result = checks.check_type_lipschitz(7)
+    assert not result.passed
+    assert result.residual > 0
 
 
 def test_region_scan_reports_a_violating_point(monkeypatch):

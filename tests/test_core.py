@@ -15,7 +15,6 @@ from listradius.core import (
     delta_lp1,
     inverse_entropy,
     krawtchouk_exponent_value,
-    plotkin_radius,
 )
 from listradius.bounds import MAX_POLY_L
 from listradius.errors import DomainError
@@ -260,30 +259,30 @@ class TestAvgRadiusSlope:
 
 
 class TestPlotkinRadius:
+    # the list-L Plotkin radius is avg_radius_poly(L + 1, 0, .)
     def test_reference_value(self):
         # Bino(4, 1/2): (4*1 + 6*2 + 4*1) / 16 / 4
-        assert plotkin_radius(3, 0.5) == pytest.approx(0.3125)
+        assert avg_radius_poly(4, 0, 0.5) == pytest.approx(0.3125)
 
     def test_zero(self):
         for L in (1, 2, 5):
-            assert plotkin_radius(L, 0.0) == 0.0
+            assert avg_radius_poly(L + 1, 0, 0.0) == 0.0
 
     def test_even_equals_preceding_odd(self):
         for xi in np.arange(0.0, 1.0001, 0.05):
-            assert plotkin_radius(2, float(xi)) == pytest.approx(
-                plotkin_radius(1, float(xi)), abs=1e-14
+            assert avg_radius_poly(3, 0, float(xi)) == pytest.approx(
+                avg_radius_poly(2, 0, float(xi)), abs=1e-14
             )
 
     def test_equals_binomial_sum(self):
-        # plotkin_radius is avg_radius_poly(L+1, 0, .): exactly the sum on
-        # fractions, within rounding on floats
+        # exactly the sum on fractions, within rounding on floats
         for L in range(1, 13):
             for k in range(38):
                 xi = Fraction(k, 37)
-                assert plotkin_radius(L, xi) == _plotkin_sum(L, xi)
+                assert avg_radius_poly(L + 1, 0, xi) == _plotkin_sum(L, xi)
             for k in range(101):
                 xi = k / 100
-                assert abs(plotkin_radius(L, xi) - _plotkin_sum(L, xi)) <= 1e-15
+                assert abs(avg_radius_poly(L + 1, 0, xi) - _plotkin_sum(L, xi)) <= 1e-15
 
 
 class TestDeltaLp1:

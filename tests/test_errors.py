@@ -1,5 +1,5 @@
+import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -9,6 +9,7 @@ from listradius.errors import DomainError, SizeLimitError
 NAN = float("nan")
 CODE = oracle.BinaryCode(n=4, words=(0b0011, 0b0101, 0b1010, 0b1100))
 L_MESSAGE = "list size must be a positive integer, got {}"
+XI_MESSAGE = "xi={} exceeds 1/2 - sqrt(beta(1-beta)) for beta={}"
 
 # One public entry point per function that applies the shared list-size or
 # rate rule, with the exact message that the command line prints for it.
@@ -19,7 +20,6 @@ DOMAIN_CASES = [
     (bounds.best_upper_bound, (0, 0.2), L_MESSAGE.format(0)),
     (core.admissible_j, (0,), L_MESSAGE.format(0)),
     (core.avg_radius_evaluator, (0, 0), L_MESSAGE.format(0)),
-    (core.plotkin_radius, (0, 0.2), L_MESSAGE.format(0)),
     (oracle.tau_list, (CODE, 0), L_MESSAGE.format(0)),
     (oracle.avg_joint_type, (CODE, 0), L_MESSAGE.format(0)),
     (oracle.weight_marginal_exact, (CODE, 0), L_MESSAGE.format(0)),
@@ -51,6 +51,11 @@ DOMAIN_CASES = [
     (bounds.sample_curve, ("nope", 3, [0.2]), "unknown bound 'nope'"),
     (bounds.solve_xi1, (0.0, 0.1), "xi0 must lie in (0, 1), got 0.0"),
     (lp.abl_sphere_param, (0.3,), "tau must lie in (0, 1/4), got 0.3"),
+    # past 1 - xi_max the root's discriminant is positive again, and the root
+    # formula at (0.1, 0.9) gives 0.179, not the symmetric E(0.1, 0.1) = 0.432
+    (core.krawtchouk_exponent_value, (0.1, 0.9), XI_MESSAGE.format(0.9, 0.1)),
+    (core.krawtchouk_exponent_value, (0.3, math.inf), XI_MESSAGE.format(math.inf, 0.3)),
+    (core.krawtchouk_exponent_value, (0.5, 1.0), XI_MESSAGE.format(1.0, 0.5)),
 ]
 
 
@@ -68,8 +73,8 @@ def test_domain_message(func, args, message):
     assert str(info.value) == message
 
 
-HALVES = oracle.JointType(L=1, t=(Fraction(1, 2), Fraction(1, 2)))
-QUARTERS = oracle.JointType(L=2, t=(Fraction(1, 4),) * 4)
+HALVES = oracle.JointType(L=1, counts=(1, 1), den=2)
+QUARTERS = oracle.JointType(L=2, counts=(1,) * 4, den=4)
 
 # The argument guards of the exact oracles.  No command reaches them (a code
 # file is parsed into distinct words of one blocklength, at most 24 long),
@@ -104,12 +109,18 @@ ORACLE_CASES = [
      DomainError, "code needs at least 3 words"),
     ("mixture-type-L", oracle.bernoulli_mixture_type, (CODE, 6), SizeLimitError,
      "mixture type capped at L <= 5"),
-    ("type-length", oracle.JointType, (2, (Fraction(1),)), DomainError,
+    ("type-length", oracle.JointType, (2, (1,), 1), DomainError,
      "type must have 2^L entries"),
+    ("type-L-negative", oracle.JointType, (-1, (1,), 1), DomainError,
+     "type list size must be a nonnegative integer, got -1"),
+    ("type-all-zero", oracle.JointType, (1, (0, 0), 0), DomainError,
+     "type entries must sum to 1 exactly"),
     ("sup-distance-L", HALVES.sup_distance, (QUARTERS,), DomainError,
      "types must share the same L"),
     ("shift-count-negative", oracle.avg_radius_of_type, (HALVES, -1), DomainError,
      "shift count must be a nonnegative integer, got -1"),
+    ("radius-empty-type", oracle.avg_radius_of_type, (oracle.joint_type([], 1), 0),
+     DomainError, "average radius needs L + j >= 1, got L = 0, j = 0"),
 ]
 
 

@@ -214,16 +214,16 @@ class TestJointType:
     def test_two_word_example(self):
         # columns of (01, 11) read bottom-up: (0,1) then (1,1)
         T = joint_type([0b01, 0b11], 2)
-        assert T.t[0b10] == Fraction(1, 2)
-        assert T.t[0b11] == Fraction(1, 2)
-        assert sum(T.t) == 1
+        assert T.counts == (0, 0, 1, 1)
+        assert T.den == 2
 
     def test_multiset_diagonal(self):
         T = joint_type([0b0101, 0b0101], 4)
-        assert T.t[0b00] == Fraction(1, 2)
-        assert T.t[0b11] == Fraction(1, 2)
+        assert T.counts == (2, 0, 0, 2)
+        assert T.den == 4
         # no words: every column is the empty pattern
-        assert joint_type([], 4).t == (1,)
+        T = joint_type([], 4)
+        assert (T.counts, T.den) == ((4,), 4)
 
     def test_marginal_is_ones_density(self):
         rng = random.Random(1)
@@ -232,8 +232,8 @@ class TestJointType:
             words = sorted(rng.sample(range(1 << n), 3))
             T = joint_type(words, n)
             for i, w in enumerate(words):
-                ones = sum(T.t[v] for v in range(8) if (v >> i) & 1)
-                assert ones == Fraction(w.bit_count(), n)
+                ones = sum(T.counts[v] for v in range(8) if (v >> i) & 1)
+                assert Fraction(ones, T.den) == Fraction(w.bit_count(), n)
 
     def test_order_violation(self):
         with pytest.raises(DomainError):
@@ -241,7 +241,7 @@ class TestJointType:
 
     def test_type_validation(self):
         with pytest.raises(DomainError):
-            JointType(L=1, t=(Fraction(1, 2), Fraction(1, 3)))
+            JointType(L=1, counts=(3, 2), den=6)
 
 
 class TestAvgJointType:
@@ -251,8 +251,8 @@ class TestAvgJointType:
         T = avg_joint_type(code, 3)
         # every permutation of the three words maps a pattern to one of the
         # same weight, so equal mass per weight is invariance under them all
-        for v, tv in enumerate(T.t):
-            assert tv == T.t[(1 << v.bit_count()) - 1]
+        for v, c in enumerate(T.counts):
+            assert c == T.counts[(1 << v.bit_count()) - 1]
 
     def test_single_subset_code(self):
         code = BinaryCode(n=4, words=(0b0011, 0b1100))
@@ -312,8 +312,7 @@ class TestAvgRadiusOfType:
                 nums = [rng.randint(0, 9) for _ in range(1 << L)]
                 if sum(nums) == 0:
                     nums[0] = 1
-                s = sum(nums)
-                return JointType(L=L, t=tuple(Fraction(v, s) for v in nums))
+                return JointType(L=L, counts=nums, den=sum(nums))
 
             t1, t2 = rand_type(), rand_type()
             lhs = abs(avg_radius_of_type(t1, j) - avg_radius_of_type(t2, j))
@@ -331,11 +330,15 @@ class TestAvgRadiusOfType:
                 )
 
 
+def _probabilities(T):
+    return tuple(Fraction(c, T.den) for c in T.counts)
+
+
 # Term-by-term Fraction forms of the integer-numerator oracles, as they were
 # first written: the references the oracles must equal exactly.
 def _ref_weight_marginal(T):
     out = [Fraction(0)] * (T.L + 1)
-    for v, tv in enumerate(T.t):
+    for v, tv in enumerate(_probabilities(T)):
         out[v.bit_count()] += tv
     return tuple(out)
 
@@ -395,33 +398,32 @@ class TestIntegerOraclesMatchReferences:
             L = rng.randint(1, min(MAX_AVG_TYPE_L, size))
             code = BinaryCode.random(rng, n, size)
             T = avg_joint_type(code, L)
-            _assert_same_fractions(T.t, _ref_avg_joint_type(code, L))
+            _assert_same_fractions(_probabilities(T), _ref_avg_joint_type(code, L))
             _assert_same_fractions(T.weight_marginal(), _ref_weight_marginal(T))
             _assert_same_fractions(
                 weight_marginal_exact(code, L), _ref_weight_marginal_exact(code, L)
             )
             B = bernoulli_mixture_type(code, L)
-            _assert_same_fractions(B.t, _ref_bernoulli_mixture(code, L))
+            _assert_same_fractions(_probabilities(B), _ref_bernoulli_mixture(code, L))
             for j in range(5):
                 for U in (T, B):
                     got = avg_radius_of_type(U, j)
                     _assert_same_fractions((got,), (_ref_avg_radius_of_type(U, j),))
 
     @pytest.mark.parametrize(
-        "t",
+        "counts, den",
         [
-            (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(0)),
-            (Fraction(1, 7), Fraction(2, 5), Fraction(0), Fraction(16, 35)),
-            (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
-            tuple(Fraction(1, 8) for _ in range(8)),
-            (Fraction(1, 4), Fraction(1, 4), Fraction(1, 12), Fraction(1, 9),
-             Fraction(1, 18), Fraction(1, 36), Fraction(1, 6), Fraction(1, 18)),
+            ((3, 2, 1, 0), 6),
+            ((5, 14, 0, 16), 35),
+            ((0, 1, 0, 0), 1),
+            ((1,) * 8, 8),
+            ((9, 9, 3, 4, 2, 1, 6, 2), 36),
         ],
         ids=["halves-thirds-sixths", "sevenths-fifths", "point-mass", "uniform-L3",
              "mixed-L3"],
     )
-    def test_mixed_denominators(self, t):
-        T = JointType(L=len(t).bit_length() - 1, t=t)
+    def test_hand_built_types(self, counts, den):
+        T = JointType(L=len(counts).bit_length() - 1, counts=counts, den=den)
         _assert_same_fractions(T.weight_marginal(), _ref_weight_marginal(T))
         for j in range(5):
             _assert_same_fractions(
@@ -429,17 +431,34 @@ class TestIntegerOraclesMatchReferences:
             )
 
     @pytest.mark.parametrize(
-        "t, message",
+        "counts, den, message",
         [
-            ((Fraction(3, 2), Fraction(-1, 2)), "type entries must be nonnegative"),
-            ((Fraction(1, 2), Fraction(1, 3)), "type entries must sum to 1 exactly"),
-            ((Fraction(2, 3), Fraction(2, 3)), "type entries must sum to 1 exactly"),
+            ((3, -1), 2, "type entries must be nonnegative"),
+            ((3, 2), 6, "type entries must sum to 1 exactly"),
+            ((4, 4), 6, "type entries must sum to 1 exactly"),
         ],
         ids=["negative", "below-one", "above-one"],
     )
-    def test_invalid_types_keep_their_messages(self, t, message):
+    def test_invalid_types_keep_their_messages(self, counts, den, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
-            JointType(L=1, t=t)
+            JointType(L=1, counts=counts, den=den)
+
+    def test_types_build_no_fraction_per_pattern(self, monkeypatch):
+        # the producers keep integer counts; the functional builds its one
+        # returned value
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(oracle, "Fraction", counting)
+        code = BinaryCode(n=6, words=(0b000111, 0b011001, 0b101010, 0b110100))
+        types = [joint_type(code.words[:3], 6), avg_joint_type(code, 3),
+                 bernoulli_mixture_type(code, 3)]
+        assert built == []
+        avg_radius_of_type(types[1], 1)
+        assert len(built) == 1
 
 
 class TestG1Dominance:
@@ -451,14 +470,14 @@ class TestG1Dominance:
 
 
 class TestRegionBlocks:
-    @pytest.mark.parametrize("rows", [REGION_BLOCK_ROWS, 64])
+    @pytest.mark.parametrize("rows", [REGION_BLOCK_ROWS])
     def test_blocks_are_the_per_row_grids(self, rows):
         # row a1 of the scan is np.append(np.arange(step, top, step), top)
         step = REGION_STEP
         a1s = np.arange(step, 1.0 - 1e-6, step)
         assert len(a1s) % rows != 0  # a short last block
         ref = [np.append(np.arange(step, a1 * (1.0 - a1), step), a1 * (1.0 - a1)) for a1 in a1s]
-        blocks = list(_region_blocks(step, rows))
+        blocks = list(_region_blocks())
         assert len(blocks) == -(-len(a1s) // rows)
         a1 = np.concatenate([b[0] for b in blocks])
         a2 = np.concatenate([b[1] for b in blocks])
