@@ -91,8 +91,6 @@ class SlopeBound(NamedTuple):
     evaluated at the first LP distance."""
 
     tau: float
-    tau_j1: float | None
-    j_star: int
 
 
 class CurvePoint(NamedTuple):
@@ -261,7 +259,9 @@ def _rate_geometry(R, beta, exponent):
     memoized for the shift counts of one call.
 
     An explicit beta must satisfy h(beta) <= R, to 4 ulps of R; the default
-    h^-1(R) does up to its own rounding.  The subcode rate rises in xi0,
+    h^-1(R) does up to its own rounding.  Either must leave xi_max > 0,
+    which rounds to 0 for some beta within 6.3e-9 of 1/2; the default's is
+    5.6e-17 at R = 1 - 2^-53.  The subcode rate rises in xi0,
     and at hi = xi_max it is at least R - h(beta) >= 0, as the LP1 distance
     lies above the GV distance.  So the feasible xi0 form one interval up to
     hi: all of (0, hi] for the exact exponent, from h^-1(1 - R) on for the
@@ -273,6 +273,8 @@ def _rate_geometry(R, beta, exponent):
     if explicit and hbeta > R + 4 * math.ulp(R):
         raise DomainError(f"h(beta)={hbeta} exceeds rate {R}")
     hi = xi_max(beta)
+    if hi == 0.0:
+        raise DomainError(f"beta={beta} leaves no sphere radius: xi_max(beta) rounds to 0")
     start = min(inverse_entropy(1.0 - R), hi) if exponent == "binomial" else 0.0
     lo = hi - 15 * ((hi - start) / 16)
     solve = functools.cache(functools.partial(_solve_at, R, beta, hbeta, exponent))
@@ -412,20 +414,14 @@ def list3_closed_form(R: float) -> float:
 
 
 def slope_relaxation_bound(L: int, R: float) -> SlopeBound:
-    """Concavity relaxation of the central bound: max over admissible j of
-    the average-radius polynomial at the first LP distance.
-
-    Valid for every L; for odd L the j = 1 value is also reported since the
-    maximum sits there for all small rates.
-    """
+    """Concavity relaxation of the central bound, valid for every L: max
+    over admissible j of the average-radius polynomial at the first LP
+    distance."""
     check_list_size(L)
     _check_float_cap(L, MAX_POLY_L)
     R = check_rate(R, closed=True)
     x = delta_lp1(R)
-    values = {j: avg_radius_poly(L, j, x) for j in admissible_j(L)}
-    j_star = max(values, key=values.get)
-    tau_j1 = values.get(1)
-    return SlopeBound(tau=values[j_star], tau_j1=tau_j1, j_star=j_star)
+    return SlopeBound(tau=max(avg_radius_poly(L, j, x) for j in admissible_j(L)))
 
 
 _REFERENCE_CROSSOVERS = {3: 0.361, 5: 0.248, 7: 0.184, 9: 0.136, 11: 0.100}

@@ -32,6 +32,13 @@ def _result(name, passed, residual, detail=""):
     return CheckResult(name=name, passed=bool(passed), residual=float(residual), detail=detail)
 
 
+def _arange(start, stop, step):
+    """The points of ``np.arange(start, stop, step)`` as Python floats, bit
+    for bit: numpy fills start + i * ((start + step) - start)."""
+    delta = (start + step) - start
+    return [start + i * delta for i in range(math.ceil((stop - start) / step))]
+
+
 # ---------------------------------------------------------------------------
 # identities suite
 
@@ -143,10 +150,8 @@ def check_poly_at_one():
 def check_exponent_endpoints():
     """Exponent endpoint identities: value h(beta) at 0 and
     (1 - h(d) + h(beta))/2 at the right endpoint d."""
-    import numpy as np
-
     worst = 0.0
-    for beta in np.arange(0.02, 0.5, 0.02):
+    for beta in _arange(0.02, 0.5, 0.02):
         d = 0.5 - math.sqrt(beta * (1 - beta))
         worst = max(
             worst,
@@ -161,23 +166,21 @@ def check_exponent_endpoints():
 
 def check_exponent_decreasing():
     """The exponent strictly decreases in xi on its domain."""
-    import numpy as np
-
     worst = -math.inf
-    for beta in np.arange(0.05, 0.5, 0.05):
+    for beta in _arange(0.05, 0.5, 0.05):
         d = 0.5 - math.sqrt(beta * (1 - beta))
-        e = [core.krawtchouk_exponent_value(beta, x) for x in np.linspace(0.0, d, 200).tolist()]
+        # the points of np.linspace(0.0, d, 200), bit for bit
+        xs = [i * (d / 199) for i in range(199)] + [d]
+        e = [core.krawtchouk_exponent_value(beta, x) for x in xs]
         worst = max(worst, max(b - a for a, b in zip(e, e[1:])))
     return _result("Krawtchouk exponent decreasing in xi", worst < 0.0, worst)
 
 
 def check_lp1_involution():
     """Applying the LP1 distance map twice returns the starting distance."""
-    import numpy as np
-
     worst = 0.0
-    for d in np.arange(0.01, 0.5001, 0.01):
-        d = min(float(d), 0.5)
+    for d in _arange(0.01, 0.5001, 0.01):
+        d = min(d, 0.5)
         r = core.binary_entropy(0.5 - math.sqrt(d * (1 - d)))
         worst = max(worst, abs(core.delta_lp1(r) - d))
     return _result("LP1 distance involution", worst <= 1e-9, worst)
@@ -413,14 +416,9 @@ def check_crossover_table(crossings):
 
 def check_central_vs_closed_form():
     """Central bound agrees with the explicit list-3 form to 1e-6."""
-    import numpy as np
-
     worst = 0.0
-    for R in np.arange(0.05, 0.501, 0.05):
-        worst = max(
-            worst,
-            abs(bounds.list_radius_bound(3, float(R))[0] - bounds.list3_closed_form(float(R))),
-        )
+    for R in _arange(0.05, 0.501, 0.05):
+        worst = max(worst, abs(bounds.list_radius_bound(3, R)[0] - bounds.list3_closed_form(R)))
     return _result("central bound vs explicit list-3 form", worst <= 1e-6, worst)
 
 
@@ -451,11 +449,9 @@ def check_blinovsky_zero_exact():
 def check_lp_agreement_regime():
     """Second LP bound equals the LP1 rate below the divergence onset;
     the onset sits near 0.305."""
-    import numpy as np
-
     worst = 0.0
-    for R in np.arange(0.05, 0.2801, 0.01):
-        worst = max(worst, abs(lp.r_lp2(core.delta_lp1(float(R)))[0] - float(R)))
+    for R in _arange(0.05, 0.2801, 0.01):
+        worst = max(worst, abs(lp.r_lp2(core.delta_lp1(R))[0] - R))
     # the onset is where R - r_lp2 first exceeds 1e-6, bracketed to the
     # width that 40 halvings of [0.28, 0.40] would reach
     lo, hi = solve.brent_root(
@@ -482,16 +478,14 @@ def check_abl_branch():
 def check_ordering_below_crossover(crossings):
     """Central bound strictly below the Catalan sum under each crossover of
     ``crossings`` (by L), and never below it by more than solver noise above."""
-    import numpy as np
-
     worst_low = -math.inf
     worst_high = -math.inf
     for L, rc in crossings.items():
-        for R in np.arange(0.02, rc - bounds.CROSSOVER_TOLERANCE, 0.02):
-            d = bounds.list_radius_bound(L, float(R), exponent="binomial")[0] - bounds.blinovsky_bound(L, float(R))
+        for R in _arange(0.02, rc - bounds.CROSSOVER_TOLERANCE, 0.02):
+            d = bounds.list_radius_bound(L, R, exponent="binomial")[0] - bounds.blinovsky_bound(L, R)
             worst_low = max(worst_low, d)
-        for R in np.arange(rc + 0.01, 0.99, 0.05):
-            d = bounds.list_radius_bound(L, float(R), exponent="binomial")[0] - bounds.blinovsky_bound(L, float(R))
+        for R in _arange(rc + 0.01, 0.99, 0.05):
+            d = bounds.list_radius_bound(L, R, exponent="binomial")[0] - bounds.blinovsky_bound(L, R)
             worst_high = max(worst_high, -d)
     ok = worst_low < 0.0 and worst_high <= 1e-9
     return _result(
@@ -505,18 +499,16 @@ def check_ordering_below_crossover(crossings):
 def check_central_monotone_and_relaxed():
     """Central bound nonincreasing in rate and dominated by the concavity
     relaxation."""
-    import numpy as np
-
     worst_mono = -math.inf
     worst_rel = -math.inf
     for L in (3, 4, 5):
         prev = None
-        for R in np.arange(0.05, 0.951, 0.05):
-            t = bounds.list_radius_bound(L, float(R))[0]
+        for R in _arange(0.05, 0.951, 0.05):
+            t = bounds.list_radius_bound(L, R)[0]
             if prev is not None:
                 worst_mono = max(worst_mono, t - prev)
             prev = t
-            worst_rel = max(worst_rel, t - bounds.slope_relaxation_bound(L, float(R)).tau)
+            worst_rel = max(worst_rel, t - bounds.slope_relaxation_bound(L, R).tau)
     ok = worst_mono <= 1e-10 and worst_rel <= 1e-10
     return _result("central bound monotone and below relaxation", ok, max(worst_mono, worst_rel))
 
@@ -565,16 +557,14 @@ def check_slope_behavior():
 def check_lp2_properties():
     """Witness feasibility, monotonicity and LP1 dominance of the second
     LP bound."""
-    import numpy as np
-
     worst_feas = -math.inf
     worst_mono = -math.inf
     worst_dom = -math.inf
     prev = None
-    for d in np.arange(0.02, 0.501, 0.02):
-        rate, wit = lp.r_lp2(float(d))
-        worst_feas = max(worst_feas, lp.lp2_constraint(wit.alpha, wit.beta) - float(d))
-        lp1_rate = core.binary_entropy(0.5 - math.sqrt(float(d) * (1 - float(d))))
+    for d in _arange(0.02, 0.501, 0.02):
+        rate, wit = lp.r_lp2(d)
+        worst_feas = max(worst_feas, lp.lp2_constraint(wit.alpha, wit.beta) - d)
+        lp1_rate = core.binary_entropy(0.5 - math.sqrt(d * (1 - d)))
         worst_dom = max(worst_dom, rate - lp1_rate)
         if prev is not None:
             worst_mono = max(worst_mono, rate - prev)

@@ -71,8 +71,9 @@ def _rate_grid(rmin, rmax, step):
     span = (rmax - rmin) / step + 1e-9 + 2.0 * math.ulp(rmax) / step
     if span >= MAX_CURVE_ROWS:
         raise DomainError(f"step {step:g} gives more than {MAX_CURVE_ROWS} rows")
-    # the slack may put the last row past rmax; it is then evaluated at rmax
-    return [min(rmin + k * step, rmax) for k in range(math.floor(span) + 1)]
+    # the slack may put the last row past rmax; it is then evaluated at rmax.
+    # A step of a few ulps rounds several k to one rate, kept once
+    return list(dict.fromkeys(min(rmin + k * step, rmax) for k in range(math.floor(span) + 1)))
 
 
 def _fmt(value):

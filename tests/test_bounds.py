@@ -40,6 +40,7 @@ from listradius.core import (
     avg_radius_evaluator,
     avg_radius_poly,
     binary_entropy,
+    delta_lp1,
     inverse_entropy,
     krawtchouk_exponent_value,
 )
@@ -312,7 +313,10 @@ DENSE_AUDIT = [
 
 
 class TestListRadiusBound:
-    @pytest.mark.parametrize("L, R, exponent, tau, j", PINNED_TAU)
+    @pytest.mark.parametrize(
+        "L, R, exponent, tau, j", PINNED_TAU,
+        ids=[f"L{L}-R{R}-{exponent}" for L, R, exponent, *_ in PINNED_TAU],
+    )
     def test_pinned_values(self, L, R, exponent, tau, j):
         got, w = list_radius_bound(L, R, exponent=exponent)
         assert got == pytest.approx(tau, abs=1e-12)
@@ -813,26 +817,35 @@ class TestList3ClosedForm:
 
 
 class TestSlopeRelaxation:
+    @staticmethod
+    def _by_j(L, R):
+        # the polynomial values the relaxation maximizes over j
+        return {j: avg_radius_poly(L, j, delta_lp1(R)) for j in admissible_j(L)}
+
     def test_zero_rate(self):
         sb = slope_relaxation_bound(3, 0.0)
         assert sb.tau == pytest.approx(5 / 16, abs=1e-12)
-        assert sb.j_star == 1
+        values = self._by_j(3, 0.0)
+        assert max(values, key=values.get) == 1
+        assert sb.tau == values[1]
 
     def test_reference_point(self):
         # delta_lp1(0.1) = 0.386782...; frozen from the involution chain
-        sb = slope_relaxation_bound(3, 0.1)
+        values = self._by_j(3, 0.1)
         d = 0.386782
-        assert sb.tau_j1 == pytest.approx(0.75 * d - 0.5 * d**3, abs=1e-5)
-        assert sb.j_star == 1
+        assert values[1] == pytest.approx(0.75 * d - 0.5 * d**3, abs=1e-5)
+        assert max(values, key=values.get) == 1
+        assert slope_relaxation_bound(3, 0.1).tau == values[1]
 
     def test_float_cap(self):
         with pytest.raises(DomainError):
             slope_relaxation_bound(MAX_POLY_L + 1, 0.2)
 
     def test_even_list_size_max_at_zero(self):
-        sb = slope_relaxation_bound(4, 0.01)
-        assert sb.j_star == 0
-        assert sb.tau_j1 is None
+        values = self._by_j(4, 0.01)
+        assert max(values, key=values.get) == 0
+        assert 1 not in values
+        assert slope_relaxation_bound(4, 0.01).tau == values[0]
 
 
 class TestCrossover:
@@ -884,6 +897,17 @@ class TestCrossover:
     )
     def test_large_list_sizes_resolve(self, L, r_cross):
         assert crossover_rate(L) == pytest.approx(r_cross, abs=2e-5)
+
+    def test_no_win_on_the_scan_raises(self, monkeypatch):
+        # a Catalan sum of 0 is never beaten: no scan rate brackets a crossing
+        monkeypatch.setattr(bounds, "blinovsky_bound", lambda L, R: 0.0)
+        with pytest.raises(NoSolutionError, match="never beats the Catalan sum for L=3"):
+            crossover_rate(3)
+
+    def test_win_at_top_scan_rate_returns_it(self, monkeypatch):
+        # a Catalan sum of 1 loses at the first scan rate, which is returned
+        monkeypatch.setattr(bounds, "blinovsky_bound", lambda L, R: 1.0)
+        assert crossover_rate(3) == _CROSSOVER_SCAN[-1]
 
     def test_scan_rates_match_arange(self):
         halvings = [0.02 / 2**k for k in range(12, 0, -1)]

@@ -1,16 +1,18 @@
-"""Planted faults that the array and integer passes of the checks must flag.
+"""Planted faults that the array, scalar and integer passes of the checks
+must flag, and the scalar sweeps' grids against numpy's.
 
 Each test breaks one input of a check with ``monkeypatch`` and asserts that
 the check fails; ``verify --suite all`` (tests/test_acceptance.py) asserts
 that every check passes on the unbroken code.
 """
+import math
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from listradius import checks, core, oracle
+from listradius import bounds, checks, core, oracle
 
 
 def _plant_evaluator(monkeypatch, L, j, poly):
@@ -106,3 +108,62 @@ def test_region_scan_reports_a_violating_point(monkeypatch):
     monkeypatch.setattr(oracle, "_region_blocks", blocks)
     assert oracle.verify_monotonicity_region() == [(0.2, 0.5)]
     assert not checks.check_region_inequality().passed
+
+
+def test_witness_check_flags_inadmissible_j(monkeypatch):
+    # j = 2 is not a shift count of odd L = 3
+    real = bounds.list_radius_bound
+
+    def planted(L, R, **kw):
+        tau, w = real(L, R, **kw)
+        return tau, (w._replace(j=2) if L == 3 else w)
+
+    monkeypatch.setattr(bounds, "list_radius_bound", planted)
+    result = checks.check_witness_validity()
+    assert not result.passed
+    assert result.residual == 1.0
+
+
+CROSSINGS = bounds.reference_crossovers()
+SWEEPS = [
+    (checks.check_exponent_endpoints, ()),
+    (checks.check_exponent_decreasing, ()),
+    (checks.check_lp1_involution, ()),
+    (checks.check_central_vs_closed_form, ()),
+    (checks.check_lp_agreement_regime, ()),
+    (checks.check_ordering_below_crossover, (CROSSINGS,)),
+    (checks.check_central_monotone_and_relaxed, ()),
+    (checks.check_lp2_properties, ()),
+]
+
+
+@pytest.mark.parametrize("check, args", SWEEPS, ids=[c.__name__ for c, _ in SWEEPS])
+def test_sweep_grids_are_numpy_grids(monkeypatch, check, args):
+    # each rate grid of a scalar sweep is the np.arange grid, bit for bit
+    real, grids = checks._arange, []
+
+    def recorded(start, stop, step):
+        grids.append((real(start, stop, step), np.arange(start, stop, step)))
+        return grids[-1][0]
+
+    monkeypatch.setattr(checks, "_arange", recorded)
+    assert check(*args).passed
+    assert grids
+    for grid, expected in grids:
+        assert np.array(grid).tobytes() == expected.tobytes()
+
+
+def test_exponent_xi_grids_are_linspace(monkeypatch):
+    # the xi grid of each beta is np.linspace(0, xi_max, 200), bit for bit
+    real, xs = core.krawtchouk_exponent_value, {}
+
+    def recorded(beta, xi):
+        xs.setdefault(beta, []).append(xi)
+        return real(beta, xi)
+
+    monkeypatch.setattr(core, "krawtchouk_exponent_value", recorded)
+    assert checks.check_exponent_decreasing().passed
+    assert len(xs) == 9
+    for beta, grid in xs.items():
+        expected = np.linspace(0.0, 0.5 - math.sqrt(beta * (1 - beta)), 200)
+        assert np.array(grid).tobytes() == expected.tobytes()

@@ -115,6 +115,16 @@ class TestCurve:
         assert len(lines) == rows
         assert lines[-1].split(",")[0] == rmax
 
+    @pytest.mark.parametrize("step", ["1.1102230246251565e-16", "1e-17"])
+    def test_ulp_steps_print_each_rate_once(self, step):
+        # steps of a few ulps or less round several grid points to one rate
+        code, out, err = run_cli(
+            ["curve", "--bound", "lp1", "--L", "1", "--rmin", "0.5",
+             "--rmax", "0.5000000000000001", "--step", step]
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["0.5,0.09353775736", "0.5000000000000001,0.09353775736"]
+
     def test_near_unit_rates_print_apart(self):
         # ten digits print all but the first of these rates as 1, and the
         # first as 0.9999999999, five steps below it
@@ -183,6 +193,23 @@ class TestCurve:
         assert lines[1].split(",")[1] == ""
         assert "warning" in err
         assert lines[2].split(",")[1] != ""
+
+    def test_beta_without_sphere_radius_warns(self):
+        # h(beta) rounds to 1, within 4 ulps of these rates, and
+        # xi_max(beta) to 0
+        code, out, err = run_cli(
+            ["curve", "--bound", "theorem1", "--L", "3", "--beta", "0.4999999999",
+             "--rmin", "0.9999999999999998", "--rmax", "0.9999999999999999",
+             "--step", "0.0000000000000001"]
+        )
+        rates = ("0.9999999999999998", "0.9999999999999999")
+        assert code == 0
+        assert out.splitlines()[1:] == [f"{r},,,," for r in rates]
+        assert err.splitlines() == [
+            f"listradius curve: warning: rate {r}: beta=0.4999999999 leaves no "
+            "sphere radius: xi_max(beta) rounds to 0"
+            for r in rates
+        ]
 
     def test_warning_rate_matches_row_precision(self):
         # rates that need more than 6 significant digits must not round to
@@ -310,6 +337,16 @@ class TestWitness:
         assert (code, out) == (1, "")
         assert err == (
             "listradius witness: error: h(beta)=1.9899998071094816e-09 exceeds rate 1e-09\n"
+        )
+
+    def test_beta_without_sphere_radius_refused(self):
+        code, out, err = run_cli(
+            ["witness", "--L", "3", "--R", "0.9999999999999999", "--beta", "0.4999999999"]
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "listradius witness: error: beta=0.4999999999 leaves no sphere radius: "
+            "xi_max(beta) rounds to 0\n"
         )
 
     def test_high_rate_small_radius(self):
@@ -755,8 +792,8 @@ class TestStartup:
 
     def test_numpy_imported_only_by_verify(self):
         # every curve, witness, table1 and usage errors run without numpy,
-        # and so does the exact oracle suite, with and without --code; the
-        # identities suite imports it.  Only verify loads fractions and its
+        # and so do the exact oracle suite, with and without --code, and the
+        # bounds suite; the identities suite imports it.  Only verify loads fractions and its
         # decimal import; no command loads dataclasses or the inspect, ast
         # and dis modules it imports.  numpy imports inspect itself, so a
         # run with it prints "-"
@@ -788,6 +825,7 @@ class TestStartup:
                 ["table1"],
                 ["verify", "--suite", "oracle"],
                 ["verify", "--suite", "oracle", "--code", code_file],
+                ["verify", "--suite", "bounds"],
                 ["verify", "--suite", "identities"],
             ):
                 code = listradius.cli.main(argv, out=io.StringIO(), err=io.StringIO())
@@ -811,6 +849,7 @@ class TestStartup:
             "table1 0 False []",
             f"verify --suite oracle 0 False {verify_imports}",
             f"verify --suite oracle 0 False {verify_imports}",
+            f"verify --suite bounds 0 False {verify_imports}",
             "verify --suite identities 0 True -",
         ]
 

@@ -31,6 +31,10 @@ DOMAIN_CASES = [
     # witness --L 3 --R 1e-12 --beta 2.737394338980792e-11 --exponent binomial
     (bounds.list_radius_bound, (3, 1e-12, 2.737394338980792e-11, "binomial"),
      "h(beta)=1.0000003554949304e-09 exceeds rate 1e-12"),
+    # witness --L 3 --R 0.9999999999999999 --beta 0.4999999999: h(beta) rounds
+    # to 1, within 4 ulps of the rate, and xi_max(beta) to 0
+    (bounds.list_radius_bound, (3, 0.9999999999999999, 0.4999999999),
+     "beta=0.4999999999 leaves no sphere radius: xi_max(beta) rounds to 0"),
     (bounds.list3_parameters, (0,), "rate must lie in (0, 1), got 0.0"),
     (bounds.list3_closed_form, (NAN,), "rate must lie in (0, 1), got nan"),
     (bounds.best_upper_bound, (3, 1), "rate must lie in (0, 1), got 1.0"),
